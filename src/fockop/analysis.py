@@ -98,6 +98,15 @@ def solve_z0(symbol, tol=DEFAULT_TOL_UNIT):
     return z0
 
 
+def _norm_from_z0(symbol, z0):
+    q = (
+        hermitian_inner(z0, z0).real
+        - hermitian_inner(symbol.A @ z0, symbol.A @ z0).real
+        + hermitian_inner(symbol.B, symbol.B).real
+    )
+    return math.exp(0.25 * q)
+
+
 def operator_norm(symbol, tol_unit=DEFAULT_TOL_UNIT):
     """||C_phi|| = exp((|z0|^2 - |A z0|^2 + |B|^2) / 4).
 
@@ -110,13 +119,22 @@ def operator_norm(symbol, tol_unit=DEFAULT_TOL_UNIT):
     """
     if not check_bounded(symbol, tol_unit).bounded:
         raise NotBoundedError("operator norm requires a bounded symbol")
-    z0 = solve_z0(symbol)
-    q = (
-        hermitian_inner(z0, z0).real
-        - hermitian_inner(symbol.A @ z0, symbol.A @ z0).real
-        + hermitian_inner(symbol.B, symbol.B).real
-    )
-    return math.exp(0.25 * q)
+    return _norm_from_z0(symbol, solve_z0(symbol))
+
+
+def _essential_norm_from_z0(symbol, z0, norm, rel_tol=1e-9):
+    # non-compact case: exp(<phi(z0), B>/4), checked against the norm
+    val = hermitian_inner(symbol(z0), symbol.B)
+    if abs(val.imag) > rel_tol * max(1.0, abs(val)):
+        raise IdentityViolationError(
+            f"<phi(z0), B> has imaginary part {val.imag:.3e}"
+        )
+    via_identity = math.exp(0.25 * val.real)
+    if abs(via_identity - norm) > rel_tol * norm:
+        raise IdentityViolationError(
+            f"essential-norm identity mismatch: {via_identity!r} vs {norm!r}"
+        )
+    return via_identity
 
 
 def essential_norm(symbol, tol_unit=DEFAULT_TOL_UNIT, rel_tol=1e-9):
@@ -138,18 +156,15 @@ def essential_norm(symbol, tol_unit=DEFAULT_TOL_UNIT, rel_tol=1e-9):
     if check_compact(symbol, tol_unit):
         return 0.0
     z0 = solve_z0(symbol)
-    val = hermitian_inner(symbol(z0), symbol.B)
-    if abs(val.imag) > rel_tol * max(1.0, abs(val)):
-        raise IdentityViolationError(
-            f"<phi(z0), B> has imaginary part {val.imag:.3e}"
-        )
-    via_identity = math.exp(0.25 * val.real)
-    via_norm = operator_norm(symbol, tol_unit)
-    if abs(via_identity - via_norm) > rel_tol * via_norm:
-        raise IdentityViolationError(
-            f"essential-norm identity mismatch: {via_identity!r} vs {via_norm!r}"
-        )
-    return via_identity
+    return _essential_norm_from_z0(symbol, z0, _norm_from_z0(symbol, z0), rel_tol)
+
+
+def _is_normal(symbol, tol):
+    A = symbol.A
+    comm = A @ A.conj().T - A.conj().T @ A
+    return bool(
+        np.linalg.norm(symbol.B) < tol and np.linalg.norm(comm) < tol
+    )
 
 
 def check_normal(symbol, tol=DEFAULT_TOL_UNIT):
@@ -161,11 +176,7 @@ def check_normal(symbol, tol=DEFAULT_TOL_UNIT):
     """
     if not check_bounded(symbol, tol).bounded:
         raise NotBoundedError("normality is assessed for bounded symbols")
-    A = symbol.A
-    comm = A @ A.conj().T - A.conj().T @ A
-    return bool(
-        np.linalg.norm(symbol.B) < tol and np.linalg.norm(comm) < tol
-    )
+    return _is_normal(symbol, tol)
 
 
 def check_hyponormal(symbol, tol=DEFAULT_TOL_UNIT):
@@ -235,37 +246,10 @@ def berezin_transform(symbol, z, tol_unit=DEFAULT_TOL_UNIT):
     return math.exp(expo)
 
 
-def adjoint_kernel_ratio(symbol, z, tol_unit=DEFAULT_TOL_UNIT):
-    """||C_phi* k_z|| = exp((|phi(z)|^2 - |z|^2)/4), from
-    C_phi* K_z = K_{phi(z)}.
-
-    Raises
-    ------
-    NotBoundedError
-    """
-    if not check_bounded(symbol, tol_unit).bounded:
-        raise NotBoundedError("adjoint kernel ratio requires a bounded symbol")
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    ph = symbol(z)
-    return math.exp(
-        0.25 * (hermitian_inner(ph, ph).real - hermitian_inner(z, z).real)
-    )
-
-
 # ---------------------------------------------------------------------------
-# tensor Gauss-Hermite quadrature over R^{2n}
+# Gaussian integrals: closed forms and tensor Gauss-Hermite oracles
 
 _GH_BLOCK = 2_000_000
-
-
-def _default_orders(n):
-    # full 16 -> 64 escalation is affordable for 2n <= 4 axes; beyond that
-    # the tensor grid would explode, so orders shrink with the dimension
-    if n <= 2:
-        return (16, 32, 64)
-    if n == 3:
-        return (8, 12, 16)
-    return (6, 8, 10)
 
 
 def _tensor_gauss_hermite(exponent_fn, m, scale, order):
@@ -273,39 +257,21 @@ def _tensor_gauss_hermite(exponent_fn, m, scale, order):
 
     The rule absorbs a factor exp(-scale |t|^2): nodes are x/sqrt(scale)
     and log-weights carry the +x^2 compensation, which keeps large nodes
-    from under/overflowing separately.
+    from under/overflowing separately.  The order^m grid points are
+    visited in blocks of at most _GH_BLOCK.
 
     exponent_fn maps an (P, m) real array to a (P,) real array.
     """
     x, w = hermgauss(order)
     nodes = x / math.sqrt(scale)
     logw = np.log(w) + x * x - 0.5 * math.log(scale)
-
-    k = 0
     size = order**m
-    while size > _GH_BLOCK:
-        size //= order
-        k += 1
-    tail = m - k
-    if tail:
-        grids = np.meshgrid(*([nodes] * tail), indexing="ij")
-        tail_pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*([logw] * tail), indexing="ij")
-        tail_logw = sum(g.ravel() for g in wgrids)
-    else:
-        tail_pts = np.zeros((1, 0))
-        tail_logw = np.zeros(1)
-
     total = 0.0
-    P = tail_pts.shape[0]
-    for idx in np.ndindex(*([order] * k)):
-        pts = np.empty((P, m))
-        for a, i in enumerate(idx):
-            pts[:, a] = nodes[i]
-        if tail:
-            pts[:, k:] = tail_pts
-        head_logw = float(sum(logw[i] for i in idx))
-        total += float(np.sum(np.exp(exponent_fn(pts) + head_logw + tail_logw)))
+    for start in range(0, size, _GH_BLOCK):
+        flat = np.arange(start, min(start + _GH_BLOCK, size))
+        idx = np.unravel_index(flat, (order,) * m)
+        pts = np.stack([nodes[i] for i in idx], axis=-1)
+        total += float(np.sum(np.exp(exponent_fn(pts) + sum(logw[i] for i in idx))))
     return total
 
 
@@ -322,67 +288,46 @@ class SchattenIntegrals:
     int_cphi_star: float
 
 
-def schatten_integrals(symbol, p, orders=None, tol_unit=DEFAULT_TOL_UNIT):
+def _gaussian_integral(H, b):
+    """integral over C^n of exp(-<Hz, z> + 2 Re<z, b>) dv(z) for Hermitian
+    H > 0, which is pi^n exp(<H^-1 b, b>) / det H."""
+    quad = hermitian_inner(np.linalg.solve(H, b), b).real
+    return math.pi ** H.shape[0] * math.exp(quad) / float(np.linalg.det(H).real)
+
+
+def schatten_integrals(symbol, p, tol_unit=DEFAULT_TOL_UNIT):
     """Evaluate, over plain Lebesgue volume dv on C^n,
 
         I1 = integral ||C_phi k_z||^p dv(z)
         I2 = integral ||C_phi* k_z||^p dv(z)
 
-    by escalating tensor Gauss-Hermite rules.  Estimates growing by more
-    than 10% between the top two refinement levels, or landing above the
-    certified upper bound C exp(p|B|^2/(1-||A||)) with
-    C = (4 pi / (p (1-||A||^2)))^n (times exp(p|B|^2/4) for I2), are
-    rejected.
+    in closed form.  Both integrands are Gaussians,
+
+        ||C_phi k_z||^p  = exp(-(p/4)<(I - AA*)z, z> + (p/2) Re<z, B>)
+        ||C_phi* k_z||^p = exp(p|B|^2/4 - (p/4)<(I - A*A)z, z> + (p/2) Re<z, A*B>),
+
+    and both integrals are finite exactly when ||A|| < 1.
+    schatten_integrals_quadrature evaluates the same integrals directly.
 
     Raises
     ------
+    ValueError
+        If p <= 0.
     NotCompactError
-    QuadratureDivergenceError
     """
     if p <= 0:
         raise ValueError("p must be positive")
     if not check_compact(symbol, tol_unit):
         raise NotCompactError("Schatten integrals are evaluated for compact symbols")
-    n = symbol.n
-    norm_a = symbol.norm_a
-    scale = 0.25 * p * max(1.0 - norm_a**2, 1e-8)
-    if orders is None:
-        orders = _default_orders(n)
-    A = symbol.A
-    B = symbol.B
-
-    def expo1(pts):
-        z = _as_complex_points(pts, n)
-        Az = z @ np.conj(A)  # rows are A* z
-        zz = np.sum(np.abs(z) ** 2, axis=-1)
-        bz = np.real(np.sum(B * np.conj(z), axis=-1))
-        return 0.5 * p * (-0.5 * zz + bz + 0.5 * np.sum(np.abs(Az) ** 2, axis=-1))
-
-    def expo2(pts):
-        z = _as_complex_points(pts, n)
-        ph = z @ A.T + B
-        return 0.25 * p * (
-            np.sum(np.abs(ph) ** 2, axis=-1) - np.sum(np.abs(z) ** 2, axis=-1)
-        )
-
-    results = []
-    for fn in (expo1, expo2):
-        vals = [_tensor_gauss_hermite(fn, 2 * n, scale, o) for o in orders]
-        if vals[-1] - vals[-2] > 0.1 * abs(vals[-2]):
-            raise QuadratureDivergenceError(
-                f"estimates grew {vals[-2]!r} -> {vals[-1]!r} under refinement"
-            )
-        results.append(vals[-1])
-
-    bsq = hermitian_inner(B, B).real
-    cap = (4.0 * math.pi / (p * (1.0 - norm_a**2))) ** n
-    bound1 = cap * math.exp(p * bsq / (1.0 - norm_a))
-    bound2 = bound1 * math.exp(0.25 * p * bsq)
-    if results[0] > bound1 * (1 + 1e-6) or results[1] > bound2 * (1 + 1e-6):
-        raise QuadratureDivergenceError(
-            "quadrature exceeded the certified Schatten upper bound"
-        )
-    return SchattenIntegrals(int_cphi=results[0], int_cphi_star=results[1])
+    q = 0.25 * p
+    A, B = symbol.A, symbol.B
+    Ah = A.conj().T
+    eye = np.eye(symbol.n)
+    return SchattenIntegrals(
+        int_cphi=_gaussian_integral(q * (eye - A @ Ah), q * B),
+        int_cphi_star=math.exp(q * hermitian_inner(B, B).real)
+        * _gaussian_integral(q * (eye - Ah @ A), q * (Ah @ B)),
+    )
 
 
 def berezin_transform_quadrature(symbol, z, order=32):
@@ -412,6 +357,40 @@ def berezin_transform_quadrature(symbol, z, order=32):
     return val / (2.0 * math.pi) ** n
 
 
+def schatten_integrals_quadrature(symbol, p, order=16):
+    """The integrals of schatten_integrals evaluated directly, by one
+    tensor Gauss-Hermite rule of the given order, from the kernel norms
+
+        ||C_phi k_z||^2  = exp(-|z|^2/2 + Re<B, z> + |A* z|^2/2)
+        ||C_phi* k_z||^2 = exp((|phi(z)|^2 - |z|^2)/2).
+
+    Needs ||A|| < 1.  Shares nothing with the closed form in
+    schatten_integrals; the test suite plays them against each other.
+    """
+    n = symbol.n
+    A, B = symbol.A, symbol.B
+    scale = 0.25 * p * (1.0 - symbol.norm_a**2)
+
+    def expo1(pts):
+        z = _as_complex_points(pts, n)
+        Az = z @ np.conj(A)  # rows are A* z
+        zz = np.sum(np.abs(z) ** 2, axis=-1)
+        bz = np.real(np.sum(B * np.conj(z), axis=-1))
+        return 0.5 * p * (-0.5 * zz + bz + 0.5 * np.sum(np.abs(Az) ** 2, axis=-1))
+
+    def expo2(pts):
+        z = _as_complex_points(pts, n)
+        ph = z @ A.T + B
+        return 0.25 * p * (
+            np.sum(np.abs(ph) ** 2, axis=-1) - np.sum(np.abs(z) ** 2, axis=-1)
+        )
+
+    return SchattenIntegrals(
+        int_cphi=_tensor_gauss_hermite(expo1, 2 * n, scale, order),
+        int_cphi_star=_tensor_gauss_hermite(expo2, 2 * n, scale, order),
+    )
+
+
 def schatten_membership(symbol, p, tol_unit=DEFAULT_TOL_UNIT):
     """C_phi is in S_p for every 0 < p < infinity iff it is compact."""
     if p <= 0:
@@ -423,13 +402,20 @@ _HS_DEFAULT_DEGREE = {1: 40, 2: 24, 3: 14}
 
 
 def hilbert_schmidt_norm_sq(symbol, max_degree=None, dim_cap=None):
-    """sum_alpha ||C_phi e_alpha||^2 as the limit of truncation Frobenius
-    norms; +infinity when the per-degree contributions stop decaying.
+    """sum_alpha ||C_phi e_alpha||^2 from the truncation Frobenius norms;
+    +infinity for a non-compact symbol whose per-degree contributions stop
+    decaying.
 
-    Truncation columns are exact, so the degree-N Frobenius square is the
-    exact partial sum through degree N.  The tail is declared summable
-    only if the per-degree contributions decay geometrically over the top
-    third of the computed range; otherwise returns math.inf.
+    Truncation columns are exact, so the value returned is the exact
+    partial sum through degree max_degree, a lower bound of the limit.
+    The tail is declared summable only if the per-degree contributions
+    decay geometrically over the top third of the computed range.
+
+    Raises
+    ------
+    QuadratureDivergenceError
+        If the contributions do not decay although the symbol is compact,
+        so the sum is finite but max_degree is too low to settle it.
     """
     if max_degree is None:
         max_degree = _HS_DEFAULT_DEGREE.get(symbol.n, 10)
@@ -441,6 +427,11 @@ def hilbert_schmidt_norm_sq(symbol, max_degree=None, dim_cap=None):
         if contrib[d + 1] <= tiny:
             continue
         if contrib[d + 1] > (1.0 - 1e-6) * contrib[d]:
+            if check_compact(symbol):
+                raise QuadratureDivergenceError(
+                    f"per-degree Hilbert-Schmidt sums still grow at degree {d + 1} "
+                    f"of {max_degree} for a compact symbol"
+                )
             return math.inf
     return float(np.sum(contrib))
 
@@ -448,27 +439,18 @@ def hilbert_schmidt_norm_sq(symbol, max_degree=None, dim_cap=None):
 def hilbert_schmidt_norm_sq_closed_form(symbol, tol_unit=DEFAULT_TOL_UNIT):
     """Gaussian-integral evaluation of the same sum:
 
-        ||C_phi||_HS^2 = exp(|B|^2/2 + <Q^{-1} A*B, A*B>/2) / det(Q),
-        Q = I - A*A.
+        ||C_phi||_HS^2 = (2 pi)^{-n} integral ||C_phi* k_z||^2 dv(z),
 
-    Follows from sum_alpha |e_alpha(u)|^2 = exp(|u|^2/2) and a complex
-    Gaussian integral; must match the truncation limit.
+    the Schatten integral I2 at p = 2.  Follows from
+    sum_alpha |e_alpha(u)|^2 = exp(|u|^2/2); must match the truncation
+    limit.
 
     Raises
     ------
     NotCompactError
     """
-    if not check_compact(symbol, tol_unit):
-        raise NotCompactError("Hilbert-Schmidt closed form requires ||A|| < 1")
-    A = symbol.A
-    Q = np.eye(symbol.n) - A.conj().T @ A
-    u = A.conj().T @ symbol.B
-    sol = np.linalg.solve(Q, u)
-    expo = 0.5 * hermitian_inner(symbol.B, symbol.B).real + 0.5 * hermitian_inner(
-        sol, u
-    ).real
-    det = np.linalg.det(Q).real
-    return float(math.exp(expo) / det)
+    i2 = schatten_integrals(symbol, 2.0, tol_unit).int_cphi_star
+    return i2 / (2.0 * math.pi) ** symbol.n
 
 
 # ---------------------------------------------------------------------------
@@ -478,55 +460,52 @@ def hilbert_schmidt_norm_sq_closed_form(symbol, tol_unit=DEFAULT_TOL_UNIT):
 class ClassificationReport:
     """Aggregate verdicts for one symbol.
 
-    Fields that need boundedness are None when the symbol is unbounded.
-    cyclic is the three-valued string "yes" / "no" / "unknown" (None when
-    unbounded); cyclic_detail carries the full verdict object.
+    The defaults are the report of an unbounded symbol: not compact, and
+    None for every field that needs boundedness.  cyclic is the
+    three-valued string "yes" / "no" / "unknown"; cyclic_detail carries
+    the full verdict object.
     """
 
     bounded: BoundednessVerdict
-    compact: bool
-    norm: Optional[float]
-    essential_norm: Optional[float]
-    z0: Optional[np.ndarray]
-    normal: Optional[bool]
-    hyponormal: Optional[bool]
-    essentially_normal: Optional[bool]
-    schatten_all_p: bool
-    supercyclic: Optional[bool]
-    cyclic: Optional[str]
+    compact: bool = False
+    norm: Optional[float] = None
+    essential_norm: Optional[float] = None
+    z0: Optional[np.ndarray] = None
+    normal: Optional[bool] = None
+    hyponormal: Optional[bool] = None
+    essentially_normal: Optional[bool] = None
+    schatten_all_p: bool = False
+    supercyclic: Optional[bool] = None
+    cyclic: Optional[str] = None
     cyclic_detail: object = None
 
 
 def classify(symbol, tol_unit=DEFAULT_TOL_UNIT, exact_angles=None):
-    """Run every closed-form verdict and collect them in one report."""
+    """Run every closed-form verdict and collect them in one report.
+
+    Boundedness and z0 are computed once and the norms and normality
+    relatives are derived from them; the essential norm keeps the
+    identity checks of essential_norm.
+    """
     from .dynamics import check_cyclic, check_supercyclic
 
     bv = check_bounded(symbol, tol_unit)
     if not bv.bounded:
-        return ClassificationReport(
-            bounded=bv,
-            compact=False,
-            norm=None,
-            essential_norm=None,
-            z0=None,
-            normal=None,
-            hyponormal=None,
-            essentially_normal=None,
-            schatten_all_p=False,
-            supercyclic=None,
-            cyclic=None,
-        )
+        return ClassificationReport(bounded=bv)
     compact = check_compact(symbol, tol_unit)
     cyc = check_cyclic(symbol, tol_unit=tol_unit, exact_angles=exact_angles)
+    z0 = solve_z0(symbol)
+    norm = _norm_from_z0(symbol, z0)
+    normal = _is_normal(symbol, tol_unit)
     return ClassificationReport(
         bounded=bv,
         compact=compact,
-        norm=operator_norm(symbol, tol_unit),
-        essential_norm=essential_norm(symbol, tol_unit),
-        z0=solve_z0(symbol),
-        normal=check_normal(symbol, tol_unit),
-        hyponormal=check_hyponormal(symbol, tol_unit),
-        essentially_normal=check_essentially_normal(symbol, tol_unit),
+        norm=norm,
+        essential_norm=0.0 if compact else _essential_norm_from_z0(symbol, z0, norm),
+        z0=z0,
+        normal=normal,
+        hyponormal=normal,
+        essentially_normal=compact or normal,
         schatten_all_p=compact,
         supercyclic=check_supercyclic(symbol, tol_unit),
         cyclic=cyc.verdict,

@@ -242,11 +242,8 @@ def check_cyclic(
     if n == 1:
         a = complex(symbol.A[0, 0])
         if abs(a) >= 1.0 - tol_unit:
-            tag = None
-            if exact_angles is not None and len(exact_angles) >= 1:
-                tag = exact_angles[0]
             theta = float(np.angle(a)) % (2.0 * np.pi)
-            angle_set = AngleSet.build([theta], [tag] if tag is not None else None)
+            angle_set = AngleSet.build([theta], exact_angles)
             iv = rational_independence(angle_set, max_coeff)
             if iv.independent == "no":
                 return CyclicityVerdict(

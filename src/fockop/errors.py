@@ -48,7 +48,7 @@ class IdentityViolationError(FockopError):
 
 
 class QuadratureDivergenceError(FockopError):
-    """Quadrature estimates fail to settle under mesh refinement."""
+    """Estimates fail to settle under refinement."""
 
 
 class NotDiagonalizableError(FockopError):

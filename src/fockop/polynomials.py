@@ -39,10 +39,6 @@ def graded_dim(n, max_degree):
     return comb(max_degree + n, n)
 
 
-def index_degree(gamma):
-    return sum(gamma)
-
-
 def monomial_norm_sq_exact(gamma):
     """||z^gamma||^2 = gamma! * 2^{|gamma|} as an exact integer."""
     out = 1

@@ -31,8 +31,8 @@ from .polynomials import MultiPolynomial, graded_indices
 from .symbol import (
     AffineSymbol,
     DEFAULT_TOL_UNIT,
-    _eig_sort_key,
     block_schur_of_symbol,
+    sort_eigenvalues,
 )
 from .truncation import compose_polynomial
 
@@ -44,9 +44,7 @@ def eigenvalues(A):
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonSquareError(f"expected square matrix, got shape {A.shape}")
-    ev = np.linalg.eigvals(A)
-    order = sorted(range(len(ev)), key=lambda i: _eig_sort_key(ev[i]))
-    return ev[order]
+    return sort_eigenvalues(np.linalg.eigvals(A))
 
 
 def eigenvalue_products(eigvals, max_degree):

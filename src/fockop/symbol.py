@@ -153,6 +153,11 @@ def _eig_sort_key(lam, tol_unit=DEFAULT_TOL_UNIT):
     return (-m, theta)
 
 
+def sort_eigenvalues(ev):
+    """Eigenvalues sorted modulus-descending, ties argument-ascending."""
+    return np.array(sorted(ev, key=_eig_sort_key), dtype=complex)
+
+
 def _swap_schur(T, U, i):
     """Swap diagonal entries i, i+1 of the complex Schur form in place.
 

@@ -30,11 +30,14 @@ from .polynomials import (
     graded_indices,
     monomial_norm_sq_exact,
 )
-from .symbol import AffineSymbol, _eig_sort_key
+from .symbol import AffineSymbol, sort_eigenvalues
 
 DEFAULT_DIM_CAP = 50_000
 DIM_CAP_ENV = "FOCKOP_DIM_CAP"
 BINARY_MAGIC = b"FOCKTRNC1"
+# ||z^gamma||^2 = gamma! 2^|gamma| peaks at N! 2^N on degree N, and that
+# exceeds the largest double from N = 151 on
+_MAX_FLOAT_DEGREE = 150
 
 
 def dimension_cap(dim_cap=None):
@@ -96,7 +99,8 @@ def build_basis(n, max_degree, dim_cap=None):
     Raises
     ------
     SizeOverflowError
-        If C(max_degree + n, n) exceeds the cap.
+        If C(max_degree + n, n) exceeds the cap, or if the monomial norms
+        do not fit a double (max_degree above 150).
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -105,6 +109,11 @@ def build_basis(n, max_degree, dim_cap=None):
     if dim > cap:
         raise SizeOverflowError(
             f"basis dimension {dim} exceeds cap {cap} (n={n}, N={max_degree})"
+        )
+    if max_degree > _MAX_FLOAT_DEGREE:
+        raise SizeOverflowError(
+            f"degree {max_degree} is too high: ||z^gamma||^2 = gamma! 2^|gamma| "
+            f"overflows a double; the largest usable degree is {_MAX_FLOAT_DEGREE}"
         )
     indices = tuple(graded_indices(n, max_degree))
     norm_sq = np.array([float(monomial_norm_sq_exact(g)) for g in indices])
@@ -187,12 +196,7 @@ class TruncatedOperator:
 
     def spectrum(self):
         """Eigenvalues sorted modulus-descending, argument-ascending."""
-        ev = np.linalg.eigvals(self.matrix)
-        order = sorted(range(len(ev)), key=lambda i: _eig_sort_key(ev[i]))
-        return ev[order]
-
-    def frobenius_sq(self):
-        return float(np.sum(np.abs(self.matrix) ** 2))
+        return sort_eigenvalues(np.linalg.eigvals(self.matrix))
 
     def column_norms_sq_by_degree(self):
         """sum over columns of each total degree of the squared column norm.

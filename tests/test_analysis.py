@@ -10,6 +10,7 @@ from fockop import (
     KernelFunction,
     NotBoundedError,
     NotCompactError,
+    QuadratureDivergenceError,
     berezin_transform,
     berezin_transform_quadrature,
     check_bounded,
@@ -23,6 +24,7 @@ from fockop import (
     hilbert_schmidt_norm_sq_closed_form,
     operator_norm,
     schatten_integrals,
+    schatten_integrals_quadrature,
     schatten_membership,
     solve_z0,
     truncated_norm,
@@ -33,6 +35,7 @@ from conftest import (
     make_corpus,
     random_bounded_noncompact_symbol,
     random_compact_symbol,
+    random_contraction,
 )
 
 RNG_SEED = 90125
@@ -169,16 +172,37 @@ def test_schatten_integrals_zero_symbol():
     assert out.int_cphi_star == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
-def test_schatten_integrals_finite_for_compact():
+def test_schatten_integrals_match_quadrature():
+    # The order-16 rule is centred at 0 and weighted for the widest
+    # direction of the Gaussian, so it reaches 1e-10 only for nearly
+    # isotropic, nearly centred integrands: ||A|| <= 0.5 and |B| = 1 here.
     rng = np.random.default_rng(RNG_SEED + 3)
-    for p in (0.5, 3.0):
-        s = random_compact_symbol(rng, 1, top=0.7)
-        out = schatten_integrals(s, p)
-        assert np.isfinite(out.int_cphi) and out.int_cphi > 0
-        assert np.isfinite(out.int_cphi_star) and out.int_cphi_star > 0
-    s2 = random_compact_symbol(rng, 2, top=0.7)
-    out2 = schatten_integrals(s2, 1.0)
-    assert np.isfinite(out2.int_cphi) and np.isfinite(out2.int_cphi_star)
+    for n in (1, 2):
+        for p in (0.5, 1.0, 3.0):
+            A = random_contraction(rng, n, top=0.5)
+            B = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            s = AffineSymbol(A, B / np.linalg.norm(B))
+            closed = schatten_integrals(s, p)
+            quad = schatten_integrals_quadrature(s, p, order=16)
+            assert closed.int_cphi == pytest.approx(quad.int_cphi, rel=1e-10)
+            assert closed.int_cphi_star == pytest.approx(quad.int_cphi_star, rel=1e-10)
+
+
+def test_schatten_adjoint_integral_at_two_is_hilbert_schmidt(corpus):
+    # sum_alpha |e_alpha(u)|^2 = exp(|u|^2/2) makes ||C_phi||_HS^2 the
+    # p = 2 integral of ||C_phi* k_z||^p against (2 pi)^-n dv, which is
+    # exp(|B|^2/2 + <Q^-1 A*B, A*B>/2) / det Q with Q = I - A*A
+    rng = np.random.default_rng(RNG_SEED + 5)
+    symbols = [corpus[name] for name in ("compact_1d", "compact_2d", "compact_3d")]
+    symbols += [random_compact_symbol(rng, n) for n in (1, 2, 3)]
+    for s in symbols:
+        Q = np.eye(s.n) - s.A.conj().T @ s.A
+        u = s.A.conj().T @ s.B
+        quad = np.vdot(s.B, s.B).real + np.vdot(u, np.linalg.solve(Q, u)).real
+        ref = math.exp(0.5 * quad) / np.linalg.det(Q).real
+        i2 = schatten_integrals(s, 2.0).int_cphi_star / (2.0 * math.pi) ** s.n
+        assert i2 == pytest.approx(ref, rel=1e-12)
+        assert hilbert_schmidt_norm_sq_closed_form(s) == pytest.approx(ref, rel=1e-12)
 
 
 def test_schatten_membership(corpus):
@@ -205,6 +229,15 @@ def test_hilbert_schmidt_infinite_for_noncompact(corpus):
     assert hilbert_schmidt_norm_sq(corpus["identity_1d"]) == math.inf
     assert hilbert_schmidt_norm_sq(corpus["nilpotent_2d"]) == math.inf
     assert hilbert_schmidt_norm_sq(corpus["mixed_2d"]) == math.inf
+
+
+def test_hilbert_schmidt_unsettled_sum_raises():
+    # compact, with a finite sum (45427 in closed form), but the per-degree
+    # contributions still grow at the default degree 24
+    s = AffineSymbol(0.8 * np.eye(2), np.array([2.5, 0.0]))
+    assert hilbert_schmidt_norm_sq_closed_form(s) == pytest.approx(45427, rel=1e-4)
+    with pytest.raises(QuadratureDivergenceError):
+        hilbert_schmidt_norm_sq(s)
 
 
 def test_hilbert_schmidt_closed_form_matches_truncation():

@@ -177,6 +177,15 @@ def test_spectrum_verify(tmp_path, capsys):
     assert v["multisetDistance"] < 1e-7
 
 
+def test_spectrum_verify_flag_before_path(tmp_path, capsys):
+    path = write_doc(tmp_path, "d.json", COMPACT_2D)
+    code, after, _ = run(["spectrum", path, "--verify"], capsys)
+    assert code == 0
+    code, before, _ = run(["spectrum", "--verify", path], capsys)
+    assert code == 0
+    assert before == after
+
+
 def test_spectrum_unbounded_still_reports(tmp_path, capsys):
     path = write_doc(tmp_path, "u.json", UNBOUNDED_2D)
     code, out, _ = run(["spectrum", path, "--max-degree", "2"], capsys)
@@ -304,6 +313,16 @@ def test_angle_tag_mismatch_exit_1(tmp_path, capsys):
     code, _, err = run(["cyclic", path], capsys)
     assert code == 1
     assert "anglesExact" in err
+
+
+def test_truncate_degree_beyond_double_range_exit_1(tmp_path, capsys):
+    # ||z^160||^2 = 160! 2^160 does not fit a double
+    path = write_doc(tmp_path, "s.json", COMPACT_1D)
+    code, out, err = run(["truncate", path, "--degree", "160"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fockop: ") and err.count("\n") == 1
+    assert "150" in err and "Traceback" not in err
 
 
 def test_dimension_cap_exit_1(tmp_path, capsys, monkeypatch):

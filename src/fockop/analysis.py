@@ -19,9 +19,22 @@ from .errors import (
     NotBoundedError,
     NotCompactError,
     QuadratureDivergenceError,
+    SizeOverflowError,
 )
 from .symbol import DEFAULT_TOL_UNIT, hermitian_inner
 from . import truncation as _trunc
+
+_IDENTITY_REL_TOL = 1e-9
+
+
+def _exp(x, what):
+    """math.exp(x), raising SizeOverflowError where it leaves the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise SizeOverflowError(
+            f"{what} = exp({x:.17g}) exceeds the double range"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -104,7 +117,7 @@ def _norm_from_z0(symbol, z0):
         - hermitian_inner(symbol.A @ z0, symbol.A @ z0).real
         + hermitian_inner(symbol.B, symbol.B).real
     )
-    return math.exp(0.25 * q)
+    return _exp(0.25 * q, "||C_phi||")
 
 
 def operator_norm(symbol, tol_unit=DEFAULT_TOL_UNIT):
@@ -122,28 +135,28 @@ def operator_norm(symbol, tol_unit=DEFAULT_TOL_UNIT):
     return _norm_from_z0(symbol, solve_z0(symbol))
 
 
-def _essential_norm_from_z0(symbol, z0, norm, rel_tol=1e-9):
+def _essential_norm_from_z0(symbol, z0, norm):
     # non-compact case: exp(<phi(z0), B>/4), checked against the norm
     val = hermitian_inner(symbol(z0), symbol.B)
-    if abs(val.imag) > rel_tol * max(1.0, abs(val)):
+    if abs(val.imag) > _IDENTITY_REL_TOL * max(1.0, abs(val)):
         raise IdentityViolationError(
             f"<phi(z0), B> has imaginary part {val.imag:.3e}"
         )
-    via_identity = math.exp(0.25 * val.real)
-    if abs(via_identity - norm) > rel_tol * norm:
+    via_identity = _exp(0.25 * val.real, "essential norm")
+    if abs(via_identity - norm) > _IDENTITY_REL_TOL * norm:
         raise IdentityViolationError(
             f"essential-norm identity mismatch: {via_identity!r} vs {norm!r}"
         )
     return via_identity
 
 
-def essential_norm(symbol, tol_unit=DEFAULT_TOL_UNIT, rel_tol=1e-9):
+def essential_norm(symbol, tol_unit=DEFAULT_TOL_UNIT):
     """Essential norm: 0 when compact, else equal to the operator norm.
 
     In the non-compact case the value exp(<phi(z0), B>/4) is evaluated
-    against the full norm formula; the two must agree to rel_tol and the
-    inner product must be real to rel_tol, otherwise the computation is
-    rejected rather than silently trusted.
+    against the full norm formula; the two must agree to a relative 1e-9
+    and the inner product must be real to the same tolerance, otherwise
+    the computation is rejected rather than silently trusted.
 
     Raises
     ------
@@ -156,7 +169,7 @@ def essential_norm(symbol, tol_unit=DEFAULT_TOL_UNIT, rel_tol=1e-9):
     if check_compact(symbol, tol_unit):
         return 0.0
     z0 = solve_z0(symbol)
-    return _essential_norm_from_z0(symbol, z0, _norm_from_z0(symbol, z0), rel_tol)
+    return _essential_norm_from_z0(symbol, z0, _norm_from_z0(symbol, z0))
 
 
 def _is_normal(symbol, tol):
@@ -204,7 +217,7 @@ class KernelFunction:
     @property
     def norm_sq(self):
         """||K_w||^2 = exp(|w|^2 / 2)."""
-        return math.exp(0.5 * hermitian_inner(self.w, self.w).real)
+        return _exp(0.5 * hermitian_inner(self.w, self.w).real, "||K_w||^2")
 
     def evaluate(self, z):
         return np.exp(0.5 * hermitian_inner(z, self.w))
@@ -243,7 +256,7 @@ def berezin_transform(symbol, z, tol_unit=DEFAULT_TOL_UNIT):
         + hermitian_inner(symbol.B, z).real
         + 0.5 * hermitian_inner(Az, Az).real
     )
-    return math.exp(expo)
+    return _exp(expo, "Berezin transform")
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +301,14 @@ class SchattenIntegrals:
     int_cphi_star: float
 
 
-def _gaussian_integral(H, b):
-    """integral over C^n of exp(-<Hz, z> + 2 Re<z, b>) dv(z) for Hermitian
-    H > 0, which is pi^n exp(<H^-1 b, b>) / det H."""
+def _gaussian_integral(H, b, shift=0.0):
+    """exp(shift) times the integral over C^n of exp(-<Hz, z> + 2 Re<z, b>)
+    dv(z) for Hermitian H > 0: pi^n exp(shift + <H^-1 b, b>) / det H, taken
+    as one exponential so that only a result out of double range overflows."""
     quad = hermitian_inner(np.linalg.solve(H, b), b).real
-    return math.pi ** H.shape[0] * math.exp(quad) / float(np.linalg.det(H).real)
+    log_det = np.linalg.slogdet(H)[1]
+    log_val = shift + quad + H.shape[0] * math.log(math.pi) - log_det
+    return _exp(log_val, "Gaussian integral")
 
 
 def schatten_integrals(symbol, p, tol_unit=DEFAULT_TOL_UNIT):
@@ -325,8 +341,9 @@ def schatten_integrals(symbol, p, tol_unit=DEFAULT_TOL_UNIT):
     eye = np.eye(symbol.n)
     return SchattenIntegrals(
         int_cphi=_gaussian_integral(q * (eye - A @ Ah), q * B),
-        int_cphi_star=math.exp(q * hermitian_inner(B, B).real)
-        * _gaussian_integral(q * (eye - Ah @ A), q * (Ah @ B)),
+        int_cphi_star=_gaussian_integral(
+            q * (eye - Ah @ A), q * (Ah @ B), q * hermitian_inner(B, B).real
+        ),
     )
 
 
@@ -401,39 +418,36 @@ def schatten_membership(symbol, p, tol_unit=DEFAULT_TOL_UNIT):
 _HS_DEFAULT_DEGREE = {1: 40, 2: 24, 3: 14}
 
 
-def hilbert_schmidt_norm_sq(symbol, max_degree=None, dim_cap=None):
+def hilbert_schmidt_norm_sq(symbol, max_degree=None):
     """sum_alpha ||C_phi e_alpha||^2 from the truncation Frobenius norms;
-    +infinity for a non-compact symbol whose per-degree contributions stop
-    decaying.
+    +infinity for a non-compact symbol whose per-degree sums do not settle.
 
-    Truncation columns are exact, so the value returned is the exact
-    partial sum through degree max_degree, a lower bound of the limit.
-    The tail is declared summable only if the per-degree contributions
-    decay geometrically over the top third of the computed range.
+    Truncation columns are exact, so the per-degree sums c_d are exact.
+    They settle when r, the largest ratio c_(d+1) / c_d over the top third
+    of the degrees, is below 1 - 1e-6 and the tail bound c_N r / (1 - r)
+    is at most 1e-4 of the partial sum through N, which is then returned.
 
     Raises
     ------
     QuadratureDivergenceError
-        If the contributions do not decay although the symbol is compact,
-        so the sum is finite but max_degree is too low to settle it.
+        If the sum is not settled although the symbol is compact, so the
+        sum is finite but max_degree is too low to reach it.
     """
     if max_degree is None:
         max_degree = _HS_DEFAULT_DEGREE.get(symbol.n, 10)
-    op = _trunc.build_truncation(symbol, max_degree, dim_cap=dim_cap)
-    contrib = op.column_norms_sq_by_degree()
-    start = (2 * max_degree) // 3
-    tiny = 1e-300
-    for d in range(start, max_degree):
-        if contrib[d + 1] <= tiny:
-            continue
-        if contrib[d + 1] > (1.0 - 1e-6) * contrib[d]:
-            if check_compact(symbol):
-                raise QuadratureDivergenceError(
-                    f"per-degree Hilbert-Schmidt sums still grow at degree {d + 1} "
-                    f"of {max_degree} for a compact symbol"
-                )
-            return math.inf
-    return float(np.sum(contrib))
+    c = _trunc.build_truncation(symbol, max_degree).column_norms_sq_by_degree()
+    total = float(np.sum(c))
+    top = range((2 * max_degree) // 3, max_degree)
+    # a sum below 1e-300 counts as zero, so no ratio is taken to it
+    r = max((c[d + 1] / c[d] for d in top if c[d + 1] > 1e-300), default=0.0)
+    if r >= 1.0 - 1e-6 or c[max_degree] * r / (1.0 - r) > 1e-4 * total:
+        if check_compact(symbol):
+            raise QuadratureDivergenceError(
+                f"per-degree Hilbert-Schmidt sums have not settled by degree "
+                f"{max_degree} for a compact symbol (largest ratio {r:.6g})"
+            )
+        return math.inf
+    return total
 
 
 def hilbert_schmidt_norm_sq_closed_form(symbol, tol_unit=DEFAULT_TOL_UNIT):

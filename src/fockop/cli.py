@@ -119,7 +119,7 @@ def parse_symbol_document(obj):
     if not isinstance(obj, dict):
         raise ParseError("symbol document must be a JSON object")
     try:
-        n = int(obj["n"])
+        n = _json_int(obj["n"])
         A = np.array(
             [[_parse_cnum(e) for e in row] for row in obj["A"]], dtype=complex
         )
@@ -148,7 +148,8 @@ def parse_symbol_document(obj):
                 exact_angles.append(None)
             else:
                 try:
-                    exact_angles.append(Fraction(int(t["num"]), int(t["den"])))
+                    num, den = _json_int(t["num"]), _json_int(t["den"])
+                    exact_angles.append(Fraction(num, den))
                 except (KeyError, TypeError, ValueError, ZeroDivisionError):
                     raise ParseError(
                         "anglesExact entries must be null or {num, den}"
@@ -161,14 +162,21 @@ def parse_symbol_document(obj):
     return sym, exact_angles
 
 
+def _json_int(x):
+    """x itself if it is a JSON integer; int() would also take true and 1.9."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _parse_cnum(e):
-    if isinstance(e, dict):
+    # JSON true and false arrive as bools, which float() would take as 1 and 0
+    parts = (e.get("re"), e.get("im")) if isinstance(e, dict) else (e, 0.0)
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
         try:
-            return complex(float(e["re"]), float(e["im"]))
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"bad complex entry {e!r}") from None
-    if isinstance(e, (int, float)):
-        return complex(e)
+            return complex(float(parts[0]), float(parts[1]))
+        except OverflowError:  # an integer beyond the double range
+            pass
     raise ParseError(f"bad complex entry {e!r}")
 
 
@@ -298,7 +306,7 @@ def analyze_text(doc):
     return "\n".join(lines)
 
 
-def spectrum_document(sym, exact_angles, max_degree, verify_degree):
+def spectrum_document(sym, exact_angles, max_degree, verify):
     spec = spectrum_mod.enumerate_spectrum(sym, max_degree, exact_angles=exact_angles)
     doc = {
         "tool": _tool_header(),
@@ -314,12 +322,11 @@ def spectrum_document(sym, exact_angles, max_degree, verify_degree):
         },
         "verification": None,
     }
-    if verify_degree is not None:
-        ev = spectrum_mod.eigenvalues(sym.A)
-        expected = [v for _, v in spectrum_mod.eigenvalue_products(ev, verify_degree)]
-        got = truncation.truncated_spectrum(sym, verify_degree)
-        dist = spectrum_mod.multiset_distance(expected, got)
-        doc["verification"] = {"degree": verify_degree, "multisetDistance": dist}
+    if verify:
+        products = spectrum_mod.eigenvalue_products(spec.eigenvalues, max_degree)
+        got = truncation.truncated_spectrum(sym, max_degree)
+        dist = spectrum_mod.multiset_distance([v for _, v in products], got)
+        doc["verification"] = {"degree": max_degree, "multisetDistance": dist}
     return doc
 
 
@@ -388,8 +395,7 @@ def _cmd_spectrum(args, out):
     max_degree = (
         args.max_degree if args.max_degree is not None else default_degree(sym.n)
     )
-    verify = max_degree if args.verify else None
-    doc = spectrum_document(sym, tags, max_degree, verify)
+    doc = spectrum_document(sym, tags, max_degree, args.verify)
     out.write(canonical_json(doc) + "\n")
     # the enumeration is formal data about A, so it is emitted either way
     return 0 if analysis.check_bounded(sym).bounded else 2
@@ -432,9 +438,9 @@ def build_parser():
     pa.add_argument("input", help="symbol document path, or - for stdin")
     pa.add_argument("--degree", type=int, default=None, help="truncation degree")
     pa.add_argument("--tolerance", type=float, default=1e-10)
-    mode = pa.add_mutually_exclusive_group()
-    mode.add_argument("--json", action="store_true", help="JSON output (default)")
-    mode.add_argument("--text", action="store_true", help="human-readable output")
+    pa.add_argument(
+        "--text", action="store_true", help="human-readable output instead of JSON"
+    )
     pa.set_defaults(func=_cmd_analyze)
 
     ps = sub.add_parser("spectrum", help="spectrum enumeration")
@@ -461,10 +467,22 @@ def build_parser():
     return parser
 
 
+def _check_options(args):
+    """Reject the option values that the int and float types let through."""
+    for name in ("degree", "max_degree"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ParseError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+    tol = getattr(args, "tolerance", 1.0)
+    if not 0.0 < tol < math.inf:
+        raise ParseError(f"--tolerance must be positive and finite, got {tol!r}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args, sys.stdout)
     except FockopError as exc:
         print(f"fockop: {exc}", file=sys.stderr)

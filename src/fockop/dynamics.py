@@ -29,8 +29,9 @@ from .symbol import DEFAULT_TOL_UNIT, hermitian_inner, iterate_symbol
 from .truncation import build_truncation
 
 DEFAULT_MAX_COEFF = 10**6
-DEFAULT_ROOT_BOUND = 10**6
 _RELATION_RESIDUAL_TOL = 1e-10
+_ROOT_BOUND = 10**6
+_RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -199,10 +200,10 @@ class CyclicityVerdict:
     independence: Optional[IndependenceVerdict] = None
 
 
-def _find_root_of_unity(a, m_max):
-    """Smallest 1 < m <= m_max with a^m = a for unimodular a, else None."""
+def _find_root_of_unity(a):
+    """Smallest 1 < m <= _ROOT_BOUND with a^m = a for unimodular a, else None."""
     theta = float(np.angle(a))
-    ms = np.arange(2, m_max + 1, dtype=float)
+    ms = np.arange(2, _ROOT_BOUND + 1, dtype=float)
     vals = 2.0 * np.abs(np.sin((ms - 1.0) * theta / 2.0))
     hits = np.nonzero(vals < 1e-10)[0]
     if hits.size == 0:
@@ -214,7 +215,6 @@ def check_cyclic(
     symbol,
     tol_unit=DEFAULT_TOL_UNIT,
     max_coeff=DEFAULT_MAX_COEFF,
-    m_max=DEFAULT_ROOT_BOUND,
     exact_angles=None,
 ):
     """Three-valued cyclicity verdict for bounded C_phi.
@@ -252,7 +252,7 @@ def check_cyclic(
                     relation=iv.relation,
                     independence=iv,
                 )
-            m = _find_root_of_unity(a / abs(a), m_max)
+            m = _find_root_of_unity(a / abs(a))
             if m is not None:
                 k = int(round((m - 1) * theta / (2.0 * np.pi)))
                 rel = _canonical_relation([-2 * k, m - 1])
@@ -374,9 +374,7 @@ class OrbitDensityReport:
     steps: int
 
 
-def orbit_density_experiment(
-    symbol, seed, max_degree, steps, rank_tol=1e-8, dim_cap=None
-):
+def orbit_density_experiment(symbol, seed, max_degree, steps):
     """Numerical density probe: how much of the degree <= N space the
     truncated orbit of a seed polynomial spans.
 
@@ -384,10 +382,10 @@ def orbit_density_experiment(
     is the Krylov space of (M, x), so it is grown one orthonormalized
     direction at a time: each step applies M to the newest basis vector and
     keeps the component orthogonal to the current span when its relative
-    size exceeds rank_tol.  Stacking raw powers instead would lose
+    size exceeds _RANK_TOL.  Stacking raw powers instead would lose
     directions whose eigenvalues decay, reporting false rank deficiency.
     """
-    op = build_truncation(symbol, max_degree, dim_cap=dim_cap)
+    op = build_truncation(symbol, max_degree)
     basis = op.basis
     if seed.n != symbol.n:
         raise ShapeMismatchError("seed polynomial has the wrong dimension")
@@ -415,7 +413,7 @@ def orbit_density_experiment(
             for _ in range(2):
                 w -= q[:, :rank] @ (q[:, :rank].conj().T @ w)
             nrm = np.linalg.norm(w)
-            if nrm > rank_tol * nv:
+            if nrm > _RANK_TOL * nv:
                 q[:, rank] = w / nrm
                 rank += 1
         dims.append(rank)

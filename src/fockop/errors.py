@@ -60,7 +60,8 @@ class ForwardOrbitUnsupportedError(FockopError):
 
 
 class SizeOverflowError(FockopError):
-    """Requested truncation basis exceeds the dimension cap."""
+    """A requested size or a computed value exceeds its limit: the
+    truncation basis dimension cap, or the range of a double."""
 
 
 class AdjointNotGradedError(FockopError):
@@ -68,4 +69,4 @@ class AdjointNotGradedError(FockopError):
 
 
 class ParseError(FockopError):
-    """A symbol document could not be parsed."""
+    """A symbol document or a command-line value could not be parsed."""

@@ -36,7 +36,8 @@ from .symbol import (
 )
 from .truncation import compose_polynomial
 
-DEFAULT_DEDUP_TOL = 1e-10
+DEDUP_TOL = 1e-10
+_COND_CAP = 1e8
 
 
 def eigenvalues(A):
@@ -67,7 +68,7 @@ class SpectrumEnumeration:
     """Finite enumeration of the eigenvalue-product set.
 
     products pairs each retained multi-index with its value; values within
-    dedup_tol of an earlier one are dropped, keeping the graded-lex first
+    DEDUP_TOL of an earlier one are dropped, keeping the graded-lex first
     representative.  closure_contains_zero records whether 0 is an
     accumulation point (some |lambda_i| < 1).  unimodular_angles_independent
     is the three-valued rational-independence verdict for the arguments of
@@ -85,7 +86,6 @@ class SpectrumEnumeration:
 def enumerate_spectrum(
     symbol,
     max_degree,
-    dedup_tol=DEFAULT_DEDUP_TOL,
     tol_unit=DEFAULT_TOL_UNIT,
     exact_angles=None,
 ):
@@ -104,7 +104,7 @@ def enumerate_spectrum(
     for g, v in full:
         dup = False
         for u in values:
-            if abs(v - u) <= dedup_tol:
+            if abs(v - u) <= DEDUP_TOL:
                 dup = True
                 break
         if not dup:
@@ -163,7 +163,7 @@ class EigenfunctionSpec:
     eigenvalue_exact: Optional[GaussianRational] = None
 
 
-def _matched_eig(A1, cond_cap=1e8):
+def _matched_eig(A1):
     """Eigenpairs of A1^T matched to the diagonal order of A1.
 
     A1 is upper triangular, so its eigenvalues are the diagonal entries in
@@ -172,7 +172,7 @@ def _matched_eig(A1, cond_cap=1e8):
     """
     m = A1.shape[0]
     lam, V = np.linalg.eig(A1.T)
-    if np.linalg.cond(V) > cond_cap:
+    if np.linalg.cond(V) > _COND_CAP:
         raise NotDiagonalizableError(
             "eigenvector basis of A1^T is numerically defective"
         )
@@ -213,6 +213,8 @@ def construct_eigenfunction(
         If A1^T has a numerically defective eigenbasis.
     ShapeMismatchError
         If beta or gamma have the wrong length.
+    ValueError
+        If exact mode is asked for a symbol not in that form.
     """
     from .analysis import check_bounded
 
@@ -233,93 +235,61 @@ def construct_eigenfunction(
     B1 = form.Bprime[s:]
     psi = AffineSymbol(form.M, np.concatenate([np.zeros(s), B1]))
 
+    if exact and not np.array_equal(form.U, np.eye(n)):
+        raise ValueError("exact mode requires a symbol already in Schur form (U = I)")
+    if exact and m and np.any(A1[~np.eye(m, dtype=bool)] != 0):
+        raise ValueError("exact mode requires A1 exactly diagonal")
+
     if exact:
-        return _construct_exact(symbol, form, psi, beta, gamma)
-
-    if m:
-        C = np.linalg.solve(np.eye(m) - A1, B1)
-        lam, V = _matched_eig(A1)
+        # A1 diagonal: lambda_i = a_ii, V = I and C_i = b_i / (1 - a_ii)
+        one = GaussianRational(1)
+        D = [GaussianRational.from_complex(d) for d in form.D]
+        lam = [GaussianRational.from_complex(a) for a in np.diag(A1)]
+        C = [GaussianRational.from_complex(b) / (one - a) for a, b in zip(lam, B1)]
+        V = np.eye(m, dtype=complex)
     else:
-        C = np.zeros(0, dtype=complex)
-        lam = np.zeros(0, dtype=complex)
-        V = np.zeros((0, 0), dtype=complex)
+        one = 1.0 + 0.0j
+        D = form.D
+        if m:
+            C = np.linalg.solve(np.eye(m) - A1, B1)
+            lam, V = _matched_eig(A1)
+        else:
+            C = np.zeros(0, dtype=complex)
+            lam = np.zeros(0, dtype=complex)
+            V = np.zeros((0, 0), dtype=complex)
 
-    poly = MultiPolynomial.constant(n, 1.0)
+    poly = MultiPolynomial.constant(n, one, exact=exact)
     for j in range(s):
         if beta[j]:
-            poly = poly * MultiPolynomial.variable(n, j) ** beta[j]
+            poly = poly * MultiPolynomial.variable(n, j, exact=exact) ** beta[j]
     for i in range(m):
         if gamma[i]:
+            # the factor (v - C)^T v(i); zero coefficients are dropped
             terms = {}
-            const = 0.0 + 0.0j
+            const = 0
             for j in range(m):
                 vj = V[j, i]
                 if vj != 0:
-                    g = tuple(1 if t == s + j else 0 for t in range(n))
-                    terms[g] = vj
+                    terms[tuple(1 if t == s + j else 0 for t in range(n))] = vj
                     const -= C[j] * vj
-            if const != 0:
-                terms[(0,) * n] = terms.get((0,) * n, 0) + const
-            factor = MultiPolynomial(n, terms)
-            poly = poly * factor**gamma[i]
+            terms[(0,) * n] = const
+            poly = poly * MultiPolynomial(n, terms, exact=exact) ** gamma[i]
 
-    eig = 1.0 + 0.0j
+    eig = one
     for j in range(s):
-        eig *= form.D[j] ** beta[j]
+        eig *= D[j] ** beta[j]
     for i in range(m):
         eig *= lam[i] ** gamma[i]
 
     return EigenfunctionSpec(
         beta=beta,
         gamma=gamma,
-        C=C,
+        C=np.array([complex(c) for c in C]) if exact else C,
         eigvecs_a1t=V,
-        polynomial=poly,
-        eigenvalue=eig,
-        normalized_symbol=psi,
-    )
-
-
-def _construct_exact(symbol, form, psi, beta, gamma):
-    """Exact-rational eigenfunction; needs U = I and diagonal A1."""
-    n, s = symbol.n, form.s
-    m = n - s
-    if not np.array_equal(form.U, np.eye(n)):
-        raise ValueError("exact mode requires a symbol already in Schur form (U = I)")
-    A1 = form.A1
-    if m and np.any(A1[~np.eye(m, dtype=bool)] != 0):
-        raise ValueError("exact mode requires A1 exactly diagonal")
-    a = [GaussianRational.from_complex(A1[i, i]) for i in range(m)]
-    b = [GaussianRational.from_complex(form.Bprime[s + i]) for i in range(m)]
-    C = [bi / (GaussianRational(1) - ai) for ai, bi in zip(a, b)]
-
-    poly = MultiPolynomial.constant(n, GaussianRational(1), exact=True)
-    for j in range(s):
-        if beta[j]:
-            poly = poly * MultiPolynomial.variable(n, j, exact=True) ** beta[j]
-    for i in range(m):
-        if gamma[i]:
-            g = tuple(1 if t == s + i else 0 for t in range(n))
-            factor = MultiPolynomial(
-                n, {g: GaussianRational(1), (0,) * n: -C[i]}, exact=True
-            )
-            poly = poly * factor**gamma[i]
-
-    eig = GaussianRational(1)
-    for j in range(s):
-        eig = eig * GaussianRational.from_complex(form.D[j]) ** beta[j]
-    for i in range(m):
-        eig = eig * a[i] ** gamma[i]
-
-    return EigenfunctionSpec(
-        beta=beta,
-        gamma=gamma,
-        C=np.array([complex(c) for c in C]),
-        eigvecs_a1t=np.eye(m, dtype=complex),
         polynomial=poly,
         eigenvalue=complex(eig),
         normalized_symbol=psi,
-        eigenvalue_exact=eig,
+        eigenvalue_exact=eig if exact else None,
     )
 
 

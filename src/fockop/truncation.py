@@ -40,10 +40,8 @@ BINARY_MAGIC = b"FOCKTRNC1"
 _MAX_FLOAT_DEGREE = 150
 
 
-def dimension_cap(dim_cap=None):
-    """Effective basis-size cap: explicit argument, else FOCKOP_DIM_CAP, else 50000."""
-    if dim_cap is not None:
-        return int(dim_cap)
+def dimension_cap():
+    """Effective basis-size cap: FOCKOP_DIM_CAP, else 50000."""
     env = os.environ.get(DIM_CAP_ENV)
     if env is not None:
         try:
@@ -93,7 +91,7 @@ class GradedBasis:
         return cached
 
 
-def build_basis(n, max_degree, dim_cap=None):
+def build_basis(n, max_degree):
     """Construct the graded basis, enforcing the dimension cap.
 
     Raises
@@ -104,7 +102,7 @@ def build_basis(n, max_degree, dim_cap=None):
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    cap = dimension_cap(dim_cap)
+    cap = dimension_cap()
     dim = graded_dim(n, max_degree)
     if dim > cap:
         raise SizeOverflowError(
@@ -211,7 +209,7 @@ class TruncatedOperator:
         return out
 
 
-def build_truncation(symbol, max_degree, exact=False, dim_cap=None):
+def build_truncation(symbol, max_degree, exact=False):
     """Expand (Az + B)^alpha for every |alpha| <= N into the matrix of C_phi.
 
     Columns are generated along the graded order by one sparse multiply
@@ -227,7 +225,7 @@ def build_truncation(symbol, max_degree, exact=False, dim_cap=None):
         Also carry exact Gaussian-rational coefficients (input floats are
         dyadic rationals, so the conversion is lossless).
     """
-    basis = build_basis(symbol.n, max_degree, dim_cap)
+    basis = build_basis(symbol.n, max_degree)
     n = symbol.n
     dim = basis.dim
     forms = _affine_forms(symbol, exact)
@@ -314,7 +312,7 @@ def kernel_series_polynomial(w, max_degree, exact=False):
     return MultiPolynomial(n, terms, exact=exact)
 
 
-def build_adjoint_truncation(symbol, max_degree, dim_cap=None):
+def build_adjoint_truncation(symbol, max_degree):
     """Matrix of C_phi* on the same basis via the factorization
     C_phi* = M_{K_B} C_tau with tau(z) = A* z.
 
@@ -324,7 +322,7 @@ def build_adjoint_truncation(symbol, max_degree, dim_cap=None):
     transpose of build_truncation(symbol, N).matrix; the two routes share
     no code path, which is the point.
     """
-    basis = build_basis(symbol.n, max_degree, dim_cap)
+    basis = build_basis(symbol.n, max_degree)
     n = symbol.n
     dim = basis.dim
     Astar = symbol.A.conj().T
@@ -341,20 +339,20 @@ def build_adjoint_truncation(symbol, max_degree, dim_cap=None):
     return TruncatedOperator(basis=basis, matrix=out, symbol=symbol)
 
 
-def truncated_norm(symbol, max_degree, dim_cap=None):
+def truncated_norm(symbol, max_degree):
     """||P_N C_phi P_N||, nondecreasing in N and <= ||C_phi|| when bounded."""
-    return build_truncation(symbol, max_degree, dim_cap=dim_cap).norm()
+    return build_truncation(symbol, max_degree).norm()
 
 
-def truncated_spectrum(symbol, max_degree, dim_cap=None):
-    return build_truncation(symbol, max_degree, dim_cap=dim_cap).spectrum()
+def truncated_spectrum(symbol, max_degree):
+    return build_truncation(symbol, max_degree).spectrum()
 
 
-def truncated_singular_values(symbol, max_degree, dim_cap=None):
-    return build_truncation(symbol, max_degree, dim_cap=dim_cap).singular_values()
+def truncated_singular_values(symbol, max_degree):
+    return build_truncation(symbol, max_degree).singular_values()
 
 
-def truncated_commutator_norm(symbol, max_degree, dim_cap=None):
+def truncated_commutator_norm(symbol, max_degree):
     """Frobenius norm of M*M - MM* for the truncation M.
 
     Only meaningful for B = 0: then the subspace is invariant under both
@@ -369,7 +367,7 @@ def truncated_commutator_norm(symbol, max_degree, dim_cap=None):
     """
     if np.any(symbol.B != 0):
         raise AdjointNotGradedError("commutator oracle requires B = 0")
-    M = build_truncation(symbol, max_degree, dim_cap=dim_cap).matrix
+    M = build_truncation(symbol, max_degree).matrix
     H = M.conj().T
     return float(np.linalg.norm(H @ M - M @ H))
 

@@ -232,12 +232,15 @@ def test_hilbert_schmidt_infinite_for_noncompact(corpus):
 
 
 def test_hilbert_schmidt_unsettled_sum_raises():
-    # compact, with a finite sum (45427 in closed form), but the per-degree
-    # contributions still grow at the default degree 24
-    s = AffineSymbol(0.8 * np.eye(2), np.array([2.5, 0.0]))
-    assert hilbert_schmidt_norm_sq_closed_form(s) == pytest.approx(45427, rel=1e-4)
-    with pytest.raises(QuadratureDivergenceError):
-        hilbert_schmidt_norm_sq(s)
+    # compact, so the sum is finite, but the default degree 24 does not
+    # settle it: for a = 0.8, b = 2.5 the per-degree contributions still
+    # grow; for a = 0.9, b = 1 they decay, but the partial sum is 240.6
+    # and the geometric tail bound 6.4 times that
+    for a, b, closed in [(0.8, 2.5, 45427), (0.9, 1.0, 384.92)]:
+        s = AffineSymbol(a * np.eye(2), np.array([b, 0.0]))
+        assert hilbert_schmidt_norm_sq_closed_form(s) == pytest.approx(closed, rel=1e-4)
+        with pytest.raises(QuadratureDivergenceError):
+            hilbert_schmidt_norm_sq(s)
 
 
 def test_hilbert_schmidt_closed_form_matches_truncation():

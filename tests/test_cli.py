@@ -331,3 +331,59 @@ def test_dimension_cap_exit_1(tmp_path, capsys, monkeypatch):
     code, _, err = run(["truncate", path, "--degree", "50"], capsys)
     assert code == 1
     assert "fockop:" in err
+
+
+def test_norm_beyond_double_range_exit_1(capsys, monkeypatch):
+    # ||C_phi|| = exp(1200) for phi(z) = z/2 + 60
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n":1,"A":[[0.5]],"B":[60]}'))
+    code, out, err = run(["analyze", "-"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fockop: ") and err.count("\n") == 1
+    assert "double range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc, args",
+    [
+        (COMPACT_1D, ["analyze", "{path}", "--degree", "-1"]),
+        (COMPACT_1D, ["truncate", "{path}", "--degree", "-1"]),
+        (COMPACT_1D, ["spectrum", "{path}", "--max-degree", "-3"]),
+        (COMPACT_1D, ["analyze", "{path}", "--tolerance", "nan"]),
+        (COMPACT_1D, ["analyze", "{path}", "--tolerance", "inf"]),
+        (COMPACT_1D, ["analyze", "{path}", "--tolerance", "0"]),
+        (COMPACT_1D, ["analyze", "{path}", "--tolerance=-1e-10"]),
+        ({"n": 1, "A": [[True]], "B": [0.0]}, ["analyze", "{path}"]),
+        ({"n": 1, "A": [[0.5]], "B": [False]}, ["analyze", "{path}"]),
+        ({"n": 1, "A": [[{"re": True, "im": 0}]], "B": [0.0]}, ["analyze", "{path}"]),
+        ({"n": 1, "A": [[{"re": "0.5", "im": 0}]], "B": [0.0]}, ["analyze", "{path}"]),
+        ({"n": 1, "A": [[0.5]], "B": [10**400]}, ["analyze", "{path}"]),
+        ({"n": True, "A": [[0.5]], "B": [0.0]}, ["analyze", "{path}"]),
+        ({"n": 1.5, "A": [[0.5]], "B": [0.0]}, ["analyze", "{path}"]),
+        (doc_for([[1j]], [0.0], [{"num": True, "den": 2}]), ["cyclic", "{path}"]),
+    ],
+    ids=[
+        "analyze-degree-negative",
+        "truncate-degree-negative",
+        "spectrum-max-degree-negative",
+        "tolerance-nan",
+        "tolerance-inf",
+        "tolerance-zero",
+        "tolerance-negative",
+        "entry-true",
+        "entry-false",
+        "entry-re-true",
+        "entry-re-string",
+        "entry-int-beyond-double",
+        "n-true",
+        "n-float",
+        "angle-num-true",
+    ],
+)
+def test_bad_option_or_entry_exit_1(tmp_path, capsys, doc, args):
+    path = write_doc(tmp_path, "s.json", doc)
+    code, out, err = run([a.format(path=path) for a in args], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fockop: ") and err.count("\n") == 1
+    assert "Traceback" not in err

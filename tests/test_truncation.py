@@ -225,13 +225,10 @@ def test_dimension_cap_precedence(monkeypatch):
     assert dimension_cap() == 50000
     monkeypatch.setenv("FOCKOP_DIM_CAP", "123")
     assert dimension_cap() == 123
-    assert dimension_cap(7) == 7
 
 
 def test_size_overflow(monkeypatch):
     s = make_corpus()["compact_2d"]
-    with pytest.raises(SizeOverflowError):
-        build_truncation(s, 10, dim_cap=10)
     monkeypatch.setenv("FOCKOP_DIM_CAP", "10")
     with pytest.raises(SizeOverflowError):
         build_truncation(s, 10)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import (
     IdentityViolationError,
@@ -275,6 +274,8 @@ def _tensor_gauss_hermite(exponent_fn, m, scale, order):
 
     exponent_fn maps an (P, m) real array to a (P,) real array.
     """
+    from numpy.polynomial.hermite import hermgauss
+
     x, w = hermgauss(order)
     nodes = x / math.sqrt(scale)
     logw = np.log(w) + x * x - 0.5 * math.log(scale)
@@ -498,16 +499,17 @@ def classify(symbol, tol_unit=DEFAULT_TOL_UNIT, exact_angles=None):
     """Run every closed-form verdict and collect them in one report.
 
     Boundedness and z0 are computed once and the norms and normality
-    relatives are derived from them; the essential norm keeps the
-    identity checks of essential_norm.
+    relatives are derived from them; cyclicity skips the boundedness
+    guard of check_cyclic, and the essential norm keeps the identity
+    checks of essential_norm.
     """
-    from .dynamics import check_cyclic, check_supercyclic
+    from .dynamics import DEFAULT_MAX_COEFF, _cyclic_verdict
 
     bv = check_bounded(symbol, tol_unit)
     if not bv.bounded:
         return ClassificationReport(bounded=bv)
     compact = check_compact(symbol, tol_unit)
-    cyc = check_cyclic(symbol, tol_unit=tol_unit, exact_angles=exact_angles)
+    cyc = _cyclic_verdict(symbol, tol_unit, DEFAULT_MAX_COEFF, exact_angles)
     z0 = solve_z0(symbol)
     norm = _norm_from_z0(symbol, z0)
     normal = _is_normal(symbol, tol_unit)
@@ -521,7 +523,8 @@ def classify(symbol, tol_unit=DEFAULT_TOL_UNIT, exact_angles=None):
         hyponormal=normal,
         essentially_normal=compact or normal,
         schatten_all_p=compact,
-        supercyclic=check_supercyclic(symbol, tol_unit),
+        # check_supercyclic is False for every bounded symbol
+        supercyclic=False,
         cyclic=cyc.verdict,
         cyclic_detail=cyc,
     )

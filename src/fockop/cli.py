@@ -473,6 +473,9 @@ def _check_options(args):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise ParseError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+    max_coeff = getattr(args, "max_coeff", None)
+    if max_coeff is not None and max_coeff < 1:
+        raise ParseError(f"--max-coeff must be >= 1, got {max_coeff}")
     tol = getattr(args, "tolerance", 1.0)
     if not 0.0 < tol < math.inf:
         raise ParseError(f"--tolerance must be positive and finite, got {tol!r}")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -153,6 +152,8 @@ def rational_independence(angles, max_coeff=DEFAULT_MAX_COEFF):
     # noise at the 1e-11 level once three or more terms are in play (e.g.
     # -23192*pi + 58099*sqrt(2) - 5372*sqrt(3) ~ 3.8e-11).  Digging deeper
     # than the noise floor would turn independence into false dependence.
+    import mpmath as mp
+
     with mp.workdps(40):
         values = [mp.pi] + [mp.mpf(t) for t in thetas]
         try:
@@ -227,10 +228,16 @@ def check_cyclic(
     NotBoundedError
     """
     from .analysis import check_bounded
-    from .spectrum import eigenvalues
 
     if not check_bounded(symbol, tol_unit).bounded:
         raise NotBoundedError("cyclicity is assessed for bounded symbols")
+    return _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles)
+
+
+def _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles):
+    """check_cyclic for a symbol already known to be bounded."""
+    from .spectrum import eigenvalues
+
     n = symbol.n
     sv = np.linalg.svd(symbol.A, compute_uv=False)
     if sv[-1] <= 1e-12:

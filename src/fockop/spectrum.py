@@ -14,17 +14,18 @@ with C = (I - A1)^{-1} B1 and A1^T v(i) = lambda_i v(i), living in the
 Schur coordinates z' = U z = (w, v).
 """
 
+import cmath
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     NonSquareError,
     NotBoundedError,
     NotDiagonalizableError,
     ShapeMismatchError,
+    SizeOverflowError,
 )
 from .exact import GaussianRational
 from .polynomials import MultiPolynomial, graded_indices
@@ -50,16 +51,24 @@ def eigenvalues(A):
 
 def eigenvalue_products(eigvals, max_degree):
     """All (gamma, prod_i lambda_i^{gamma_i}) with |gamma| <= max_degree,
-    in graded-lex order, with multiplicity (no deduplication)."""
+    in graded-lex order, with multiplicity (no deduplication).
+
+    Raises SizeOverflowError if a product leaves the range of a double.
+    """
     eigvals = np.asarray(eigvals, dtype=complex)
     n = len(eigvals)
     out = []
-    for g in graded_indices(n, max_degree):
-        v = 1.0 + 0.0j
-        for lam, gi in zip(eigvals, g):
-            if gi:
-                v *= lam**gi
-        out.append((g, v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in graded_indices(n, max_degree):
+            v = 1.0 + 0.0j
+            for lam, gi in zip(eigvals, g):
+                if gi:
+                    v *= lam**gi
+            if not cmath.isfinite(v):
+                raise SizeOverflowError(
+                    f"eigenvalue product at multi-index {g} exceeds the double range"
+                )
+            out.append((g, v))
     return out
 
 
@@ -134,6 +143,8 @@ def enumerate_spectrum(
 
 def multiset_distance(xs, ys):
     """Optimal-matching sup distance between equal-size complex multisets."""
+    from scipy.optimize import linear_sum_assignment
+
     xs = np.asarray(xs, dtype=complex).reshape(-1)
     ys = np.asarray(ys, dtype=complex).reshape(-1)
     if xs.shape != ys.shape:

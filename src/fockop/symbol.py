@@ -9,7 +9,6 @@ K_w(z) = exp(<z, w>/2) with <u, v> = sum_i u_i conj(v_i).
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InconsistentError,
@@ -228,6 +227,8 @@ def block_schur_form(A, tol_unit=DEFAULT_TOL_UNIT):
         T = A.copy()
         U = np.eye(n, dtype=complex)
     else:
+        import scipy.linalg
+
         T, Z = scipy.linalg.schur(A, output="complex")
         U = Z.conj().T
         # stable bubble sort so equal keys never move

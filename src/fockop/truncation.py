@@ -224,6 +224,8 @@ def build_truncation(symbol, max_degree, exact=False):
     exact : bool
         Also carry exact Gaussian-rational coefficients (input floats are
         dyadic rationals, so the conversion is lossless).
+
+    Raises SizeOverflowError if an entry leaves the range of a double.
     """
     basis = build_basis(symbol.n, max_degree)
     n = symbol.n
@@ -264,6 +266,10 @@ def build_truncation(symbol, max_degree, exact=False):
             col += 1
         prev_shell = shell
 
+    if not np.isfinite(matrix).all():
+        raise SizeOverflowError(
+            f"a degree-{max_degree} truncation entry exceeds the double range"
+        )
     return TruncatedOperator(
         basis=basis,
         matrix=matrix,

@@ -7,6 +7,7 @@ import pytest
 
 from fockop import (
     AffineSymbol,
+    InconsistentError,
     KernelFunction,
     NotBoundedError,
     NotCompactError,
@@ -94,6 +95,12 @@ def test_norm_of_unitary_is_one(corpus):
     assert operator_norm(corpus["rotation_i"]) == pytest.approx(1.0)
     assert operator_norm(corpus["unitary_2d"]) == pytest.approx(1.0)
     assert operator_norm(corpus["identity_1d"]) == pytest.approx(1.0)
+
+
+def test_z0_inconsistent_for_unbounded(corpus):
+    # A = diag(1, 1/2), B = (1, 0): (I - A*A) z = A*B reads 0 = 1 in row 0
+    with pytest.raises(InconsistentError):
+        solve_z0(corpus["unbounded_2d"])
 
 
 def test_operator_norm_rejects_unbounded(corpus):

@@ -343,6 +343,22 @@ def test_norm_beyond_double_range_exit_1(capsys, monkeypatch):
     assert "double range" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", [1e308, 1e200], ids=["1e308", "1e200"])
+@pytest.mark.parametrize(
+    "args",
+    [["analyze"], ["analyze", "--text"], ["truncate"], ["spectrum"], ["spectrum", "--verify"]],
+    ids=["analyze", "analyze-text", "truncate", "spectrum", "spectrum-verify"],
+)
+def test_results_beyond_double_range_exit_1(tmp_path, capsys, entry, args):
+    # the eigenvalue products and the truncation entries overflow to inf
+    path = write_doc(tmp_path, "s.json", {"n": 1, "A": [[entry]], "B": [0]})
+    code, out, err = run([args[0], path] + args[1:], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fockop: ") and err.count("\n") == 1
+    assert "double range" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "doc, args",
     [
@@ -361,6 +377,8 @@ def test_norm_beyond_double_range_exit_1(capsys, monkeypatch):
         ({"n": True, "A": [[0.5]], "B": [0.0]}, ["analyze", "{path}"]),
         ({"n": 1.5, "A": [[0.5]], "B": [0.0]}, ["analyze", "{path}"]),
         (doc_for([[1j]], [0.0], [{"num": True, "den": 2}]), ["cyclic", "{path}"]),
+        (ROTATION_I, ["cyclic", "{path}", "--max-coeff", "0"]),
+        (ROTATION_I, ["cyclic", "{path}", "--max-coeff=-5"]),
     ],
     ids=[
         "analyze-degree-negative",
@@ -378,6 +396,8 @@ def test_norm_beyond_double_range_exit_1(capsys, monkeypatch):
         "n-true",
         "n-float",
         "angle-num-true",
+        "max-coeff-zero",
+        "max-coeff-negative",
     ],
 )
 def test_bad_option_or_entry_exit_1(tmp_path, capsys, doc, args):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fockop import (
+    NonSquareError,
     NotDiagonalizableError,
     build_truncation,
     construct_eigenfunction,
@@ -27,6 +28,11 @@ def test_eigenvalues_sorted():
     ev = eigenvalues(A)
     # unimodular first (argument ascending), then moduli descending
     assert np.allclose(ev, [1j, -1.0, 0.7, 0.2])
+
+
+def test_eigenvalues_rejects_non_square():
+    with pytest.raises(NonSquareError):
+        eigenvalues(np.zeros((2, 3)))
 
 
 def test_eigenvalue_products_diag():

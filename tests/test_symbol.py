@@ -8,6 +8,7 @@ from fockop import (
     NonFiniteEntryError,
     NormExceedsOneError,
     ShapeMismatchError,
+    StructureViolationError,
     adjoint_symbol,
     block_schur_form,
     block_schur_of_symbol,
@@ -88,6 +89,13 @@ def test_block_schur_fast_path_identity_u():
 def test_block_schur_rejects_expansive():
     with pytest.raises(NormExceedsOneError):
         block_schur_form(np.array([[1.5]]))
+
+
+def test_block_schur_rejects_unimodular_row_with_off_diagonal_mass():
+    # ||A|| = 1 + 7e-13 passes the norm gate, but row 0 of the (already
+    # triangular) Schur form carries 1e-6 beside its unimodular diagonal
+    with pytest.raises(StructureViolationError, match="unimodular row 0"):
+        block_schur_form(np.array([[1.0, 1e-6], [0.0, 0.5]]))
 
 
 def test_block_schur_of_symbol_transforms_b():

@@ -27,13 +27,15 @@ _IDENTITY_REL_TOL = 1e-9
 
 
 def _exp(x, what):
-    """math.exp(x), raising SizeOverflowError where it leaves the double range."""
+    """math.exp(x), raising SizeOverflowError where it leaves the double
+    range, also when x is already inf or nan from an overflowed sum."""
     try:
-        return math.exp(x)
+        val = math.exp(x)
     except OverflowError:
-        raise SizeOverflowError(
-            f"{what} = exp({x:.17g}) exceeds the double range"
-        ) from None
+        val = math.inf
+    if not math.isfinite(val):
+        raise SizeOverflowError(f"{what} = exp({x:.17g}) exceeds the double range")
+    return val
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,9 @@ def check_bounded(symbol, tol_unit=DEFAULT_TOL_UNIT):
         return BoundednessVerdict(bounded=True, witness=None, norm_a=norm_a)
     Us = U[:, unit]
     overlaps = Us.conj().T @ symbol.B  # <B, u_i> conjugated pairing
-    mass = float(np.linalg.norm(overlaps))
-    scale = max(1.0, float(np.linalg.norm(symbol.B)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = float(np.linalg.norm(overlaps))
+        scale = max(1.0, float(np.linalg.norm(symbol.B)))
     if mass <= tol_unit * scale:
         return BoundednessVerdict(bounded=True, witness=None, norm_a=norm_a)
     # witness maximizing |<A zeta, B>| over unit zeta in the singular space
@@ -90,20 +93,28 @@ def solve_z0(symbol, tol=DEFAULT_TOL_UNIT):
 
     For bounded symbols the system is consistent (A*B is orthogonal to
     ker(I - A*A)); a large least-squares residual therefore signals a
-    symbol on the unbounded side.
+    symbol on the unbounded side.  Singular values of I - A*A up to 2 tol
+    count as zero: for a unitary A the matrix is rounding noise, and
+    inverting that noise would return a huge z0.
 
     Raises
     ------
     InconsistentError
-        If the least-squares residual exceeds tolerance.
+        If the residual exceeds tol * max(1, |B|) * max(1, ||A||).
     """
     n = symbol.n
     A = symbol.A
     lhs = np.eye(n) - A.conj().T @ A
     rhs = A.conj().T @ symbol.B
-    z0, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    resid = float(np.linalg.norm(lhs @ z0 - rhs))
-    if resid > max(tol, tol * np.linalg.norm(rhs)):
+    smax = float(np.linalg.norm(lhs, 2))
+    if smax <= 2 * tol:
+        z0 = np.zeros(n, dtype=complex)
+    else:
+        z0 = np.linalg.lstsq(lhs, rhs, rcond=2 * tol / smax)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = float(np.linalg.norm(lhs @ z0 - rhs))
+        scale = max(1.0, float(np.linalg.norm(symbol.B))) * max(1.0, symbol.norm_a)
+    if resid > tol * scale:
         raise InconsistentError(
             f"(I - A*A) z = A*B residual {resid:.3e}; symbol is not bounded"
         )
@@ -174,9 +185,8 @@ def essential_norm(symbol, tol_unit=DEFAULT_TOL_UNIT):
 def _is_normal(symbol, tol):
     A = symbol.A
     comm = A @ A.conj().T - A.conj().T @ A
-    return bool(
-        np.linalg.norm(symbol.B) < tol and np.linalg.norm(comm) < tol
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.linalg.norm(symbol.B) < tol and np.linalg.norm(comm) < tol)
 
 
 def check_normal(symbol, tol=DEFAULT_TOL_UNIT):

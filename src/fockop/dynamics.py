@@ -391,6 +391,8 @@ def orbit_density_experiment(symbol, seed, max_degree, steps):
     keeps the component orthogonal to the current span when its relative
     size exceeds _RANK_TOL.  Stacking raw powers instead would lose
     directions whose eigenvalues decay, reporting false rank deficiency.
+    The seed's coordinates need the monomial norms, so max_degree is at
+    most 150 (SizeOverflowError above).
     """
     op = build_truncation(symbol, max_degree)
     basis = op.basis

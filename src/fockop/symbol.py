@@ -17,6 +17,7 @@ from .errors import (
     NormExceedsOneError,
     NotBoundedError,
     ShapeMismatchError,
+    SizeOverflowError,
     StructureViolationError,
 )
 
@@ -25,8 +26,13 @@ DEFAULT_TOL_UNIT = 1e-10
 
 
 def hermitian_inner(u, v):
-    """<u, v> = sum_i u_i conj(v_i), the pairing used by every formula here."""
-    return complex(np.sum(np.asarray(u) * np.conj(np.asarray(v))))
+    """<u, v> = sum_i u_i conj(v_i), the pairing used by every formula here.
+
+    Overflow gives inf or nan without a numpy warning; callers check the
+    results they derive from it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.sum(np.asarray(u) * np.conj(np.asarray(v))))
 
 
 def operator_norm_of_matrix(A):
@@ -36,13 +42,19 @@ def operator_norm_of_matrix(A):
     ------
     NonSquareError
         If A is not a square 2-d array.
+    SizeOverflowError
+        If the SVD leaves the double range (it returns NaN or inf).
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonSquareError(f"expected square matrix, got shape {A.shape}")
     if A.shape[0] == 0:
         return 0.0
-    return float(np.linalg.norm(A, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(A, 2))
+    if not np.isfinite(norm):
+        raise SizeOverflowError(f"||A|| = {norm} exceeds the double range")
+    return norm
 
 
 @dataclass(frozen=True)

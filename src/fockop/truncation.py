@@ -13,16 +13,37 @@ with ||z^gamma||^2 = gamma! 2^{|gamma|}:
     M[beta, alpha] = c_{alpha beta} * sqrt(normSq(beta)/normSq(alpha))
 
 where (A z + B)^alpha = sum_beta c_{alpha beta} z^beta.
+
+The double-precision matrix never forms those norms.  In the basis e_gamma,
+multiplication by z_k is Bargmann's creation operator
+Z_k e_g = sqrt(2(g_k+1)) e_{g+e_k} (Bargmann 1961, Comm. Pure Appl. Math.
+14), and C_phi z^alpha = l_j C_phi z^{alpha-e_j} with l_j = (Az + B)_j, so
+
+    M[:, alpha] = L_j M[:, alpha - e_j] / sqrt(2 alpha_j),
+    L_j = sum_k A_jk Z_k + B_j I,
+
+with j the first nonzero slot of alpha.  M is block upper triangular in
+the degree shells, and block diagonal when B = 0, so its eigenvalues, and
+for B = 0 its singular values, are those of the shell blocks.  Exact mode
+and build_adjoint_truncation are the oracles for this recursion and share
+no code with it; they go through the norms, which fit a double only up to
+degree 150.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
-from math import sqrt
+from functools import cached_property
 
 import numpy as np
 
-from .errors import AdjointNotGradedError, ShapeMismatchError, SizeOverflowError
+from .errors import (
+    AdjointNotGradedError,
+    ParseError,
+    ShapeMismatchError,
+    SizeOverflowError,
+)
 from .exact import GaussianRational
 from .polynomials import (
     MultiPolynomial,
@@ -41,14 +62,20 @@ _MAX_FLOAT_DEGREE = 150
 
 
 def dimension_cap():
-    """Effective basis-size cap: FOCKOP_DIM_CAP, else 50000."""
+    """Effective basis-size cap: FOCKOP_DIM_CAP, else 50000.
+
+    Raises ParseError unless the variable holds an integer >= 1.
+    """
     env = os.environ.get(DIM_CAP_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{DIM_CAP_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_DIM_CAP
+    if env is None:
+        return DEFAULT_DIM_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ParseError(f"{DIM_CAP_ENV} must be an integer >= 1, got {env!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -59,13 +86,11 @@ class GradedBasis:
     ------
     n, max_degree : int
     indices : tuple of multi-index tuples, graded-lex.
-    norm_sq : float ndarray, ||z^gamma||^2 = gamma! 2^{|gamma|} per index.
     """
 
     n: int
     max_degree: int
     indices: tuple
-    norm_sq: np.ndarray
 
     @property
     def dim(self):
@@ -81,14 +106,29 @@ class GradedBasis:
         """Total degree of each basis element, as an int array."""
         return np.array([sum(g) for g in self.indices])
 
-    @property
+    def shell(self, d):
+        """Slice of the positions of degree exactly d."""
+        return slice(graded_dim(self.n, d - 1), graded_dim(self.n, d))
+
+    @cached_property
+    def norm_sq(self):
+        """||z^gamma||^2 = gamma! 2^{|gamma|} per index, as doubles.
+
+        Raises SizeOverflowError above degree 150, where the norms leave
+        the double range.
+        """
+        if self.max_degree > _MAX_FLOAT_DEGREE:
+            raise SizeOverflowError(
+                f"degree {self.max_degree} is too high for the monomial norms: "
+                f"||z^gamma||^2 = gamma! 2^|gamma| overflows a double; the exact "
+                f"and adjoint routes and the orbit experiment stop at degree "
+                f"{_MAX_FLOAT_DEGREE}"
+            )
+        return np.array([float(monomial_norm_sq_exact(g)) for g in self.indices])
+
+    @cached_property
     def _index_of(self):
-        # built lazily; dataclass is frozen so stash via object.__setattr__
-        cached = self.__dict__.get("_index_of_cache")
-        if cached is None:
-            cached = {g: i for i, g in enumerate(self.indices)}
-            object.__setattr__(self, "_index_of_cache", cached)
-        return cached
+        return {g: i for i, g in enumerate(self.indices)}
 
 
 def build_basis(n, max_degree):
@@ -97,8 +137,7 @@ def build_basis(n, max_degree):
     Raises
     ------
     SizeOverflowError
-        If C(max_degree + n, n) exceeds the cap, or if the monomial norms
-        do not fit a double (max_degree above 150).
+        If C(max_degree + n, n) exceeds the cap.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -108,14 +147,7 @@ def build_basis(n, max_degree):
         raise SizeOverflowError(
             f"basis dimension {dim} exceeds cap {cap} (n={n}, N={max_degree})"
         )
-    if max_degree > _MAX_FLOAT_DEGREE:
-        raise SizeOverflowError(
-            f"degree {max_degree} is too high: ||z^gamma||^2 = gamma! 2^|gamma| "
-            f"overflows a double; the largest usable degree is {_MAX_FLOAT_DEGREE}"
-        )
-    indices = tuple(graded_indices(n, max_degree))
-    norm_sq = np.array([float(monomial_norm_sq_exact(g)) for g in indices])
-    return GradedBasis(n=n, max_degree=max_degree, indices=indices, norm_sq=norm_sq)
+    return GradedBasis(n=n, max_degree=max_degree, indices=tuple(graded_indices(n, max_degree)))
 
 
 def _affine_forms(symbol, exact):
@@ -174,6 +206,10 @@ class TruncatedOperator:
     exact mode, exact_columns[j] maps row index -> GaussianRational
     unnormalized coefficient c_{alpha beta}; the float matrix is then
     D^{1/2} C D^{-1/2} evaluated from those exact entries.
+
+    The matrix is block triangular in the degree shells (upper for C_phi,
+    lower for the adjoint route), and block diagonal when symbol.B = 0;
+    the solves below use that structure.
     """
 
     basis: GradedBasis
@@ -185,16 +221,28 @@ class TruncatedOperator:
     def dim(self):
         return self.basis.dim
 
+    def shell_blocks(self):
+        """The diagonal blocks of the degree shells 0..N."""
+        shells = [self.basis.shell(d) for d in range(self.basis.max_degree + 1)]
+        return [self.matrix[s, s] for s in shells]
+
     def norm(self):
         """Operator 2-norm (largest singular value)."""
-        return float(np.linalg.norm(self.matrix, 2))
+        return float(self.singular_values()[0])
 
     def singular_values(self):
-        return np.linalg.svd(self.matrix, compute_uv=False)
+        """Descending; from the shell blocks when B = 0, where M is block
+        diagonal, and from the whole matrix otherwise."""
+        if np.any(self.symbol.B):
+            return np.linalg.svd(self.matrix, compute_uv=False)
+        blocks = [np.linalg.svd(b, compute_uv=False) for b in self.shell_blocks()]
+        return np.sort(np.concatenate(blocks))[::-1]
 
     def spectrum(self):
-        """Eigenvalues sorted modulus-descending, argument-ascending."""
-        return sort_eigenvalues(np.linalg.eigvals(self.matrix))
+        """Eigenvalues of the shell blocks, sorted modulus-descending,
+        argument-ascending."""
+        blocks = [np.linalg.eigvals(b) for b in self.shell_blocks()]
+        return sort_eigenvalues(np.concatenate(blocks))
 
     def column_norms_sq_by_degree(self):
         """sum over columns of each total degree of the squared column norm.
@@ -209,72 +257,123 @@ class TruncatedOperator:
         return out
 
 
-def build_truncation(symbol, max_degree, exact=False):
-    """Expand (Az + B)^alpha for every |alpha| <= N into the matrix of C_phi.
+def _creation_maps(basis):
+    """dst[k, i] = position of g_i + e_k and w[k, i] = sqrt(2 (g_k + 1)),
+    for the basis elements g_i of degree < N."""
+    rows = graded_dim(basis.n, basis.max_degree - 1)
+    low = basis.indices[:rows]
+    pos = basis._index_of
+    dst = np.array(
+        [[pos[g[:k] + (g[k] + 1,) + g[k + 1 :]] for g in low] for k in range(basis.n)],
+        dtype=np.intp,
+    ).reshape(basis.n, rows)
+    G = np.array(low, dtype=float).reshape(rows, basis.n)
+    return dst, np.sqrt(2.0 * (G.T + 1.0))
+
+
+def _creation_matrix(symbol, basis):
+    """The normalized matrix, one degree shell at a time by the creation
+    recursion of the module docstring.
+
+    Within shell d the columns whose first nonzero slot is j are
+    contiguous, and their parents alpha - e_j are the first columns of
+    shell d - 1, in the same order.  So each (d, j) is one gather of the
+    parent columns, one scaled scatter per nonzero A_jk, and a division
+    by the real sqrt(2 alpha_j), applied to the real and imaginary parts
+    separately so that exact entries stay exact.
+    """
+    n, A, B = basis.n, symbol.A, symbol.B
+    dst, w = _creation_maps(basis)
+    M = np.zeros((basis.dim, basis.dim), dtype=complex)
+    M[0, 0] = 1.0
+    b_zero = not np.any(B)
+    for d in range(1, basis.max_degree + 1):
+        parent, shell = basis.shell(d - 1), basis.shell(d)
+        # parent columns have entries only in rows of degree < d, and with
+        # B = 0 only in shell d - 1, whose images lie in shell d alone
+        rows = slice(parent.start if b_zero else 0, parent.stop)
+        top = shell.start if b_zero else 0
+        for j in range(n):
+            cols = slice(parent.start, parent.start + math.comb(d + n - 2 - j, n - 1 - j))
+            P = M[rows, cols]
+            kids = dst[j, cols]
+            X = M[top : shell.stop, kids[0] : kids[-1] + 1]
+            if B[j] != 0:
+                X[rows.start - top : rows.stop - top] += B[j] * P
+            for k in range(n):
+                if A[j, k] != 0:
+                    X[dst[k, rows] - top] += (A[j, k] * w[k, rows])[:, None] * P
+            X.real /= w[j, cols]
+            X.imag /= w[j, cols]
+    return M
+
+
+def _exact_columns(symbol, basis):
+    """Exact coefficients of (Az + B)^alpha, one {row: GaussianRational}
+    map per column.
 
     Columns are generated along the graded order by one sparse multiply
     each: the polynomial for alpha is the polynomial for alpha - e_j times
     l_j, with j the first nonzero slot of alpha.  Only the previous degree
     shell is kept alive.
+    """
+    n = symbol.n
+    forms = _affine_forms(symbol, exact=True)
+    unit = MultiPolynomial.constant(n, GaussianRational(1), exact=True)
+    prev_shell = {(0,) * n: unit}
+    cols = [{0: GaussianRational(1)}]
+    for d in range(1, basis.max_degree + 1):
+        shell = {}
+        for alpha in basis.indices[basis.shell(d)]:
+            j = next(i for i, ai in enumerate(alpha) if ai > 0)
+            prev = tuple(ai - 1 if i == j else ai for i, ai in enumerate(alpha))
+            poly = prev_shell[prev] * forms[j]
+            shell[alpha] = poly
+            cols.append({basis.position(g): c for g, c in poly.terms.items()})
+        prev_shell = shell
+    return tuple(cols)
+
+
+def _matrix_from_exact(sqrt_ns, columns):
+    """D^{1/2} C D^{-1/2} from the exact coefficient columns C, with
+    sqrt_ns the diagonal of D^{1/2}."""
+    out = np.zeros((len(columns), len(columns)), dtype=complex)
+    for j, colmap in enumerate(columns):
+        for i, c in colmap.items():
+            out[i, j] = complex(c) * (sqrt_ns[i] / sqrt_ns[j])
+    return out
+
+
+def build_truncation(symbol, max_degree, exact=False):
+    """The matrix of C_phi on the monomials of degree <= N.
 
     Parameters
     ----------
     symbol : AffineSymbol
     max_degree : int
     exact : bool
-        Also carry exact Gaussian-rational coefficients (input floats are
-        dyadic rationals, so the conversion is lossless).
+        Expand (Az + B)^alpha in exact Gaussian-rational arithmetic instead
+        of the creation recursion (input floats are dyadic rationals, so
+        the conversion is lossless), keep the coefficients, and evaluate
+        the matrix from them.  Limited to degree <= 150.
 
     Raises SizeOverflowError if an entry leaves the range of a double.
     """
     basis = build_basis(symbol.n, max_degree)
-    n = symbol.n
-    dim = basis.dim
-    forms = _affine_forms(symbol, exact)
-    matrix = np.zeros((dim, dim), dtype=complex)
-    exact_cols = [None] * dim if exact else None
-    sqrt_ns = np.sqrt(basis.norm_sq)
-
-    one = GaussianRational(1) if exact else 1.0 + 0.0j
-    unit = MultiPolynomial.constant(n, one, exact=exact)
-    prev_shell = {(0,) * n: unit}
-    col = 0
-
-    def emit(j, poly):
-        na = sqrt_ns[j]
-        if exact:
-            ex = {}
-        for g, c in poly.terms.items():
-            i = basis.position(g)
-            matrix[i, j] = complex(c) * (sqrt_ns[i] / na)
-            if exact:
-                ex[i] = c
-        if exact:
-            exact_cols[j] = ex
-
-    emit(0, unit)
-    col = 1
-    for d in range(1, max_degree + 1):
-        shell = {}
-        while col < dim and sum(basis.indices[col]) == d:
-            alpha = basis.indices[col]
-            j = next(i for i, ai in enumerate(alpha) if ai > 0)
-            prev = tuple(ai - 1 if i == j else ai for i, ai in enumerate(alpha))
-            poly = prev_shell[prev] * forms[j]
-            shell[alpha] = poly
-            emit(col, poly)
-            col += 1
-        prev_shell = shell
-
+    exact_cols = None
+    if exact:
+        sqrt_ns = np.sqrt(basis.norm_sq)  # raises above degree 150
+        exact_cols = _exact_columns(symbol, basis)
+        matrix = _matrix_from_exact(sqrt_ns, exact_cols)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = _creation_matrix(symbol, basis)
     if not np.isfinite(matrix).all():
         raise SizeOverflowError(
             f"a degree-{max_degree} truncation entry exceeds the double range"
         )
     return TruncatedOperator(
-        basis=basis,
-        matrix=matrix,
-        symbol=symbol,
-        exact_columns=tuple(exact_cols) if exact else None,
+        basis=basis, matrix=matrix, symbol=symbol, exact_columns=exact_cols
     )
 
 
@@ -282,18 +381,12 @@ def exact_matrix_as_double(op):
     """Rebuild the normalized matrix from the exact columns.
 
     Returns D^{1/2} C D^{-1/2} with C the exact coefficient matrix; used
-    to certify that double-mode expansion arithmetic agrees with the
+    to certify that the double-precision recursion agrees with the
     rational route.
     """
     if op.exact_columns is None:
         raise ValueError("operator was not built in exact mode")
-    dim = op.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    sqrt_ns = np.sqrt(op.basis.norm_sq)
-    for j, colmap in enumerate(op.exact_columns):
-        for i, c in colmap.items():
-            out[i, j] = complex(c) * (sqrt_ns[i] / sqrt_ns[j])
-    return out
+    return _matrix_from_exact(np.sqrt(op.basis.norm_sq), op.exact_columns)
 
 
 def kernel_series_polynomial(w, max_degree, exact=False):
@@ -325,15 +418,16 @@ def build_adjoint_truncation(symbol, max_degree):
     Multiplication by K_B leaves the graded subspace only through terms of
     degree > N, which cannot reach rows of degree <= N, so truncating the
     kernel series at N is exact.  The result must equal the conjugate
-    transpose of build_truncation(symbol, N).matrix; the two routes share
-    no code path, which is the point.
+    transpose of build_truncation(symbol, N).matrix.  It shares no code
+    with the creation recursion there, which is the point: this route and
+    exact mode are that recursion's two oracles.  Limited to degree <= 150.
     """
     basis = build_basis(symbol.n, max_degree)
+    sqrt_ns = np.sqrt(basis.norm_sq)
     n = symbol.n
     dim = basis.dim
     Astar = symbol.A.conj().T
     kernel = kernel_series_polynomial(symbol.B, max_degree)
-    sqrt_ns = np.sqrt(basis.norm_sq)
     out = np.zeros((dim, dim), dtype=complex)
     tau = AffineSymbol(Astar, np.zeros(n))
     for j, alpha in enumerate(basis.indices):
@@ -364,7 +458,9 @@ def truncated_commutator_norm(symbol, max_degree):
     Only meaningful for B = 0: then the subspace is invariant under both
     C_phi and its adjoint, so the compression of the commutator is the
     commutator of the compressions.  For B != 0 the multiplier part of the
-    adjoint leaks outside every graded subspace.
+    adjoint leaks outside every graded subspace.  M is then block diagonal,
+    so the norm is sqrt(sum_d ||M_d* M_d - M_d M_d*||_F^2) over its shell
+    blocks M_d.
 
     Raises
     ------
@@ -373,9 +469,10 @@ def truncated_commutator_norm(symbol, max_degree):
     """
     if np.any(symbol.B != 0):
         raise AdjointNotGradedError("commutator oracle requires B = 0")
-    M = build_truncation(symbol, max_degree).matrix
-    H = M.conj().T
-    return float(np.linalg.norm(H @ M - M @ H))
+    blocks = build_truncation(symbol, max_degree).shell_blocks()
+    return math.hypot(
+        *(np.linalg.norm(M.conj().T @ M - M @ M.conj().T) for M in blocks)
+    )
 
 
 def dump_csv(op, path):

@@ -103,6 +103,32 @@ def test_z0_inconsistent_for_unbounded(corpus):
         solve_z0(corpus["unbounded_2d"])
 
 
+def test_z0_ignores_rounding_noise_of_unitary_a():
+    # unitary A and B at rounding level: I - A*A is noise near 1e-16, and a
+    # least-squares solve that inverts it returns |z0| ~ 1e2 and a norm < 1
+    A = np.array(
+        [
+            [-0.05414114119814914 - 0.48512491506960637j, -0.8585755945944002 - 0.15674980693876844j],
+            [0.6504294290612657 + 0.5819485470550683j, -0.41635611098238223 + 0.25480391527438684j],
+        ]
+    )
+    B = np.array(
+        [-2.220446049250313e-16 + 3.3306690738754696e-16j, -8.326672684688674e-17 - 6.661338147750939e-16j]
+    )
+    s = AffineSymbol(A, B)
+    assert np.linalg.norm(solve_z0(s)) < 1e-9
+    assert operator_norm(s) >= 1.0
+
+
+def test_z0_residual_scales_with_b():
+    # ||A|| = 1 - 5e-11 sits in the unimodular band; B's 5e-10 along it is
+    # within tol * |B|, so the symbol is bounded and z0 must exist
+    s = AffineSymbol(np.diag([1 - 5e-11, 0.0]), np.array([5e-10, 10.0]))
+    assert check_bounded(s).bounded
+    assert np.all(solve_z0(s) == 0)
+    assert operator_norm(s) == pytest.approx(math.exp(25.0), rel=1e-9)
+
+
 def test_operator_norm_rejects_unbounded(corpus):
     with pytest.raises(NotBoundedError):
         operator_norm(corpus["unbounded_2d"])

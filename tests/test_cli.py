@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,14 +318,17 @@ def test_angle_tag_mismatch_exit_1(tmp_path, capsys):
     assert "anglesExact" in err
 
 
-def test_truncate_degree_beyond_double_range_exit_1(tmp_path, capsys):
-    # ||z^160||^2 = 160! 2^160 does not fit a double
+def test_truncate_degree_160_answers(tmp_path, capsys):
+    # the creation recursion never forms ||z^160||^2 = 160! 2^160, which
+    # does not fit a double; the norm is monotone in the degree and below
+    # ||C_phi|| = exp(1/3) for phi(z) = z/2 + 1
     path = write_doc(tmp_path, "s.json", COMPACT_1D)
-    code, out, err = run(["truncate", path, "--degree", "160"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("fockop: ") and err.count("\n") == 1
-    assert "150" in err and "Traceback" not in err
+    norms = []
+    for degree in ("40", "160"):
+        code, out, err = run(["truncate", path, "--degree", degree], capsys)
+        assert code == 0 and err == ""
+        norms.append(json.loads(out)["truncation"]["norm"])
+    assert norms[0] * (1 - 1e-12) <= norms[1] <= np.exp(1.0 / 3.0)
 
 
 def test_dimension_cap_exit_1(tmp_path, capsys, monkeypatch):
@@ -331,6 +337,34 @@ def test_dimension_cap_exit_1(tmp_path, capsys, monkeypatch):
     code, _, err = run(["truncate", path, "--degree", "50"], capsys)
     assert code == 1
     assert "fockop:" in err
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-5", "2.5", ""])
+def test_bad_dimension_cap_exit_1(capsys, monkeypatch, cap):
+    monkeypatch.setenv("FOCKOP_DIM_CAP", cap)
+    path = str(Path(__file__).parent / "golden" / "compact_2d.sym.json")
+    code, out, err = run(["truncate", path, "--degree", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fockop: ") and err.count("\n") == 1
+    assert "FOCKOP_DIM_CAP" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["analyze", "-"], ["analyze", "-", "--degree", "0"]])
+def test_overflow_reports_one_line_and_no_warning(args):
+    # ||B||^2 overflows in the inner products and in numpy.linalg.norm;
+    # capsys does not see numpy's warnings, so run a process
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockop.cli", *args],
+        input='{"n":1,"A":[[0.5]],"B":[1e200]}',
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("fockop: ") and proc.stderr.count("\n") == 1
+    assert "double range" in proc.stderr
 
 
 def test_norm_beyond_double_range_exit_1(capsys, monkeypatch):
@@ -343,15 +377,24 @@ def test_norm_beyond_double_range_exit_1(capsys, monkeypatch):
     assert "double range" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("entry", [1e308, 1e200], ids=["1e308", "1e200"])
+# the eigenvalue products and the truncation entries overflow to inf; for
+# the last entry the SVD of A returns ||A|| = nan
+_HUGE = {"1e308": ([[1e308]], [0]), "1e200": ([[1e200]], [0]),
+         "nan-norm": ([[{"re": 1.7e308, "im": 1.7e308}]], [1])}
+_HUGE_CALLS = [
+    ["analyze"], ["analyze", "--text"], ["truncate"], ["spectrum"], ["spectrum", "--verify"]
+]
+
+
 @pytest.mark.parametrize(
-    "args",
-    [["analyze"], ["analyze", "--text"], ["truncate"], ["spectrum"], ["spectrum", "--verify"]],
-    ids=["analyze", "analyze-text", "truncate", "spectrum", "spectrum-verify"],
+    "args, entry",
+    [(args, e) for args in _HUGE_CALLS for e in ("1e308", "1e200")]
+    + [(["analyze"], "nan-norm"), (["cyclic"], "nan-norm")],
+    ids=lambda v: v if isinstance(v, str) else "-".join(v).replace("--", ""),
 )
 def test_results_beyond_double_range_exit_1(tmp_path, capsys, entry, args):
-    # the eigenvalue products and the truncation entries overflow to inf
-    path = write_doc(tmp_path, "s.json", {"n": 1, "A": [[entry]], "B": [0]})
+    A, B = _HUGE[entry]
+    path = write_doc(tmp_path, "s.json", {"n": 1, "A": A, "B": B})
     code, out, err = run([args[0], path] + args[1:], capsys)
     assert code == 1
     assert out == ""

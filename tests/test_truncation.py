@@ -14,16 +14,19 @@ from fockop import (
     dump_binary,
     dump_csv,
     exact_matrix_as_double,
+    build_adjoint_truncation,
     kernel_series_polynomial,
     load_binary,
     operator_norm,
+    orbit_density_experiment,
     truncated_commutator_norm,
     truncated_norm,
     truncated_singular_values,
     truncated_spectrum,
 )
+from fockop.spectrum import multiset_distance
 from fockop.truncation import compose_polynomial, dimension_cap
-from conftest import make_corpus
+from conftest import make_corpus, random_compact_symbol, random_normal_matrix
 
 RNG_SEED = 515
 
@@ -240,3 +243,66 @@ def test_basis_position_and_contains():
         assert basis.position(g) == k
         assert g in basis
     assert (5, 0, 0) not in basis
+
+
+def _random_symbols(rng):
+    """(symbol, N) for n = 1..4, each with B != 0 and with B = 0."""
+    for n, N in [(1, 12), (2, 6), (3, 4), (4, 3)]:
+        s = random_compact_symbol(rng, n)
+        yield s, N
+        yield AffineSymbol(s.A, np.zeros(n)), N
+
+
+def test_creation_build_matches_exact_and_adjoint_routes():
+    rng = np.random.default_rng(RNG_SEED + 3)
+    for s, N in _random_symbols(rng):
+        M = build_truncation(s, N).matrix
+        exact = build_truncation(s, N, exact=True).matrix
+        adjoint = build_adjoint_truncation(s, N).matrix
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(M - exact)) <= 1e-12 * scale, (s.n, N)
+        assert np.max(np.abs(M - adjoint.conj().T)) <= 1e-12 * scale, (s.n, N)
+
+
+def test_shell_solves_match_full_matrix():
+    rng = np.random.default_rng(RNG_SEED + 4)
+    for s, N in _random_symbols(rng):
+        op = build_truncation(s, N)
+        full_sv = np.linalg.svd(op.matrix, compute_uv=False)
+        assert np.max(np.abs(op.singular_values() - full_sv)) <= 1e-12 * full_sv[0]
+        assert op.norm() == op.singular_values()[0]
+        full_ev = np.linalg.eigvals(op.matrix)
+        assert multiset_distance(op.spectrum(), full_ev) <= 1e-12
+
+
+def test_shell_commutator_matches_full_matrix():
+    rng = np.random.default_rng(RNG_SEED + 5)
+    for n, N in [(1, 10), (2, 6), (3, 4)]:
+        for A in (random_normal_matrix(rng, n, 0.9), random_compact_symbol(rng, n).A):
+            s = AffineSymbol(A, np.zeros(n))
+            M = build_truncation(s, N).matrix
+            H = M.conj().T
+            full = np.linalg.norm(H @ M - M @ H)
+            assert truncated_commutator_norm(s, N) == pytest.approx(full, rel=1e-12, abs=1e-12)
+
+
+def test_degree_300_builds_within_the_closed_form_norm():
+    # the creation recursion never forms gamma! 2^|gamma|, which stops
+    # fitting a double at degree 151
+    s = make_corpus()["compact_1d"]
+    op = build_truncation(s, 300)
+    assert op.dim == 301
+    assert truncated_norm(s, 40) * (1 - 1e-12) <= op.norm() <= operator_norm(s)
+
+
+def test_norm_routes_stop_at_degree_150():
+    s = make_corpus()["compact_1d"]
+    assert build_truncation(s, 150, exact=False).dim == 151
+    with pytest.raises(SizeOverflowError, match="150"):
+        build_truncation(s, 151, exact=True)
+    with pytest.raises(SizeOverflowError, match="150"):
+        build_adjoint_truncation(s, 151)
+    with pytest.raises(SizeOverflowError, match="150"):
+        orbit_density_experiment(s, MultiPolynomial(1, {(0,): 1.0}), 151, 2)
+    with pytest.raises(SizeOverflowError, match="150"):
+        build_basis(1, 151).norm_sq

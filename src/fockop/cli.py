@@ -348,7 +348,7 @@ def truncate_document(sym, degree, dump, fmt):
         },
         "truncation": {
             "dim": op.dim,
-            "norm": op.norm(),
+            "norm": float(sv[0]),
             "topSingularValues": [float(s) for s in sv[:5]],
         },
     }

@@ -108,17 +108,14 @@ def enumerate_spectrum(
 
     ev = eigenvalues(symbol.A)
     full = eigenvalue_products(ev, max_degree)
+    kept = np.empty(len(full), dtype=complex)
     reps = []
-    values = []
-    for g, v in full:
-        dup = False
-        for u in values:
-            if abs(v - u) <= DEDUP_TOL:
-                dup = True
-                break
-        if not dup:
-            reps.append((g, v))
-            values.append(v)
+    # an overflowed difference is inf, so it never marks a duplicate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, v in full:
+            if not np.any(np.abs(kept[: len(reps)] - v) <= DEDUP_TOL):
+                kept[len(reps)] = v
+                reps.append((g, v))
 
     contains_zero = bool(np.any(np.abs(ev) < 1.0 - tol_unit))
 
@@ -178,28 +175,20 @@ def _matched_eig(A1):
     """Eigenpairs of A1^T matched to the diagonal order of A1.
 
     A1 is upper triangular, so its eigenvalues are the diagonal entries in
-    their stored order; numpy returns them permuted, and each computed
-    pair is greedily assigned to the nearest unclaimed diagonal slot.
+    their stored order; numpy returns them permuted, and each diagonal
+    entry in turn claims the nearest unclaimed computed pair (the first
+    one on a tie).
     """
-    m = A1.shape[0]
     lam, V = np.linalg.eig(A1.T)
     if np.linalg.cond(V) > _COND_CAP:
         raise NotDiagonalizableError(
             "eigenvector basis of A1^T is numerically defective"
         )
-    diag = np.diag(A1)
-    taken = [False] * m
     order = []
-    for k in range(m):
-        best, best_d = None, None
-        for j in range(m):
-            if taken[j]:
-                continue
-            d = abs(lam[j] - diag[k])
-            if best is None or d < best_d:
-                best, best_d = j, d
-        taken[best] = True
-        order.append(best)
+    for a in np.diag(A1):
+        d = np.abs(lam - a)
+        d[order] = np.inf
+        order.append(int(np.argmin(d)))
     return lam[order], V[:, order]
 
 

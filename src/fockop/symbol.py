@@ -7,6 +7,7 @@ K_w(z) = exp(<z, w>/2) with <u, v> = sum_i u_i conj(v_i).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,8 +103,9 @@ class AffineSymbol:
             raise ShapeMismatchError(f"point has length {z.shape[0]}, expected {self.n}")
         return self.A @ z + self.B
 
-    @property
+    @cached_property
     def norm_a(self):
+        """||A||; a non-finite norm raises SizeOverflowError on every access."""
         return operator_norm_of_matrix(self.A)
 
     def __repr__(self):

@@ -367,6 +367,27 @@ def test_overflow_reports_one_line_and_no_warning(args):
     assert "double range" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, code, lines",
+    [
+        (["spectrum", "-", "--max-degree", "2"], 2, 0),
+        (["analyze", "-", "--degree", "2"], 1, 1),
+    ],
+)
+def test_product_differences_overflow_without_warning(args, code, lines):
+    # the products 1e308 and -1e308 differ by more than the double range
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockop.cli", *args],
+        input='{"n":2,"A":[[1e154,0],[0,-1e154]],"B":[0,0]}',
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert proc.returncode == code
+    assert proc.stderr.count("\n") == lines
+    assert "Warning" not in proc.stderr
+
+
 def test_norm_beyond_double_range_exit_1(capsys, monkeypatch):
     # ||C_phi|| = exp(1200) for phi(z) = z/2 + 60
     monkeypatch.setattr(sys, "stdin", io.StringIO('{"n":1,"A":[[0.5]],"B":[60]}'))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fockop import (
+    AffineSymbol,
     NonSquareError,
     NotDiagonalizableError,
     build_truncation,
@@ -18,6 +19,7 @@ from fockop import (
     truncated_spectrum,
     verify_eigenfunction,
 )
+from fockop.spectrum import DEDUP_TOL, _COND_CAP, _matched_eig
 from conftest import THETA, random_normal_matrix
 
 RNG_SEED = 777
@@ -53,6 +55,88 @@ def test_enumerate_spectrum_dedup_identity(corpus):
     assert len(spec.products) == 1
     assert spec.products[0][1] == pytest.approx(1.0)
     assert not spec.closure_contains_zero
+
+
+def test_enumerate_spectrum_dedup_is_not_transitive():
+    # 0.5 + 0.6e-10 lies within DEDUP_TOL of both neighbours, which are
+    # 1.2e-10 apart: the graded-lex first one wins and the third survives
+    A = np.diag([0.5 + 1.2e-10, 0.5 + 0.6e-10, 0.5])
+    spec = enumerate_spectrum(AffineSymbol(A, np.zeros(3)), 1)
+    assert [g for g, _ in spec.products] == [(0, 0, 0), (0, 0, 1), (1, 0, 0)]
+
+
+def _pairwise_dedup(products):
+    """The reference rule: keep v unless it is within DEDUP_TOL of a value
+    kept before it."""
+    kept = []
+    for g, v in products:
+        if not any(abs(v - u) <= DEDUP_TOL for _, u in kept):
+            kept.append((g, v))
+    return kept
+
+
+def _dedup_cases():
+    rng = np.random.default_rng(RNG_SEED)
+    for n, degree in [(1, 12), (2, 9), (3, 7), (4, 5)]:
+        for _ in range(4):
+            yield random_normal_matrix(rng, n, radius=1.0), degree
+        # roots of unity: many products coincide up to rounding
+        roots = np.exp(2j * np.pi * rng.integers(0, 12, size=n) / 12)
+        yield np.diag(roots), degree
+        # near-duplicate eigenvalues a few DEDUP_TOL apart
+        base = rng.uniform(0.3, 0.9) * np.exp(2j * np.pi * rng.uniform())
+        jitter = DEDUP_TOL * rng.uniform(-2, 2, size=n) * np.exp(
+            2j * np.pi * rng.uniform(size=n)
+        )
+        yield np.diag(base + jitter), degree
+
+
+def test_enumerate_spectrum_matches_pairwise_dedup():
+    for A, degree in _dedup_cases():
+        spec = enumerate_spectrum(AffineSymbol(A, np.zeros(len(A))), degree)
+        full = eigenvalue_products(eigenvalues(A), degree)
+        assert list(spec.products) == _pairwise_dedup(full)
+
+
+def _greedy_order(lam, diag):
+    """The reference matching: each diagonal entry in turn takes the
+    nearest unclaimed eigenvalue, the first one on a tie."""
+    taken = [False] * len(lam)
+    order = []
+    for a in diag:
+        best, best_d = None, None
+        for j in range(len(lam)):
+            if not taken[j]:
+                d = abs(lam[j] - a)
+                if best is None or d < best_d:
+                    best, best_d = j, d
+        taken[best] = True
+        order.append(best)
+    return order
+
+
+def test_matched_eig_matches_greedy_order():
+    rng = np.random.default_rng(RNG_SEED)
+    for trial in range(200):
+        m = int(rng.integers(1, 6))
+        diag = 0.9 * rng.uniform(size=m) * np.exp(2j * np.pi * rng.uniform(size=m))
+        A1 = np.triu(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)), 1)
+        if trial % 4 == 0:
+            # equal entries in contiguous runs with no coupling inside a
+            # run keep A1 diagonalizable and make ties in the matching
+            runs = np.sort(rng.integers(0, max(1, m - 1), size=m))
+            diag = diag[runs]
+            A1[runs[:, None] == runs[None, :]] = 0
+        A1 += np.diag(diag)
+        lam, V = np.linalg.eig(A1.T)
+        if np.linalg.cond(V) > _COND_CAP:
+            with pytest.raises(NotDiagonalizableError):
+                _matched_eig(A1)
+            continue
+        order = _greedy_order(lam, np.diag(A1))
+        got_lam, got_V = _matched_eig(A1)
+        assert np.array_equal(got_lam, lam[order])
+        assert np.array_equal(got_V, V[:, order])
 
 
 def test_enumerate_spectrum_closure_zero(corpus):

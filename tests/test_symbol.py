@@ -8,6 +8,7 @@ from fockop import (
     NonFiniteEntryError,
     NormExceedsOneError,
     ShapeMismatchError,
+    SizeOverflowError,
     StructureViolationError,
     adjoint_symbol,
     block_schur_form,
@@ -39,6 +40,13 @@ def test_symbol_is_frozen():
     s = AffineSymbol(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         s.A[0, 0] = 2.0
+    # so norm_a can be cached; a norm beyond the double range is not
+    # cached and raises on every access
+    assert s.norm_a == s.norm_a == 1.0
+    huge = AffineSymbol(np.array([[1.7e308 + 1.7e308j]]), np.ones(1))
+    for _ in range(2):
+        with pytest.raises(SizeOverflowError):
+            huge.norm_a
 
 
 def test_call_evaluates_affine_map():

@@ -122,12 +122,14 @@ def solve_z0(symbol, tol=DEFAULT_TOL_UNIT):
 
 
 def _norm_from_z0(symbol, z0):
-    q = (
-        hermitian_inner(z0, z0).real
-        - hermitian_inner(symbol.A @ z0, symbol.A @ z0).real
-        + hermitian_inner(symbol.B, symbol.B).real
-    )
-    return _exp(0.25 * q, "||C_phi||")
+    z2, az2, b2 = (hermitian_inner(v, v).real for v in (z0, symbol.A @ z0, symbol.B))
+    for name, t in (("|z0|^2", z2), ("|A z0|^2", az2), ("|B|^2", b2)):
+        if not math.isfinite(t):
+            raise SizeOverflowError(
+                f"||C_phi|| = exp((|z0|^2 - |A z0|^2 + |B|^2)/4) exceeds the "
+                f"double range: {name} overflows"
+            )
+    return _exp(0.25 * (z2 - az2 + b2), "||C_phi||")
 
 
 def operator_norm(symbol, tol_unit=DEFAULT_TOL_UNIT):

@@ -58,7 +58,7 @@ def operator_norm_of_matrix(A):
     return norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineSymbol:
     """The map phi(z) = Az + B.
 
@@ -70,7 +70,8 @@ class AffineSymbol:
         Complex translation vector.
 
     Arrays are copied, cast to complex128 and frozen.  NaN or infinite
-    entries are rejected at construction.
+    entries are rejected at construction.  Symbols compare and hash by
+    value, with -0.0 equal to 0.0.
     """
 
     A: np.ndarray
@@ -102,6 +103,15 @@ class AffineSymbol:
         if z.shape[0] != self.n:
             raise ShapeMismatchError(f"point has length {z.shape[0]}, expected {self.n}")
         return self.A @ z + self.B
+
+    def __eq__(self, other):
+        if not isinstance(other, AffineSymbol):
+            return NotImplemented
+        return np.array_equal(self.A, other.A) and np.array_equal(self.B, other.B)
+
+    def __hash__(self):
+        # adding 0 turns -0.0 into 0.0, so equal symbols hash alike
+        return hash((self.n, (self.A + 0).tobytes(), (self.B + 0).tobytes()))
 
     @cached_property
     def norm_a(self):

@@ -30,10 +30,13 @@ no code with it; they go through the norms, which fit a double only up to
 degree 150.
 """
 
+import bisect
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -51,7 +54,7 @@ from .polynomials import (
     graded_indices,
     monomial_norm_sq_exact,
 )
-from .symbol import AffineSymbol, sort_eigenvalues
+from .symbol import adjoint_symbol, sort_eigenvalues
 
 DEFAULT_DIM_CAP = 50_000
 DIM_CAP_ENV = "FOCKOP_DIM_CAP"
@@ -312,24 +315,58 @@ def _exact_columns(symbol, basis):
     """Exact coefficients of (Az + B)^alpha, one {row: GaussianRational}
     map per column.
 
-    Columns are generated along the graded order by one sparse multiply
-    each: the polynomial for alpha is the polynomial for alpha - e_j times
-    l_j, with j the first nonzero slot of alpha.  Only the previous degree
-    shell is kept alive.
+    Every double is a dyadic rational, so 2^s A and 2^s B are Gaussian
+    integers once 2^s is the largest denominator among the real and
+    imaginary parts.  The expansion runs in those integers, as (re, im)
+    pairs of Python ints, so no operation pays a gcd: the polynomial for
+    alpha is the polynomial for alpha - e_j times 2^s l_j, with j the first
+    nonzero slot of alpha, and only the previous degree shell is kept
+    alive.  Each coefficient is divided by 2^{s|alpha|} once, at the end.
     """
-    n = symbol.n
-    forms = _affine_forms(symbol, exact=True)
-    unit = MultiPolynomial.constant(n, GaussianRational(1), exact=True)
-    prev_shell = {(0,) * n: unit}
+    n, A, B = symbol.n, symbol.A, symbol.B
+    s = max(
+        float(x).as_integer_ratio()[1].bit_length() - 1
+        for z in (*A.ravel(), *B)
+        for x in (z.real, z.imag)
+    )
+
+    def scaled(z):
+        """2^s z as a pair of ints."""
+        return tuple(
+            num << (s - den.bit_length() + 1)
+            for num, den in (float(x).as_integer_ratio() for x in (z.real, z.imag))
+        )
+
+    # forms[j] lists (k, re, im) for the nonzero terms of 2^s l_j, with
+    # k = None for the constant term
+    forms = []
+    for j in range(n):
+        row = [(k, *scaled(A[j, k])) for k in range(n)] + [(None, *scaled(B[j]))]
+        forms.append([t for t in row if t[1] or t[2]])
+    pos = basis._index_of
+    zero = (0,) * n
+    prev_shell = {zero: {zero: (1, 0)}}
     cols = [{0: GaussianRational(1)}]
     for d in range(1, basis.max_degree + 1):
+        den = 1 << (s * d)
         shell = {}
         for alpha in basis.indices[basis.shell(d)]:
             j = next(i for i, ai in enumerate(alpha) if ai > 0)
-            prev = tuple(ai - 1 if i == j else ai for i, ai in enumerate(alpha))
-            poly = prev_shell[prev] * forms[j]
+            parent = prev_shell[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]
+            poly = {}
+            for g, (cr, ci) in parent.items():
+                for k, ar, ai in forms[j]:
+                    h = g if k is None else g[:k] + (g[k] + 1,) + g[k + 1 :]
+                    qr, qi = poly.get(h, (0, 0))
+                    poly[h] = (qr + cr * ar - ci * ai, qi + cr * ai + ci * ar)
+            poly = {h: c for h, c in poly.items() if c != (0, 0)}
             shell[alpha] = poly
-            cols.append({basis.position(g): c for g, c in poly.terms.items()})
+            cols.append(
+                {
+                    pos[h]: GaussianRational(Fraction(re, den), Fraction(im, den))
+                    for h, (re, im) in poly.items()
+                }
+            )
         prev_shell = shell
     return tuple(cols)
 
@@ -352,10 +389,11 @@ def build_truncation(symbol, max_degree, exact=False):
     symbol : AffineSymbol
     max_degree : int
     exact : bool
-        Expand (Az + B)^alpha in exact Gaussian-rational arithmetic instead
-        of the creation recursion (input floats are dyadic rationals, so
-        the conversion is lossless), keep the coefficients, and evaluate
-        the matrix from them.  Limited to degree <= 150.
+        Expand (Az + B)^alpha exactly, in Gaussian integers scaled by a
+        power of two, instead of the creation recursion (input floats are
+        dyadic rationals, so the conversion is lossless), keep the
+        coefficients as GaussianRational, and evaluate the matrix from
+        them.  Limited to degree <= 150.
 
     Raises SizeOverflowError if an entry leaves the range of a double.
     """
@@ -413,29 +451,57 @@ def kernel_series_polynomial(w, max_degree, exact=False):
 
 def build_adjoint_truncation(symbol, max_degree):
     """Matrix of C_phi* on the same basis via the factorization
-    C_phi* = M_{K_B} C_tau with tau(z) = A* z.
+    C_phi* = M_{K_B} C_tau, with tau(z) = A* z from symbol.adjoint_symbol.
 
-    Multiplication by K_B leaves the graded subspace only through terms of
-    degree > N, which cannot reach rows of degree <= N, so truncating the
-    kernel series at N is exact.  The result must equal the conjugate
-    transpose of build_truncation(symbol, N).matrix.  It shares no code
-    with the creation recursion there, which is the point: this route and
-    exact mode are that recursion's two oracles.  Limited to degree <= 150.
+    This is the identity C_phi = C_{Az} exp(B . d) transposed: Bargmann's
+    annihilation operators d_k have adjoints d_k* = z_k / 2, so
+    (C_{Az} exp(B . d))* = M_{K_B} C_{A* z} with K_B(z) = exp(<z, B>/2).
+
+    Column alpha is built shell by shell: the homogeneous C_tau z^alpha is
+    its parent C_tau z^{alpha - e_j} times tau_j(z) = (A* z)_j, with j the
+    first nonzero slot of alpha.  It is then multiplied by the kernel
+    series cut at degree N - |alpha|; the higher kernel terms land only in
+    rows of degree > N, so the cut is exact.  The result must equal the
+    conjugate transpose of build_truncation(symbol, N).matrix.  It shares
+    no code with the creation recursion there, and exact mode stays the
+    independent certificate in rational arithmetic: these two routes are
+    that recursion's oracles.  Limited to degree <= 150.
     """
     basis = build_basis(symbol.n, max_degree)
     sqrt_ns = np.sqrt(basis.norm_sq)
-    n = symbol.n
-    dim = basis.dim
-    Astar = symbol.A.conj().T
-    kernel = kernel_series_polynomial(symbol.B, max_degree)
-    out = np.zeros((dim, dim), dtype=complex)
-    tau = AffineSymbol(Astar, np.zeros(n))
-    for j, alpha in enumerate(basis.indices):
-        mono = MultiPolynomial(n, {alpha: 1.0})
-        q = (kernel * compose_polynomial(mono, tau)).truncate(max_degree)
-        for g, c in q.terms.items():
-            i = basis.position(g)
-            out[i, j] = c * (sqrt_ns[i] / sqrt_ns[j])
+    n, N = symbol.n, max_degree
+    tau, weight = adjoint_symbol(symbol)
+    forms = [[(k, complex(a)) for k, a in enumerate(row) if a != 0] for row in tau.A]
+    # the series lists its terms in graded order, so each cut is a prefix
+    kernel = list(kernel_series_polynomial(weight, N).terms.items())
+    kernel_degrees = [sum(g) for g, _ in kernel]
+    pos = basis._index_of
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    # shell maps each alpha of degree d to C_tau z^alpha as {gamma: coefficient}
+    zero = (0,) * n
+    shell = {zero: {zero: 1.0}}
+    for d in range(N + 1):
+        if d:
+            prev_shell, shell = shell, {}
+            for alpha in basis.indices[basis.shell(d)]:
+                j = next(i for i, ai in enumerate(alpha) if ai > 0)
+                parent = prev_shell[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]
+                h = shell[alpha] = {}
+                for g, c in parent.items():
+                    for k, a in forms[j]:
+                        gk = g[:k] + (g[k] + 1,) + g[k + 1 :]
+                        h[gk] = h.get(gk, 0) + c * a
+        cut = kernel[: bisect.bisect_right(kernel_degrees, N - d)]
+        for alpha, h in shell.items():
+            q = {}
+            for g, c in h.items():
+                for gam, kc in cut:
+                    t = tuple(map(operator.add, g, gam))
+                    q[t] = q.get(t, 0) + c * kc
+            col = pos[alpha]
+            for t, c in q.items():
+                out[pos[t], col] = c
+    out *= sqrt_ns[:, None] / sqrt_ns[None, :]
     return TruncatedOperator(basis=basis, matrix=out, symbol=symbol)
 
 

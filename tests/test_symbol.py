@@ -1,4 +1,4 @@
-"""Symbol validation, block Schur normal form, fixed points, adjoints."""
+"""Symbol validation, block Schur normal form, iterates, adjoints."""
 
 import numpy as np
 import pytest
@@ -16,11 +16,9 @@ from fockop import (
     build_adjoint_truncation,
     build_truncation,
     compose_symbols,
-    fixed_point,
     iterate_symbol,
-    svd_normalize,
 )
-from conftest import BOUNDED, make_corpus, random_unitary
+from conftest import make_corpus, random_unitary
 
 RNG_SEED = 20240811
 
@@ -131,38 +129,6 @@ def test_block_schur_of_symbol_transforms_b():
     s = c["rotation_compact_2d"]
     form = block_schur_of_symbol(s)
     assert np.allclose(form.Bprime, form.U @ s.B)
-
-
-def test_svd_normalize_reconstructs():
-    rng = np.random.default_rng(RNG_SEED + 1)
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        B = rng.standard_normal(n)
-        form = svd_normalize(AffineSymbol(A, B))
-        assert np.linalg.norm((form.V * form.Sigma) @ form.W - A) < 1e-10
-        assert np.all(np.diff(form.Sigma) <= 1e-15)
-        assert np.all(form.Sigma >= 0)
-        assert np.allclose(form.Bprime, form.V.conj().T @ B)
-
-
-def test_fixed_point_corpus():
-    c = make_corpus()
-    for name in BOUNDED:
-        s = c[name]
-        p = fixed_point(s)
-        assert np.linalg.norm(s(p) - p) < 1e-10, name
-
-
-def test_fixed_point_known_value():
-    s = make_corpus()["compact_1d"]
-    assert fixed_point(s) == pytest.approx(np.array([2.0 + 0j]))
-
-
-def test_fixed_point_degenerate_identity():
-    # ker(I - A) is everything; the canonical representative is 0
-    s = make_corpus()["identity_1d"]
-    assert np.allclose(fixed_point(s), [0.0])
 
 
 def test_iterate_symbol_closed_form():

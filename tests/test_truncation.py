@@ -21,7 +21,6 @@ from fockop import (
     orbit_density_experiment,
     truncated_commutator_norm,
     truncated_norm,
-    truncated_singular_values,
     truncated_spectrum,
 )
 from fockop.spectrum import multiset_distance
@@ -98,6 +97,8 @@ def test_restriction_identity_exact():
     op = build_truncation(s, N, exact=True)
     basis = op.basis
     M = exact_matrix_as_double(op)
+    # the exact columns were converted once, into op.matrix
+    assert np.array_equal(M, op.matrix) and not np.shares_memory(M, op.matrix)
     for _ in range(5):
         coeffs = rng.integers(-5, 6, size=basis.dim).astype(float)
         p = MultiPolynomial(
@@ -164,7 +165,7 @@ def test_truncated_spectrum_diag():
 
 def test_truncated_singular_values_sorted():
     s = make_corpus()["compact_1d"]
-    sv = truncated_singular_values(s, 6)
+    sv = build_truncation(s, 6).singular_values()
     assert np.all(np.diff(sv) <= 0)
     assert sv[0] == pytest.approx(truncated_norm(s, 6))
 

@@ -9,6 +9,8 @@ irrationality), and the genuinely contractive invertible case in
 dimension one is cyclic.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from fockop import (
@@ -20,7 +22,7 @@ from fockop import (
 )
 
 cases = {
-    "a = i (exact tag pi/2)": (np.array([[1j]]), np.zeros(1), [(1, 2)]),
+    "a = i (exact tag pi/2)": (np.array([[1j]]), np.zeros(1), [Fraction(1, 2)]),
     "a = 1/2, b = 1": (np.array([[0.5]]), np.array([1.0]), None),
     "A = diag(1/2, 1/3)": (np.diag([0.5, 1 / 3]).astype(complex), np.zeros(2), None),
     "a = e^i": (np.array([[np.exp(1j)]]), np.zeros(1), None),

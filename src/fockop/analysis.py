@@ -274,7 +274,7 @@ def _tensor_gauss_hermite(exponent_fn, m, scale, order):
     return total
 
 
-def _as_complex_points(pts, n):
+def _as_complex_points(pts):
     # axes alternate Re, Im per complex coordinate
     return pts[:, 0::2] + 1j * pts[:, 1::2]
 
@@ -347,7 +347,7 @@ def berezin_transform_quadrature(symbol, z, order=32):
     A, B = symbol.A, symbol.B
 
     def expo(pts):
-        u = _as_complex_points(pts, n)
+        u = _as_complex_points(pts)
         ph = u @ A.T + B
         dz = z - ph
         return 0.5 * (
@@ -375,14 +375,14 @@ def schatten_integrals_quadrature(symbol, p, order=16):
     scale = 0.25 * p * (1.0 - symbol.norm_a**2)
 
     def expo1(pts):
-        z = _as_complex_points(pts, n)
+        z = _as_complex_points(pts)
         Az = z @ np.conj(A)  # rows are A* z
         zz = np.sum(np.abs(z) ** 2, axis=-1)
         bz = np.real(np.sum(B * np.conj(z), axis=-1))
         return 0.5 * p * (-0.5 * zz + bz + 0.5 * np.sum(np.abs(Az) ** 2, axis=-1))
 
     def expo2(pts):
-        z = _as_complex_points(pts, n)
+        z = _as_complex_points(pts)
         ph = z @ A.T + B
         return 0.25 * p * (
             np.sum(np.abs(ph) ** 2, axis=-1) - np.sum(np.abs(z) ** 2, axis=-1)

@@ -54,10 +54,7 @@ class AngleSet:
                 if tag is None:
                     tags.append(None)
                     continue
-                if isinstance(tag, tuple):
-                    tag = Fraction(tag[0], tag[1])
-                else:
-                    tag = Fraction(tag)
+                tag = Fraction(tag)
                 target = (float(tag) * np.pi) % (2.0 * np.pi)
                 diff = abs(target - t) % (2.0 * np.pi)
                 if min(diff, 2.0 * np.pi - diff) > 1e-9:
@@ -86,9 +83,7 @@ class IndependenceVerdict:
 
 def _canonical_relation(ks):
     ks = [int(k) for k in ks]
-    g = 0
-    for k in ks:
-        g = int(np.gcd(g, abs(k)))
+    g = math.gcd(*ks)
     if g > 1:
         ks = [k // g for k in ks]
     last = next((k for k in reversed(ks) if k != 0), 0)

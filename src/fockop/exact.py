@@ -8,6 +8,20 @@ finite float is a dyadic rational.
 from fractions import Fraction
 
 
+def _power(base, k, one):
+    """base**k by square-and-multiply from one, skipping the last squaring."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
 class GaussianRational:
     """Immutable complex number with Fraction real and imaginary parts.
 
@@ -104,16 +118,7 @@ class GaussianRational:
         return other / self
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, GaussianRational(1))
 
     def conjugate(self):
         return GaussianRational(self.re, -self.im)

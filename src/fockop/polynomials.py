@@ -9,14 +9,14 @@ n=2, N=1 enumerates (0,0), (0,1), (1,0).
 from itertools import combinations_with_replacement
 from math import comb, factorial
 
-from .exact import GaussianRational
+from .exact import GaussianRational, _power
 
 
 def graded_indices(n, max_degree):
     """All multi-indices of dimension n with |gamma| <= max_degree.
 
-    Returned in graded lexicographic order.  Within a degree shell the
-    indices are generated directly in tuple order, no sorting pass.
+    Returned in graded lexicographic order: shell by shell in degree, and
+    each shell, generated by stars and bars, sorted into tuple order.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -153,12 +153,6 @@ class MultiPolynomial:
             return NotImplemented
         return self + other.scale(-1)
 
-    def __rsub__(self, other):
-        other = self._as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def scale(self, c):
         c = self._convert(c)
         out = MultiPolynomial(self.n, exact=self.exact)
@@ -190,17 +184,8 @@ class MultiPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
         one = GaussianRational(1) if self.exact else 1.0
-        out = MultiPolynomial.constant(self.n, one, exact=self.exact)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return _power(self, k, MultiPolynomial.constant(self.n, one, exact=self.exact))
 
     def truncate(self, max_degree):
         """Drop all terms of total degree > max_degree."""
@@ -225,16 +210,6 @@ class MultiPolynomial:
         if not self.terms:
             return 0.0
         return max(abs(complex(c)) for c in self.terms.values())
-
-    def to_exact(self):
-        """Exact copy; double coefficients convert losslessly (dyadic)."""
-        if self.exact:
-            return self
-        out = MultiPolynomial(self.n, exact=True)
-        out.terms = {
-            g: GaussianRational.from_complex(c) for g, c in self.terms.items()
-        }
-        return out
 
     def to_double(self):
         if not self.exact:

@@ -192,6 +192,13 @@ def _matched_eig(A1):
     return lam[order], V[:, order]
 
 
+def _normalized_symbol(form):
+    """psi(w, v) = (Dw, A1 v + B1): the symbol in Schur coordinates, with
+    the unimodular part of Bprime dropped."""
+    B = np.concatenate([np.zeros(form.s), form.Bprime[form.s :]])
+    return AffineSymbol(form.M, B)
+
+
 def construct_eigenfunction(
     symbol, beta, gamma, tol_unit=DEFAULT_TOL_UNIT, exact=False
 ):
@@ -232,7 +239,6 @@ def construct_eigenfunction(
     m = n - s
     A1 = form.A1
     B1 = form.Bprime[s:]
-    psi = AffineSymbol(form.M, np.concatenate([np.zeros(s), B1]))
 
     if exact and not np.array_equal(form.U, np.eye(n)):
         raise ValueError("exact mode requires a symbol already in Schur form (U = I)")
@@ -287,7 +293,7 @@ def construct_eigenfunction(
         eigvecs_a1t=V,
         polynomial=poly,
         eigenvalue=complex(eig),
-        normalized_symbol=psi,
+        normalized_symbol=_normalized_symbol(form),
         eigenvalue_exact=eig if exact else None,
     )
 
@@ -301,10 +307,7 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     """
     psi = spec.normalized_symbol
     if symbol is not None:
-        form = block_schur_of_symbol(symbol, tol_unit)
-        psi = AffineSymbol(
-            form.M, np.concatenate([np.zeros(form.s), form.Bprime[form.s :]])
-        )
+        psi = _normalized_symbol(block_schur_of_symbol(symbol, tol_unit))
     composed = compose_polynomial(spec.polynomial, psi)
     if spec.polynomial.exact:
         scale = spec.eigenvalue_exact

@@ -6,7 +6,7 @@ fixed at 1/2 throughout the package; the reproducing kernel is
 K_w(z) = exp(<z, w>/2) with <u, v> = sum_i u_i conj(v_i).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -167,31 +167,7 @@ def sort_eigenvalues(ev):
     return np.array(sorted(ev, key=_eig_sort_key), dtype=complex)
 
 
-def _swap_schur(T, U, i):
-    """Swap diagonal entries i, i+1 of the complex Schur form in place.
-
-    Standard Givens construction: the eigenvector of the 2x2 block
-    [[a, b], [0, c]] for eigenvalue c is (b, c - a); rotating it onto e1
-    exchanges the diagonal.
-    """
-    a = T[i, i]
-    b = T[i, i + 1]
-    c = T[i + 1, i + 1]
-    x1, x2 = b, c - a
-    r = np.hypot(abs(x1), abs(x2))
-    if r == 0.0:
-        return
-    G = np.array(
-        [[np.conj(x1), np.conj(x2)], [-x2, x1]], dtype=complex
-    ) / r
-    T[i : i + 2, :] = G @ T[i : i + 2, :]
-    T[:, i : i + 2] = T[:, i : i + 2] @ G.conj().T
-    U[i : i + 2, :] = G @ U[i : i + 2, :]
-    # the rotated block is triangular by construction; drop roundoff
-    T[i + 1, i] = 0.0
-
-
-def _is_sorted_triangular(A, tol_unit):
+def _is_sorted_triangular(A):
     n = A.shape[0]
     if n > 1 and np.any(A[np.tril_indices(n, -1)] != 0):
         return False
@@ -207,6 +183,10 @@ def block_schur_form(A, tol_unit=DEFAULT_TOL_UNIT):
     classified unimodular; their rows must then be zero off the diagonal,
     which is certified entrywise before the entries are zeroed.
 
+    The complex Schur form from scipy.linalg.schur is reordered by LAPACK's
+    ztrexc (Bai and Demmel 1993), one move per diagonal position, in a
+    stable selection sort: equal keys keep their order.  ztrexc copies the
+    swapped diagonal values exactly, so the sort keys cannot drift.
     Matrices already upper triangular in the sorted order pass through
     with U = I exactly.
 
@@ -225,7 +205,8 @@ def block_schur_form(A, tol_unit=DEFAULT_TOL_UNIT):
     NormExceedsOneError
         If ||A|| > 1 + tol_unit.
     StructureViolationError
-        If a unimodular row carries off-diagonal mass > tol_unit.
+        If a unimodular row carries off-diagonal mass > tol_unit, or
+        ztrexc reports an error.
     """
     A = np.asarray(A, dtype=complex)
     norm = operator_norm_of_matrix(A)
@@ -233,23 +214,22 @@ def block_schur_form(A, tol_unit=DEFAULT_TOL_UNIT):
         raise NormExceedsOneError(f"||A|| = {norm} exceeds 1 + {tol_unit}")
     n = A.shape[0]
 
-    if _is_sorted_triangular(A, tol_unit):
+    if _is_sorted_triangular(A):
         T = A.copy()
         U = np.eye(n, dtype=complex)
     else:
         import scipy.linalg
 
         T, Z = scipy.linalg.schur(A, output="complex")
+        keys = [_eig_sort_key(t) for t in np.diag(T)]
+        for i in range(n):
+            j = min(range(i, n), key=keys.__getitem__)
+            if j > i:
+                T, Z, info = scipy.linalg.lapack.ztrexc(T, Z, j + 1, i + 1)
+                if info:
+                    raise StructureViolationError(f"ztrexc returned info = {info}")
+                keys.insert(i, keys.pop(j))
         U = Z.conj().T
-        # stable bubble sort so equal keys never move
-        for _ in range(n):
-            swapped = False
-            for i in range(n - 1):
-                if _eig_sort_key(T[i + 1, i + 1]) < _eig_sort_key(T[i, i]):
-                    _swap_schur(T, U, i)
-                    swapped = True
-            if not swapped:
-                break
 
     diag = np.diag(T).copy()
     s = int(np.sum(np.abs(diag) >= 1.0 - tol_unit))
@@ -268,9 +248,7 @@ def block_schur_form(A, tol_unit=DEFAULT_TOL_UNIT):
 def block_schur_of_symbol(symbol, tol_unit=DEFAULT_TOL_UNIT):
     """block_schur_form of symbol.A with Bprime = U B attached."""
     form = block_schur_form(symbol.A, tol_unit)
-    return BlockSchurForm(
-        U=form.U, s=form.s, D=form.D, A1=form.A1, Bprime=form.U @ symbol.B
-    )
+    return replace(form, Bprime=form.U @ symbol.B)
 
 
 def adjoint_symbol(symbol):

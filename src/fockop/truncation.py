@@ -428,26 +428,22 @@ def exact_matrix_as_double(op):
     return op.matrix.copy()
 
 
-def kernel_series_polynomial(w, max_degree, exact=False):
+def kernel_series_polynomial(w, max_degree):
     """Degree <= N Taylor polynomial of K_w(z) = exp(<z, w>/2).
 
     The coefficient of z^gamma is conj(w)^gamma / (2^{|gamma|} gamma!).
     """
     w = np.asarray(w, dtype=complex).reshape(-1)
     n = w.shape[0]
-    if exact:
-        wbar = [GaussianRational.from_complex(wi).conjugate() for wi in w]
-    else:
-        wbar = np.conj(w)
+    wbar = np.conj(w)
     terms = {}
     for g in graded_indices(n, max_degree):
-        c = GaussianRational(1) if exact else 1.0 + 0.0j
+        c = 1.0 + 0.0j
         for wi, gi in zip(wbar, g):
             if gi:
                 c = c * wi**gi
-        denom = monomial_norm_sq_exact(g)  # gamma! 2^{|gamma|}
-        terms[g] = c / denom if not exact else c / GaussianRational(denom)
-    return MultiPolynomial(n, terms, exact=exact)
+        terms[g] = c / monomial_norm_sq_exact(g)  # gamma! 2^{|gamma|}
+    return MultiPolynomial(n, terms)
 
 
 def build_adjoint_truncation(symbol, max_degree):

@@ -25,9 +25,6 @@ def test_angle_set_build_and_validation():
     a = AngleSet.build([np.pi / 2, 1.0], exact=[Fraction(1, 2), None])
     assert a.exact[0] == Fraction(1, 2)
     assert a.exact[1] is None
-    # (num, den) tuples are accepted too
-    b = AngleSet.build([np.pi / 2], exact=[(1, 2)])
-    assert b.exact[0] == Fraction(1, 2)
     with pytest.raises(ValueError):
         AngleSet.build([1.0], exact=[Fraction(1, 2)])  # tag does not match
 

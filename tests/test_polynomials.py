@@ -66,7 +66,6 @@ def test_exact_mode_round_trip():
     d = p.to_double()
     assert not d.exact
     assert d.coefficient((2,)) == 6.0
-    assert d.to_exact().coefficient((2,)) == 6
 
 
 def test_mixing_exact_and_double_raises():

@@ -18,6 +18,7 @@ from fockop import (
     compose_symbols,
     iterate_symbol,
 )
+from fockop.symbol import _eig_sort_key
 from conftest import make_corpus, random_unitary
 
 RNG_SEED = 20240811
@@ -73,6 +74,13 @@ def test_call_evaluates_affine_map():
     assert np.allclose(s(z), s.A @ z + s.B)
 
 
+def _assert_sorted_reconstruction(A, form):
+    T = form.M
+    assert np.linalg.norm(form.U @ A @ form.U.conj().T - T) < 1e-9
+    keys = [_eig_sort_key(t) for t in np.diag(T)]
+    assert keys == sorted(keys)
+
+
 def test_block_schur_reconstruction_random():
     rng = np.random.default_rng(RNG_SEED)
     for trial in range(50):
@@ -87,13 +95,19 @@ def test_block_schur_reconstruction_random():
         A = (W * np.concatenate([phases, inner])) @ W.conj().T
         form = block_schur_form(A)
         assert form.s == s
-        T = np.zeros((n, n), dtype=complex)
-        T[:s, :s] = np.diag(form.D)
-        T[s:, s:] = form.A1
-        assert np.linalg.norm(form.U @ A @ form.U.conj().T - T) < 1e-9
+        _assert_sorted_reconstruction(A, form)
         assert np.all(np.abs(np.abs(form.D) - 1) < 1e-10)
         if n - s:
             assert np.all(np.abs(np.diag(form.A1)) < 1)
+    # unitaries with eigenvalues exp(i pi k/4): repeated and near-real
+    # eigenvalues, whose arguments rounding can push across 0 and 2 pi
+    for trial in range(400):
+        n = int(rng.integers(2, 5))
+        W = random_unitary(rng, n)
+        A = (W * np.exp(0.25j * np.pi * rng.integers(0, 8, size=n))) @ W.conj().T
+        form = block_schur_form(A)
+        assert form.s == n
+        _assert_sorted_reconstruction(A, form)
 
 
 def test_block_schur_eigen_order_is_canonical():
@@ -103,6 +117,14 @@ def test_block_schur_eigen_order_is_canonical():
     # unimodular entries argument-ascending, inner moduli descending
     assert np.allclose(form.D, [np.exp(0.1j), np.exp(0.3j)])
     assert np.allclose(np.diag(form.A1), [0.9, 0.5])
+    # a rotation by 3 degrees scrambles diag(exp(i pi/4), 1)
+    c, s = np.cos(np.deg2rad(3)), np.sin(np.deg2rad(3))
+    R = np.array([[c, -s], [s, c]])
+    A = R @ np.diag([np.exp(0.25j * np.pi), 1.0]) @ R.T
+    form = block_schur_form(A)
+    assert form.s == 2
+    assert np.allclose(form.D, [1.0, np.exp(0.25j * np.pi)])
+    _assert_sorted_reconstruction(A, form)
 
 
 def test_block_schur_fast_path_identity_u():

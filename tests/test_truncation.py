@@ -193,13 +193,6 @@ def test_kernel_series_polynomial_evaluates_kernel():
         assert p.evaluate(z) == pytest.approx(exact, rel=1e-12)
 
 
-def test_kernel_series_exact_coefficients():
-    p = kernel_series_polynomial(np.array([1.0 + 0j]), 3, exact=True)
-    # conj(w)^k / (2^k k!)
-    assert p.coefficient((2,)) == GaussianRational(1, 0) / 8
-    assert p.coefficient((3,)) == GaussianRational(1, 0) / 48
-
-
 def test_dump_binary_round_trip(tmp_path):
     s = make_corpus()["rotation_compact_2d"]
     op = build_truncation(s, 4)

@@ -21,7 +21,12 @@ import numpy as np
 
 from .analysis import _require_bounded
 from .errors import ForwardOrbitUnsupportedError, ShapeMismatchError
-from .symbol import DEFAULT_TOL_UNIT, hermitian_inner, iterate_symbol
+from .symbol import (
+    _ZERO_ANGLE_TOL,
+    DEFAULT_TOL_UNIT,
+    hermitian_inner,
+    iterate_symbol,
+)
 from .truncation import build_truncation
 
 DEFAULT_MAX_COEFF = 10**6
@@ -127,7 +132,7 @@ def rational_independence(angles, max_coeff=DEFAULT_MAX_COEFF):
     # a zero angle is a relation on its own and breaks PSLQ's nonzero
     # input requirement, so handle it first
     for i, t in enumerate(thetas):
-        if min(t, 2.0 * np.pi - t) < 1e-12:
+        if min(t, 2.0 * np.pi - t) < _ZERO_ANGLE_TOL:
             rel = [0] * (k + 1)
             rel[i + 1] = 1
             if t > np.pi:  # theta ~ 2pi: theta - 2pi = 0
@@ -191,14 +196,45 @@ class CyclicityVerdict:
 
 
 def _find_root_of_unity(a):
-    """Smallest 1 < m <= _ROOT_BOUND with a^m = a for unimodular a, else None."""
+    """Smallest 1 < m <= _ROOT_BOUND with a^m = a for unimodular a, else None.
+
+    a^m = a is the float test 2|sin((m - 1) theta / 2)| < 1e-10 with
+    theta = arg a.  Only candidates for m are tested, found exactly from
+    the continued fraction of x = theta / fl(2 pi).
+
+    Error budget: with q = m - 1 < 10^6, |q theta| < 2^22, so fl(q theta)
+    is within 2.4e-10 of q theta, and fl(2 pi) is within 2.5e-16 of 2 pi,
+    which adds at most 1.3e-10 over the |p| <= 5e5 turns.  A pass
+    therefore has |q theta - p fl(2 pi)| < 5e-10, that is ||q x|| < 1e-10,
+    well inside the candidate margin ||q x|| < 1e-9.
+
+    Lattice argument: two points (q1, p1), (q2, p2) with 0 < q < 10^6 and
+    |q x - p| < 1e-9 have |q2 p1 - q1 p2| < 2e6 * 1e-9 < 1, so the integer
+    determinant is 0 and both are multiples of the smallest such q*.  That
+    q* is a best approximation of x, hence a convergent (Khinchin,
+    Continued Fractions, 1964), and the candidates are m = k q* + 1 with
+    k ||q* x|| < 1e-9.
+    """
     theta = float(np.angle(a))
-    ms = np.arange(2, _ROOT_BOUND + 1, dtype=float)
-    vals = 2.0 * np.abs(np.sin((ms - 1.0) * theta / 2.0))
-    hits = np.nonzero(vals < 1e-10)[0]
-    if hits.size == 0:
-        return None
-    return int(ms[hits[0]])
+    x = abs(Fraction(theta)) / Fraction(2.0 * math.pi)
+    num, den = x.numerator, x.denominator
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    while True:  # the last convergent is x itself, with err = 0
+        c = num // den
+        num, den = den, num - c * den
+        p, q, p_prev, q_prev = c * p + p_prev, c * q + q_prev, p, q
+        if q >= _ROOT_BOUND:
+            return None
+        err = abs(q * x - p)
+        if err < 1e-9:
+            break
+    for k in range(1, (_ROOT_BOUND - 1) // q + 1):
+        if k * err >= 1e-9:
+            break
+        m = k * q + 1
+        if 2.0 * np.abs(np.sin((m - 1.0) * theta / 2.0)) < 1e-10:
+            return m
+    return None
 
 
 def check_cyclic(

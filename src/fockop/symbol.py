@@ -21,6 +21,8 @@ from .errors import (
 )
 
 DEFAULT_TOL_UNIT = 1e-10
+# an angle this close to 0 or 2pi counts as the angle 0
+_ZERO_ANGLE_TOL = 1e-12
 
 
 def hermitian_inner(u, v):
@@ -154,11 +156,15 @@ class BlockSchurForm:
 def _eig_sort_key(lam, tol_unit=DEFAULT_TOL_UNIT):
     # modulus descending, ties broken by argument ascending in [0, 2pi).
     # Moduli inside the unimodular band collapse to exactly 1 so the
-    # argument tiebreak is not defeated by 1-ulp modulus noise.
+    # argument tiebreak is not defeated by 1-ulp modulus noise, and an
+    # argument just below 2pi folds to 0 so the sign of a rounded
+    # imaginary part cannot send a real eigenvalue to the end.
     m = abs(lam)
     if m >= 1.0 - tol_unit:
         m = 1.0
     theta = float(np.angle(lam)) % (2.0 * np.pi)
+    if 2.0 * np.pi - theta < _ZERO_ANGLE_TOL:
+        theta = 0.0
     return (-m, theta)
 
 

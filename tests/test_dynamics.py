@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockop import (
     AffineSymbol,
@@ -18,6 +19,7 @@ from fockop import (
     orbit_density_experiment,
     rational_independence,
 )
+from fockop.dynamics import _find_root_of_unity
 from conftest import BOUNDED
 
 
@@ -118,6 +120,65 @@ def test_cyclic_large_order_root_caught_by_sin_search():
     v = check_cyclic(s)
     assert v.verdict == "no"
     assert v.relation == (-24690, 100003)
+
+
+def _reference_root_of_unity(a):
+    # the exhaustive scan over every m <= 10^6 that the continued-fraction
+    # search replaces; about 30 ms a call
+    theta = float(np.angle(a))
+    ms = np.arange(2, 10**6 + 1, dtype=float)
+    vals = 2.0 * np.abs(np.sin((ms - 1.0) * theta / 2.0))
+    hits = np.nonzero(vals < 1e-10)[0]
+    return int(ms[hits[0]]) if hits.size else None
+
+
+@pytest.mark.parametrize(
+    "theta, m",
+    [
+        (2.0 * np.pi / 999983, 999984),  # a prime order just below the bound
+        (2.0 * np.pi * 7 / 999999, 142858),  # 7/999999 = 1/142857
+        # order 999983, but rounding in (m - 1) theta near 5e5 turns leaves
+        # the float test at 1.8e-10
+        (2.0 * np.pi * 500000 / 999983, None),
+        (2.0 * np.pi / 1000003, None),  # m = 1000004 is past the bound
+        (np.pi, 3),
+        (1e-11, 2),
+        (-1e-11, 2),
+        # q* = 301183: the float test fails at m - 1 = q* and 2 q* (values
+        # 1.07e-10 and 2.15e-10) and passes at 3 q* (2.7e-11)
+        (2.921929526215581, 903550),
+    ],
+)
+def test_find_root_of_unity_pinned(theta, m):
+    assert _find_root_of_unity(np.exp(1j * theta)) == m
+
+
+@st.composite
+def _near_rational_turns(draw):
+    # 2 pi p/q shifted by t 1e-10/q: the test at m = q + 1 flips near |t| = 1
+    q = draw(st.integers(2, 10**6))
+    p = draw(st.integers(1, q - 1))
+    t = draw(st.floats(-3.0, 3.0))
+    return 2.0 * np.pi * p / q + t * 1e-10 / q
+
+
+_REFERENCE_SETTINGS = settings(
+    derandomize=True, database=None, max_examples=20, deadline=None
+)
+
+
+@_REFERENCE_SETTINGS
+@given(_near_rational_turns())
+def test_find_root_of_unity_matches_scan_near_rational_turns(theta):
+    a = np.exp(1j * theta)
+    assert _find_root_of_unity(a) == _reference_root_of_unity(a)
+
+
+@_REFERENCE_SETTINGS
+@given(st.floats(-np.pi, np.pi))
+def test_find_root_of_unity_matches_scan_on_any_angle(theta):
+    a = np.exp(1j * theta)
+    assert _find_root_of_unity(a) == _reference_root_of_unity(a)
 
 
 def test_cyclic_unitary_with_relation(corpus):

@@ -18,7 +18,7 @@ from fockop import (
     compose_symbols,
     iterate_symbol,
 )
-from fockop.symbol import _eig_sort_key
+from fockop.symbol import _eig_sort_key, sort_eigenvalues
 from conftest import make_corpus, random_unitary
 
 RNG_SEED = 20240811
@@ -72,6 +72,15 @@ def test_call_evaluates_affine_map():
     s = AffineSymbol(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, 2.0]))
     z = np.array([3.0 + 1j, 4.0])
     assert np.allclose(s(z), s.A @ z + s.B)
+
+
+@pytest.mark.parametrize("one", [1 - 1e-17j, 1 + 1e-17j, 1 - 1e-15j])
+def test_sort_eigenvalues_real_one_first_whatever_its_rounding(one):
+    # an argument just below 2pi is the argument 0, not the largest one
+    rot = np.exp(1j * np.pi / 4)
+    assert _eig_sort_key(one)[1] < 1e-12
+    assert list(sort_eigenvalues([one, rot])) == [one, rot]
+    assert list(sort_eigenvalues([rot, one])) == [one, rot]
 
 
 def _assert_sorted_reconstruction(A, form):

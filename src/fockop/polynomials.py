@@ -6,7 +6,6 @@ fixes basis enumeration everywhere in the package:
 n=2, N=1 enumerates (0,0), (0,1), (1,0).
 """
 
-from itertools import combinations_with_replacement
 from math import comb, factorial
 
 from .exact import GaussianRational, _power
@@ -16,22 +15,19 @@ def graded_indices(n, max_degree):
     """All multi-indices of dimension n with |gamma| <= max_degree.
 
     Returned in graded lexicographic order: shell by shell in degree, and
-    each shell, generated by stars and bars, sorted into tuple order.
+    each shell in tuple order, generated directly: first entry ascending,
+    then the shell of the remaining n - 1 entries at the degree left over.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    out = []
-    for d in range(max_degree + 1):
-        # stars-and-bars: positions of bars determine the index
-        shell = []
-        for cut in combinations_with_replacement(range(n), d):
-            g = [0] * n
-            for c in cut:
-                g[c] += 1
-            shell.append(tuple(g))
-        shell.sort()
-        out.extend(shell)
-    return out
+    # shells[d]: the degree-d shell in k variables, grown from k = 1 to n
+    shells = [[(d,)] for d in range(max_degree + 1)]
+    for _ in range(n - 1):
+        shells = [
+            [(a,) + rest for a in range(d + 1) for rest in shells[d - a]]
+            for d in range(max_degree + 1)
+        ]
+    return [g for shell in shells for g in shell]
 
 
 def graded_dim(n, max_degree):

@@ -14,8 +14,8 @@ with C = (I - A1)^{-1} B1 and A1^T v(i) = lambda_i v(i), living in the
 Schur coordinates z' = U z = (w, v).
 """
 
-import cmath
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -28,16 +28,17 @@ from .errors import (
     SizeOverflowError,
 )
 from .exact import GaussianRational
-from .polynomials import MultiPolynomial, graded_indices
+from .polynomials import MultiPolynomial, graded_dim, graded_indices
 from .symbol import (
     AffineSymbol,
     DEFAULT_TOL_UNIT,
     block_schur_of_symbol,
     sort_eigenvalues,
 )
-from .truncation import compose_polynomial
+from .truncation import compose_polynomial, dimension_cap
 
 DEDUP_TOL = 1e-10
+_DEDUP_BLOCK = 64
 _COND_CAP = 1e8
 
 
@@ -53,23 +54,98 @@ def eigenvalue_products(eigvals, max_degree):
     """All (gamma, prod_i lambda_i^{gamma_i}) with |gamma| <= max_degree,
     in graded-lex order, with multiplicity (no deduplication).
 
-    Raises SizeOverflowError if a product leaves the range of a double.
+    The bits of each value are those of the scalar loop
+    v = 1; v *= lambda_i**gamma_i for i ascending with gamma_i != 0.
+    The powers come from one table per eigenvalue, filled with the scalar
+    expression lam**k on an np.complex128.  The products run over the whole
+    index array in real arithmetic, re = vr*pr - vi*pi and
+    im = vr*pi + vi*pr, which is the scalar complex product.  numpy's
+    vectorized complex * and np.power are not used: on arrays they may
+    round differently from the scalar forms.
+
+    Raises
+    ------
+    SizeOverflowError
+        If C(max_degree + n, n) exceeds truncation.dimension_cap(), before
+        any index is generated; or at the first multi-index in graded order
+        whose product leaves the range of a double.
     """
+    indices, values = _products(eigvals, max_degree)
+    return list(zip(indices, values.tolist()))
+
+
+def _products(eigvals, max_degree):
+    """eigenvalue_products as the index list and a complex array."""
     eigvals = np.asarray(eigvals, dtype=complex)
     n = len(eigvals)
-    out = []
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    P, cap = graded_dim(n, max_degree), dimension_cap()
+    if P > cap:
+        raise SizeOverflowError(
+            f"eigenvalue product count {P} exceeds cap {cap} (n={n}, N={max_degree})"
+        )
+    indices = graded_indices(n, max_degree)
+    G = np.fromiter(chain.from_iterable(indices), dtype=np.intp, count=P * n)
+    G = G.reshape(P, n)
+    vr, vi = np.ones(P), np.zeros(P)
     with np.errstate(over="ignore", invalid="ignore"):
-        for g in graded_indices(n, max_degree):
-            v = 1.0 + 0.0j
-            for lam, gi in zip(eigvals, g):
-                if gi:
-                    v *= lam**gi
-            if not cmath.isfinite(v):
-                raise SizeOverflowError(
-                    f"eigenvalue product at multi-index {g} exceeds the double range"
-                )
-            out.append((g, v))
-    return out
+        for i, lam in enumerate(eigvals):
+            table = np.array([1.0] + [lam**k for k in range(1, max_degree + 1)])
+            k = G[:, i]
+            pr, pi = table.real[k], table.imag[k]
+            # skipped, not multiplied by 1 + 0j, which can flip a signed zero
+            use = k != 0
+            vr, vi = (
+                np.where(use, vr * pr - vi * pi, vr),
+                np.where(use, vr * pi + vi * pr, vi),
+            )
+        bad = ~(np.isfinite(vr) & np.isfinite(vi))
+    if bad.any():
+        g = indices[int(np.argmax(bad))]
+        raise SizeOverflowError(
+            f"eigenvalue product at multi-index {g} exceeds the double range"
+        )
+    values = np.empty(P, dtype=complex)
+    values.real, values.imag = vr, vi
+    return indices, values
+
+
+def _dedup_mask(values):
+    """Which values survive the sequential rule: keep v unless it lies
+    within DEDUP_TOL of a value kept before it.
+
+    The rule is not transitive, so it runs in blocks of _DEDUP_BLOCK in
+    order.  A block first drops every row close to a value kept in earlier
+    blocks, in one comparison.  Among the rows left, a row with no earlier
+    close row is kept, and a row whose first earlier close row is kept is
+    dropped; only the others are checked, in order, against the kept rows
+    before them.
+    """
+    keep = np.zeros(len(values), dtype=bool)
+    kept = np.empty(len(values), dtype=complex)
+    nkept = 0
+    lower = np.tri(_DEDUP_BLOCK, k=-1, dtype=bool)
+    # an overflowed difference is inf, so it never marks a duplicate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(values), _DEDUP_BLOCK):
+            x = values[start : start + _DEDUP_BLOCK]
+            m = len(x)
+            near_kept = np.abs(kept[None, :nkept] - x[:, None]) <= DEDUP_TOL
+            live = ~near_kept.any(axis=1)
+            # close[j, l]: live rows l < j within DEDUP_TOL of each other
+            close = np.abs(x[None, :] - x[:, None]) <= DEDUP_TOL
+            close &= lower[:m, :m] & live[:, None] & live[None, :]
+            has = close.any(axis=1)
+            first = close.argmax(axis=1)
+            block = live & ~has
+            for j in np.flatnonzero(has & ~block[first]):
+                block[j] = not (close[j] & block).any()
+            keep[start : start + m] = block
+            new = x[block]
+            kept[nkept : nkept + len(new)] = new
+            nkept += len(new)
+    return keep
 
 
 @dataclass(frozen=True)
@@ -100,6 +176,16 @@ def enumerate_spectrum(
 ):
     """Enumerate {lambda^gamma : |gamma| <= max_degree} with deduplication.
 
+    The values carry the bits of eigenvalue_products: a scalar power table
+    lam**k per eigenvalue, multiplied in real arithmetic
+    (re = vr*pr - vi*pi, im = vr*pi + vi*pr), because numpy's vectorized
+    complex * may round differently from the scalar product.  A value is
+    kept unless it lies within DEDUP_TOL of a value kept before it in
+    graded order; the blocked comparison keeps exactly that set.
+
+    Raises SizeOverflowError as eigenvalue_products does, including when
+    C(max_degree + n, n) exceeds truncation.dimension_cap().
+
     exact_angles optionally tags eigenvalue arguments as exact rational
     multiples of pi, aligned with the sorted eigenvalue order (None per
     untagged slot); tags flow into the independence verdict.
@@ -107,15 +193,9 @@ def enumerate_spectrum(
     from .dynamics import AngleSet, rational_independence
 
     ev = eigenvalues(symbol.A)
-    full = eigenvalue_products(ev, max_degree)
-    kept = np.empty(len(full), dtype=complex)
-    reps = []
-    # an overflowed difference is inf, so it never marks a duplicate
-    with np.errstate(over="ignore", invalid="ignore"):
-        for g, v in full:
-            if not np.any(np.abs(kept[: len(reps)] - v) <= DEDUP_TOL):
-                kept[len(reps)] = v
-                reps.append((g, v))
+    indices, values = _products(ev, max_degree)
+    keep = _dedup_mask(values)
+    reps = list(zip([indices[i] for i in np.flatnonzero(keep)], values[keep].tolist()))
 
     contains_zero = bool(np.any(np.abs(ev) < 1.0 - tol_unit))
 

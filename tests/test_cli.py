@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,28 @@ def test_dimension_cap_exit_1(tmp_path, capsys, monkeypatch):
     code, _, err = run(["truncate", path, "--degree", "50"], capsys)
     assert code == 1
     assert "fockop:" in err
+
+
+@pytest.mark.parametrize(
+    "args", [["spectrum", "--max-degree", "100000"], ["analyze", "--degree", "100000"]]
+)
+def test_huge_degree_exits_1_at_once(tmp_path, args):
+    # C(100003, 3) ~ 1.7e14 products: the cap must refuse the count before
+    # any index is generated
+    path = write_doc(tmp_path, "s.json", doc_for(np.diag([0.5, 0.4, 0.3]), [0, 0, 0]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockop.cli", args[0], path, *args[1:]],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("fockop: ") and proc.stderr.count("\n") == 1
+    assert "166676666850001 exceeds cap 50000" in proc.stderr
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-5", "2.5", ""])

@@ -1,6 +1,7 @@
 """Graded multi-index enumeration and sparse polynomial arithmetic."""
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -12,6 +13,32 @@ from fockop.polynomials import monomial_norm_sq_exact
 def test_graded_order_n2():
     idx = graded_indices(2, 2)
     assert idx == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+def _reference_graded_indices(n, max_degree):
+    # the stars-and-bars pass with a sort per shell that the direct
+    # generation replaces
+    out = []
+    for d in range(max_degree + 1):
+        shell = []
+        for cut in combinations_with_replacement(range(n), d):
+            g = [0] * n
+            for c in cut:
+                g[c] += 1
+            shell.append(tuple(g))
+        shell.sort()
+        out.extend(shell)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_graded_indices_match_sorted_stars_and_bars(n):
+    for N in range(11):
+        assert graded_indices(n, N) == _reference_graded_indices(n, N)
+
+
+def test_graded_indices_one_variable_is_the_degrees():
+    assert graded_indices(1, 2000) == [(d,) for d in range(2001)]
 
 
 def test_graded_dim_matches_enumeration():

@@ -1,15 +1,18 @@
 """Spectrum enumeration, the truncation eigenvalue oracle, eigenfunctions."""
 
+import cmath
 import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockop import (
     AffineSymbol,
     NonSquareError,
     NotDiagonalizableError,
+    SizeOverflowError,
     build_truncation,
     construct_eigenfunction,
     eigenvalue_products,
@@ -19,8 +22,15 @@ from fockop import (
     truncated_spectrum,
     verify_eigenfunction,
 )
-from fockop.spectrum import DEDUP_TOL, _COND_CAP, _matched_eig
-from conftest import THETA, random_normal_matrix
+from fockop.polynomials import graded_indices
+from fockop.spectrum import DEDUP_TOL, _COND_CAP, _dedup_mask, _matched_eig
+from conftest import (
+    THETA,
+    random_bounded_noncompact_symbol,
+    random_contraction,
+    random_normal_matrix,
+    random_unitary,
+)
 
 RNG_SEED = 777
 
@@ -96,6 +106,153 @@ def test_enumerate_spectrum_matches_pairwise_dedup():
         spec = enumerate_spectrum(AffineSymbol(A, np.zeros(len(A))), degree)
         full = eigenvalue_products(eigenvalues(A), degree)
         assert list(spec.products) == _pairwise_dedup(full)
+
+
+def _reference_products(eigvals, max_degree):
+    # the scalar loop that the power-table products replace
+    eigvals = np.asarray(eigvals, dtype=complex)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in graded_indices(len(eigvals), max_degree):
+            v = 1.0 + 0.0j
+            for lam, gi in zip(eigvals, g):
+                if gi:
+                    v *= lam**gi
+            if not cmath.isfinite(v):
+                raise SizeOverflowError(
+                    f"eigenvalue product at multi-index {g} exceeds the double range"
+                )
+            out.append((g, v))
+    return out
+
+
+# the enumeration degrees of the closed-form sweep benchmark
+_SWEEP_DEGREE = {1: 255, 2: 20, 3: 10, 4: 7}
+
+
+def _sweep_class_matrices(rng, n):
+    """One A per symbol class of the closed-form sweep; B does not enter
+    the products."""
+    yield "compact", random_contraction(rng, n, top=0.85)
+    yield "boundary", random_bounded_noncompact_symbol(rng, n).A
+    yield "normal", random_normal_matrix(rng, n, radius=0.9)
+    yield "unitary", random_unitary(rng, n)
+    turns = rng.choice([1 / 2, 1 / 3, 2 / 5, 3 / 4, 5 / 6, 7 / 5, 5 / 3], n, replace=False)
+    yield "rotation", np.diag(np.exp(1j * np.pi * turns))
+    A = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    yield "nilpotent", A
+    yield "zero", np.zeros((n, n), dtype=complex)
+
+
+def _bits(products):
+    return [(g, np.complex128(v).tobytes()) for g, v in products]
+
+
+@pytest.mark.parametrize("n", sorted(_SWEEP_DEGREE))
+def test_eigenvalue_products_bits_match_scalar_loop(n):
+    rng = np.random.default_rng(RNG_SEED + n)
+    for _ in range(3):
+        for kind, A in _sweep_class_matrices(rng, n):
+            ev = eigenvalues(A)
+            got = eigenvalue_products(ev, _SWEEP_DEGREE[n])
+            assert _bits(got) == _bits(_reference_products(ev, _SWEEP_DEGREE[n])), kind
+
+
+def test_eigenvalue_products_keep_signed_zeros():
+    # (-0.5) (-0.25) has imaginary part -0.0; multiplying it by the unused
+    # factor lambda_3^0 = 1 + 0j would turn that into +0.0
+    ev = np.array([-0.5, -0.25, 0.5], dtype=complex)
+    got = eigenvalue_products(ev, 4)
+    assert _bits(got) == _bits(_reference_products(ev, 4))
+    assert np.signbit(dict(got)[(1, 1, 0)].imag)
+
+
+def test_eigenvalue_products_overflow_names_first_index():
+    ev = eigenvalues(np.diag([1e200, 0.5]))
+    with pytest.raises(SizeOverflowError) as ref:
+        _reference_products(ev, 3)
+    with pytest.raises(SizeOverflowError) as got:
+        eigenvalue_products(ev, 3)
+    assert str(got.value) == str(ref.value)
+    assert "(2, 0)" in str(got.value)
+
+
+def test_eigenvalue_products_count_is_capped_before_generation(monkeypatch):
+    ev = eigenvalues(np.diag([0.5, 0.4, 0.3]))
+    with pytest.raises(SizeOverflowError, match="166676666850001 exceeds cap 50000"):
+        eigenvalue_products(ev, 100000)
+    monkeypatch.setenv("FOCKOP_DIM_CAP", "10")
+    assert len(eigenvalue_products(ev[:2], 3)) == 10
+    with pytest.raises(SizeOverflowError, match="15 exceeds cap 10"):
+        enumerate_spectrum(AffineSymbol(np.diag(ev[:2]), np.zeros(2)), 4)
+
+
+def _assert_block_dedup_is_pairwise(values):
+    values = np.asarray(values, dtype=complex)
+    want = [i for i, _ in _pairwise_dedup(list(enumerate(values)))]
+    assert np.flatnonzero(_dedup_mask(values)).tolist() == want
+
+
+# values on a grid of DEDUP_TOL / 9.5: no two grid points lie exactly
+# DEDUP_TOL apart, so rounding cannot decide a comparison
+_GRID = DEDUP_TOL / 9.5
+_BASE = 0.3 + 0.4j
+
+
+@st.composite
+def _clustered_values(draw):
+    size = draw(st.integers(1, 300))
+    spacing = draw(st.integers(5, 14))  # cluster spacing in grid units
+    clusters = draw(st.integers(1, 40))
+    point = st.tuples(
+        st.integers(0, clusters - 1), st.integers(-3, 3), st.integers(-3, 3)
+    )
+    points = draw(st.lists(point, min_size=size, max_size=size))
+    return [_BASE + _GRID * complex(c * spacing + dx, dy) for c, dx, dy in points]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_clustered_values())
+def test_block_dedup_matches_pairwise_on_clusters(values):
+    _assert_block_dedup_is_pairwise(values)
+
+
+def _chain_at(start):
+    # far-apart values, then a non-transitive chain 6 grid units a step
+    # from position start on: its middle value is dropped, its ends kept
+    far = [float(k) for k in range(start)]
+    chain = [_BASE + _GRID * 6 * k for k in range(3)]
+    return far + chain + [float(k) + 0.5 for k in range(70)]
+
+
+@pytest.mark.parametrize(
+    "values, kept",
+    [
+        (_chain_at(62), list(range(62)) + [62, 64]),
+        (_chain_at(63), list(range(63)) + [63, 65]),
+        (_chain_at(64), list(range(64)) + [64, 66]),
+        ([0.25 - 0.5j] * 300, [0]),
+        ([1.0] + [0.0] * 299, [0, 1]),
+        ([complex(k, -k) for k in range(300)], list(range(300))),
+        # a difference of exactly DEDUP_TOL marks a duplicate
+        ([0.0, DEDUP_TOL, 1.0], [0, 2]),
+        ([0.0] + [k + 10.0 for k in range(63)] + [DEDUP_TOL, 1.0], [*range(64), 65]),
+    ],
+    ids=[
+        "chain-62",
+        "chain-63",
+        "chain-64",
+        "all-equal",
+        "zero-class",
+        "all-distinct",
+        "exact-tol-in-block",
+        "exact-tol-across-blocks",
+    ],
+)
+def test_block_dedup_across_block_edges(values, kept):
+    _assert_block_dedup_is_pairwise(values)
+    got = np.flatnonzero(_dedup_mask(np.asarray(values, dtype=complex)))
+    assert got[: len(kept)].tolist() == kept
 
 
 def _greedy_order(lam, diag):

@@ -28,6 +28,11 @@ for B = 0 its singular values, are those of the shell blocks.  Exact mode
 and build_adjoint_truncation are the oracles for this recursion and share
 no code with it; they go through the norms, which fit a double only up to
 degree 150.
+
+Eigenfunctions F are verified by this recursion in the monomial basis z^g
+(creation weights one, so no norm is formed), and by the exact columns in
+exact mode; neither shares code with the MultiPolynomial arithmetic that
+constructs F.
 """
 
 import bisect
@@ -44,7 +49,6 @@ import numpy as np
 from .errors import (
     AdjointNotGradedError,
     ParseError,
-    ShapeMismatchError,
     SizeOverflowError,
 )
 from .exact import GaussianRational
@@ -153,54 +157,6 @@ def build_basis(n, max_degree):
     return GradedBasis(n=n, max_degree=max_degree, indices=tuple(graded_indices(n, max_degree)))
 
 
-def _affine_forms(symbol, exact):
-    """The coordinate polynomials l_i(z) = (Az + B)_i."""
-    n = symbol.n
-    forms = []
-    for i in range(n):
-        terms = {}
-        for j in range(n):
-            a = symbol.A[i, j]
-            if a != 0:
-                g = tuple(1 if t == j else 0 for t in range(n))
-                terms[g] = GaussianRational.from_complex(a) if exact else complex(a)
-        b = symbol.B[i]
-        if b != 0:
-            terms[(0,) * n] = GaussianRational.from_complex(b) if exact else complex(b)
-        forms.append(MultiPolynomial(n, terms, exact=exact))
-    return forms
-
-
-def compose_polynomial(p, symbol):
-    """p(phi(z)) for an affine symbol, in the mode of p.
-
-    Powers of the affine forms are cached across terms, so the cost is one
-    sparse multiply per distinct exponent rather than per term.  Exact
-    polynomials compose with the symbol's entries converted losslessly.
-    """
-    if p.n != symbol.n:
-        raise ShapeMismatchError("polynomial and symbol dimensions differ")
-    forms = _affine_forms(symbol, p.exact)
-    one = GaussianRational(1) if p.exact else 1.0
-    # powers[i] holds l_i^0, l_i^1, ... grown on demand
-    powers = [[MultiPolynomial.constant(p.n, one, exact=p.exact)] for _ in range(p.n)]
-
-    def power(i, k):
-        cache = powers[i]
-        while len(cache) <= k:
-            cache.append(cache[-1] * forms[i])
-        return cache[k]
-
-    out = MultiPolynomial.zero(p.n, exact=p.exact)
-    for g, c in sorted(p.terms.items()):
-        term = MultiPolynomial.constant(p.n, c, exact=p.exact)
-        for i, gi in enumerate(g):
-            if gi:
-                term = term * power(i, gi)
-        out = out + term
-    return out
-
-
 @dataclass(frozen=True)
 class TruncatedOperator:
     """Matrix of C_phi on the degree <= N subspace.
@@ -261,32 +217,41 @@ class TruncatedOperator:
 
 
 def _creation_maps(basis):
-    """dst[k, i] = position of g_i + e_k and w[k, i] = sqrt(2 (g_k + 1)),
-    for the basis elements g_i of degree < N."""
+    """dst[k, i] = position of g_i + e_k, for the basis elements g_i of
+    degree < N."""
     rows = graded_dim(basis.n, basis.max_degree - 1)
     low = basis.indices[:rows]
     pos = basis._index_of
-    dst = np.array(
+    return np.array(
         [[pos[g[:k] + (g[k] + 1,) + g[k + 1 :]] for g in low] for k in range(basis.n)],
         dtype=np.intp,
     ).reshape(basis.n, rows)
-    G = np.array(low, dtype=float).reshape(rows, basis.n)
-    return dst, np.sqrt(2.0 * (G.T + 1.0))
 
 
-def _creation_matrix(symbol, basis):
-    """The normalized matrix, one degree shell at a time by the creation
+def _creation_weights(basis):
+    """w[k, i] = sqrt(2 (g_k + 1)), for the basis elements g_i of degree < N."""
+    rows = graded_dim(basis.n, basis.max_degree - 1)
+    G = np.array(basis.indices[:rows], dtype=float).reshape(rows, basis.n)
+    return np.sqrt(2.0 * (G.T + 1.0))
+
+
+def _creation_matrix(symbol, basis, w):
+    """The matrix of C_phi, one degree shell at a time by the creation
     recursion of the module docstring.
+
+    z_k b_i = w[k, i] b_{i + e_k} on the basis vectors b_i of degree < N:
+    _creation_weights gives b = e and the normalized matrix, and weights
+    one give b = z^g and the coefficient matrix C, with no degree limit.
 
     Within shell d the columns whose first nonzero slot is j are
     contiguous, and their parents alpha - e_j are the first columns of
     shell d - 1, in the same order.  So each (d, j) is one gather of the
     parent columns, one scaled scatter per nonzero A_jk, and a division
-    by the real sqrt(2 alpha_j), applied to the real and imaginary parts
+    by the real w[j, parent], applied to the real and imaginary parts
     separately so that exact entries stay exact.
     """
     n, A, B = basis.n, symbol.A, symbol.B
-    dst, w = _creation_maps(basis)
+    dst = _creation_maps(basis)
     M = np.zeros((basis.dim, basis.dim), dtype=complex)
     M[0, 0] = 1.0
     b_zero = not np.any(B)
@@ -405,7 +370,7 @@ def build_truncation(symbol, max_degree, exact=False):
         matrix = _matrix_from_exact(sqrt_ns, exact_cols)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            matrix = _creation_matrix(symbol, basis)
+            matrix = _creation_matrix(symbol, basis, _creation_weights(basis))
     if not np.isfinite(matrix).all():
         raise SizeOverflowError(
             f"a degree-{max_degree} truncation entry exceeds the double range"

@@ -12,6 +12,7 @@ from fockop import (
     AffineSymbol,
     NonSquareError,
     NotDiagonalizableError,
+    ShapeMismatchError,
     SizeOverflowError,
     build_truncation,
     construct_eigenfunction,
@@ -378,6 +379,39 @@ def test_eigenfunction_perturbed_eigenvalue_has_residual(corpus):
     spec = construct_eigenfunction(s, beta=(1,), gamma=(1,))
     bad = dataclasses.replace(spec, eigenvalue=spec.eigenvalue + 0.1)
     assert verify_eigenfunction(bad) >= 0.1 * spec.polynomial.max_abs_coefficient()
+
+
+def test_eigenfunction_check_rejects_another_dimension(corpus):
+    spec = construct_eigenfunction(corpus["rotation_compact_2d"], beta=(1,), gamma=(1,))
+    with pytest.raises(ShapeMismatchError):
+        verify_eigenfunction(spec, corpus["compact_1d"])
+
+
+def test_eigenfunction_check_is_capped_before_it_builds(corpus, monkeypatch):
+    # both specs have degree 3 in 2 variables: C(5, 2) = 10 monomials
+    double = construct_eigenfunction(corpus["shear_compact_2d"], beta=(), gamma=(2, 1))
+    exact = construct_eigenfunction(corpus["compact_2d"], beta=(), gamma=(1, 2), exact=True)
+    monkeypatch.setenv("FOCKOP_DIM_CAP", "10")
+    assert verify_eigenfunction(double) < 1e-12
+    assert verify_eigenfunction(exact) == 0.0
+
+    def refuse(*args):
+        raise AssertionError("built a matrix past the cap")
+
+    monkeypatch.setenv("FOCKOP_DIM_CAP", "9")
+    monkeypatch.setattr("fockop.spectrum._creation_matrix", refuse)
+    monkeypatch.setattr("fockop.spectrum._exact_columns", refuse)
+    for spec in (double, exact):
+        with pytest.raises(SizeOverflowError, match="10 exceeds cap 9"):
+            verify_eigenfunction(spec)
+
+
+def test_eigenfunction_check_overflow_is_typed(corpus):
+    # (z/2 + 1e200)^2 has the constant term 1e400
+    spec = construct_eigenfunction(corpus["compact_1d"], beta=(), gamma=(2,))
+    huge = AffineSymbol(np.array([[0.5]]), np.array([1e200]))
+    with pytest.raises(SizeOverflowError, match="degree-2"):
+        verify_eigenfunction(dataclasses.replace(spec, normalized_symbol=huge))
 
 
 def test_eigenfunction_defective_block_rejected(corpus):

@@ -8,6 +8,7 @@ from fockop import (
     AffineSymbol,
     GaussianRational,
     MultiPolynomial,
+    ShapeMismatchError,
     SizeOverflowError,
     build_basis,
     build_truncation,
@@ -15,6 +16,8 @@ from fockop import (
     dump_csv,
     exact_matrix_as_double,
     build_adjoint_truncation,
+    block_schur_of_symbol,
+    construct_eigenfunction,
     kernel_series_polynomial,
     load_binary,
     operator_norm,
@@ -22,12 +25,73 @@ from fockop import (
     truncated_commutator_norm,
     truncated_norm,
     truncated_spectrum,
+    verify_eigenfunction,
 )
 from fockop.spectrum import multiset_distance
-from fockop.truncation import compose_polynomial, dimension_cap
-from conftest import make_corpus, random_compact_symbol, random_normal_matrix
+from fockop.truncation import dimension_cap
+from conftest import (
+    make_corpus,
+    random_bounded_noncompact_symbol,
+    random_compact_symbol,
+    random_contraction,
+    random_normal_matrix,
+    random_unitary,
+)
 
 RNG_SEED = 515
+
+
+# Reference composition through MultiPolynomial arithmetic, the engine
+# that builds eigenfunctions: the oracle of the tests below that compose
+# a polynomial with a symbol.
+
+
+def _affine_forms(symbol, exact):
+    """The coordinate polynomials l_i(z) = (Az + B)_i."""
+    n = symbol.n
+    forms = []
+    for i in range(n):
+        terms = {}
+        for j in range(n):
+            a = symbol.A[i, j]
+            if a != 0:
+                g = tuple(1 if t == j else 0 for t in range(n))
+                terms[g] = GaussianRational.from_complex(a) if exact else complex(a)
+        b = symbol.B[i]
+        if b != 0:
+            terms[(0,) * n] = GaussianRational.from_complex(b) if exact else complex(b)
+        forms.append(MultiPolynomial(n, terms, exact=exact))
+    return forms
+
+
+def compose_polynomial(p, symbol):
+    """p(phi(z)) for an affine symbol, in the mode of p.
+
+    Powers of the affine forms are cached across terms, so the cost is one
+    sparse multiply per distinct exponent rather than per term.  Exact
+    polynomials compose with the symbol's entries converted losslessly.
+    """
+    if p.n != symbol.n:
+        raise ShapeMismatchError("polynomial and symbol dimensions differ")
+    forms = _affine_forms(symbol, p.exact)
+    one = GaussianRational(1) if p.exact else 1.0
+    # powers[i] holds l_i^0, l_i^1, ... grown on demand
+    powers = [[MultiPolynomial.constant(p.n, one, exact=p.exact)] for _ in range(p.n)]
+
+    def power(i, k):
+        cache = powers[i]
+        while len(cache) <= k:
+            cache.append(cache[-1] * forms[i])
+        return cache[k]
+
+    out = MultiPolynomial.zero(p.n, exact=p.exact)
+    for g, c in sorted(p.terms.items()):
+        term = MultiPolynomial.constant(p.n, c, exact=p.exact)
+        for i, gi in enumerate(g):
+            if gi:
+                term = term * power(i, gi)
+        out = out + term
+    return out
 
 
 def gaussian_integral_2d(f, order=48):
@@ -275,6 +339,35 @@ def test_exact_columns_equal_composed_monomials():
             want = {basis.position(g): c for g, c in q.terms.items()}
             assert col == want, (s.n, alpha)
             assert all(type(c) is GaussianRational for c in col.values())
+
+
+def test_eigenfunction_residual_matches_composed_polynomial():
+    # verify_eigenfunction against F o psi - lambda F in MultiPolynomial
+    # arithmetic, on eigenfunctions of degree up to 2n
+    rng = np.random.default_rng(RNG_SEED + 7)
+    classes = {
+        "compact": random_compact_symbol,
+        "boundary": random_bounded_noncompact_symbol,
+        "normal": lambda rng, n: AffineSymbol(random_normal_matrix(rng, n), np.zeros(n)),
+        "unitary": lambda rng, n: AffineSymbol(random_unitary(rng, n), np.zeros(n)),
+        "b0": lambda rng, n: AffineSymbol(random_contraction(rng, n), np.zeros(n)),
+    }
+    for kind, make in classes.items():
+        for n in range(1, 5):
+            for _ in range(2):
+                sym = make(rng, n)
+                s = block_schur_of_symbol(sym).s
+                beta = tuple(int(x) for x in rng.integers(0, 3, size=s))
+                gamma = tuple(int(x) for x in rng.integers(0, 3, size=n - s))
+                spec = construct_eigenfunction(sym, beta, gamma)
+                F = spec.polynomial
+                want = (
+                    compose_polynomial(F, spec.normalized_symbol)
+                    - F.scale(spec.eigenvalue)
+                ).max_abs_coefficient()
+                got = verify_eigenfunction(spec, sym)
+                scale = max(1.0, F.max_abs_coefficient())
+                assert abs(got - want) <= 1e-13 * scale, (kind, n, beta, gamma)
 
 
 def test_adjoint_route_cuts_the_kernel_exactly():

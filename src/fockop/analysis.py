@@ -150,7 +150,7 @@ def operator_norm(symbol, tol_unit=DEFAULT_TOL_UNIT):
     NotBoundedError
     """
     _require_bounded(symbol, tol_unit, "operator norm requires a bounded symbol")
-    return _norm_from_z0(symbol, solve_z0(symbol))
+    return _norm_from_z0(symbol, solve_z0(symbol, tol_unit))
 
 
 def _essential_norm_from_z0(symbol, z0, norm):
@@ -185,7 +185,7 @@ def essential_norm(symbol, tol_unit=DEFAULT_TOL_UNIT):
     _require_bounded(symbol, tol_unit, "essential norm requires a bounded symbol")
     if check_compact(symbol, tol_unit):
         return 0.0
-    z0 = solve_z0(symbol)
+    z0 = solve_z0(symbol, tol_unit)
     return _essential_norm_from_z0(symbol, z0, _norm_from_z0(symbol, z0))
 
 
@@ -495,7 +495,7 @@ def classify(symbol, tol_unit=DEFAULT_TOL_UNIT, exact_angles=None):
         return ClassificationReport(bounded=bv)
     compact = check_compact(symbol, tol_unit)
     cyc = _cyclic_verdict(symbol, tol_unit, DEFAULT_MAX_COEFF, exact_angles)
-    z0 = solve_z0(symbol)
+    z0 = solve_z0(symbol, tol_unit)
     norm = _norm_from_z0(symbol, z0)
     normal = _is_normal(symbol, tol_unit)
     return ClassificationReport(

@@ -371,7 +371,8 @@ def cyclic_document(sym, exact_angles, max_coeff):
                 "residual": ind.residual,
             },
         },
-        "supercyclic": dynamics.check_supercyclic(sym),
+        # check_cyclic passed the boundedness guard, so never supercyclic
+        "supercyclic": False,
     }
 
 

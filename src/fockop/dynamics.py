@@ -3,9 +3,13 @@
 Bounded C_phi is never supercyclic.  Cyclicity is decided by a small
 case tree: non-invertible A kills cyclicity; in one variable a
 non-unimodular invertible a gives cyclicity with a kernel function as
-cyclic vector; unimodular and unitary cases reduce to rational
-independence of the eigenvalue angles with pi; the invertible non-unitary
-case in several variables is open and reported as such.
+cyclic vector; the invertible non-unitary case in several variables is
+open and reported as such.  On the unit circle (a unimodular a, or a
+unitary A) one branch serves every n: the angles of the unimodular
+eigenvalues (_unimodular_angles, which spectrum.enumerate_spectrum uses
+too) go through one integer-relation search with pi, and in one variable
+the continued-fraction walk for a root of unity is the fallback when that
+search is inconclusive.
 
 The independence test is three-valued on purpose: floating angles can
 certify a relation (hence "no") but never independence, so "yes" only
@@ -24,6 +28,7 @@ from .errors import ForwardOrbitUnsupportedError, ShapeMismatchError
 from .symbol import (
     _ZERO_ANGLE_TOL,
     DEFAULT_TOL_UNIT,
+    eigenvalues,
     hermitian_inner,
     iterate_symbol,
 )
@@ -71,6 +76,22 @@ class AngleSet:
         return cls(thetas=thetas, exact=tags)
 
 
+def _unimodular_angles(ev, tol_unit, exact_angles):
+    """The AngleSet of the sorted eigenvalues ev with |lambda| >= 1 - tol_unit:
+    their arguments in [0, 2pi), with the tags of exact_angles (aligned with
+    ev, or None) at the same positions.
+
+    Raises ShapeMismatchError if exact_angles does not align with ev.
+    """
+    unim = [i for i in range(len(ev)) if abs(ev[i]) >= 1.0 - tol_unit]
+    tags = None
+    if exact_angles is not None:
+        if len(exact_angles) != len(ev):
+            raise ShapeMismatchError("exact_angles must align with the eigenvalues")
+        tags = [exact_angles[i] for i in unim]
+    return AngleSet.build([float(np.angle(ev[i])) % (2 * np.pi) for i in unim], tags)
+
+
 @dataclass(frozen=True)
 class IndependenceVerdict:
     """Three-valued rational-independence verdict for (pi, theta_1, ...).
@@ -109,9 +130,11 @@ def rational_independence(angles, max_coeff=DEFAULT_MAX_COEFF):
 
     Exact tags decide immediately: theta = (p/q) pi yields the relation
     -p*pi + q*theta = 0.  Pure floating inputs run PSLQ; a candidate
-    relation is accepted only if its residual against the floats is below
-    1e-10 and its coefficients stay within max_coeff.  Exhausting the
-    search returns "unknown", never "yes".
+    relation is accepted only if its residual against the floats, at 40
+    digits, is below 1e-10, its coefficients stay within max_coeff, and
+    ||k||_1 stays within _l1_guard, which holds false "no" verdicts from
+    lattice noise to 1e-6 per search.  The reported residual is the double
+    one.  Exhausting the search returns "unknown", never "yes".
     """
     thetas = angles.thetas
     k = len(thetas)
@@ -149,6 +172,9 @@ def rational_independence(angles, max_coeff=DEFAULT_MAX_COEFF):
     # noise at the 1e-11 level once three or more terms are in play (e.g.
     # -23192*pi + 58099*sqrt(2) - 5372*sqrt(3) ~ 3.8e-11).  Digging deeper
     # than the noise floor would turn independence into false dependence.
+    # The noise guard _l1_guard is checked after the search: as PSLQ's
+    # maxcoeff it would make the search run to the bound instead of
+    # returning its first relation.
     import mpmath as mp
 
     with mp.workdps(40):
@@ -159,25 +185,32 @@ def rational_independence(angles, max_coeff=DEFAULT_MAX_COEFF):
             )
         except ValueError:
             found = None
-    if found is not None:
-        rel = _canonical_relation(found)
-        resid = _relation_residual(rel, thetas)
-        if (
-            resid < _RELATION_RESIDUAL_TOL
-            and max(abs(x) for x in rel) <= max_coeff
-            and sum(abs(x) for x in rel) <= _l1_guard(k)
-        ):
-            return IndependenceVerdict(independent="no", relation=rel, residual=resid)
+        if found is not None:
+            rel = _canonical_relation(found)
+            # at 40 digits: in doubles the |k| 2pi terms round at ~1e-10
+            resid = abs(mp.fdot(rel, values))
+    if (
+        found is not None
+        and resid < _RELATION_RESIDUAL_TOL
+        and max(abs(x) for x in rel) <= max_coeff
+        and sum(abs(x) for x in rel) <= _l1_guard(k)
+    ):
+        return IndependenceVerdict(
+            independent="no", relation=rel, residual=_relation_residual(rel, thetas)
+        )
     return IndependenceVerdict(independent="unknown", relation=None, residual=None)
 
 
 def _l1_guard(k):
-    # Expected number of integer vectors with ||k||_1 <= c landing within
-    # delta of zero is about (delta/5) * 2^(k+1) * c^k / (k+1)!.  Solving
-    # for <= 0.01 at the delta = 1e-13 search depth bounds the aggregate
-    # coefficient size below which a found relation is not lattice noise.
-    # One angle: ~2.5e11 (never binds); two: 6.1e5; three: 9.1e3.
-    return int((5e11 * math.factorial(k + 1) / 2 ** (k + 1)) ** (1.0 / k))
+    # Fix (k_1, ..., k_k) and take k_0 nearest: the distance from
+    # sum k_i theta_i to pi Z is about uniform on [0, pi/2], so the number
+    # of vectors with ||k||_1 <= c landing within delta of a relation is
+    # (2^k c^k / k!) (2 delta / pi).  At the delta = 1e-13 search depth and
+    # 1e-6 false "no" verdicts expected per search, c = 7.9e6 for one angle
+    # (never binds below DEFAULT_MAX_COEFF), 2802 for two, 227 for three
+    # and 69 for four.  The guard sums |k_0| too, which only tightens it.
+    count = math.factorial(k) * math.pi * 1e-6 / (2 ** (k + 1) * 1e-13)
+    return int(count ** (1.0 / k))
 
 
 def check_supercyclic(symbol, tol_unit=DEFAULT_TOL_UNIT):
@@ -256,86 +289,64 @@ def check_cyclic(
     return _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles)
 
 
-def _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles):
-    """check_cyclic for a symbol already known to be bounded."""
-    from .spectrum import eigenvalues
+# rationales on the unit circle, indexed by n == 1
+_RELATION_FOUND = (
+    "unitary A with a rational relation among the eigenvalue angles and pi",
+    "a is a root of unity: some power a^m returns to a",
+)
+_UNDECIDED = (
+    "unitary A; independence of the eigenvalue angles could not be decided "
+    "from floating data",
+    "no root-of-unity relation found below the search bounds; floating data "
+    "cannot certify independence",
+)
 
-    n = symbol.n
-    sv = np.linalg.svd(symbol.A, compute_uv=False)
-    if sv[-1] <= 1e-12:
+
+def _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles):
+    """check_cyclic for a symbol already known to be bounded.  On the unit
+    circle one relation search runs for every n (it cannot answer "yes":
+    every eigenvalue of a unitary A is on the circle, so there are angles);
+    in one variable an "unknown" falls back to the root-of-unity walk."""
+    n, A = symbol.n, symbol.A
+    if np.linalg.svd(A, compute_uv=False)[-1] <= 1e-12:
         return CyclicityVerdict(
             verdict="no",
             rationale="A is not invertible; the range of C_phi is not dense",
         )
-
-    if n == 1:
-        a = complex(symbol.A[0, 0])
-        if abs(a) >= 1.0 - tol_unit:
-            theta = float(np.angle(a)) % (2.0 * np.pi)
-            angle_set = AngleSet.build([theta], exact_angles)
-            iv = rational_independence(angle_set, max_coeff)
-            if iv.independent == "no":
-                return CyclicityVerdict(
-                    verdict="no",
-                    rationale="a is a root of unity: some power a^m returns to a",
-                    relation=iv.relation,
-                    independence=iv,
-                )
-            m = _find_root_of_unity(a / abs(a))
-            if m is not None:
-                k = int(round((m - 1) * theta / (2.0 * np.pi)))
-                rel = _canonical_relation([-2 * k, m - 1])
-                return CyclicityVerdict(
-                    verdict="no",
-                    rationale=f"a^{m} = a: the orbit of any vector spans "
-                    f"at most {m - 1} distinct directions per eigenline",
-                    relation=rel,
-                    independence=iv,
-                )
-            return CyclicityVerdict(
-                verdict="unknown",
-                rationale="no root-of-unity relation found below the search "
-                "bounds; floating data cannot certify independence",
-                independence=iv,
-            )
+    scalar, a = n == 1, complex(A[0, 0])
+    if scalar and abs(a) < 1.0 - tol_unit:
         return CyclicityVerdict(
             verdict="yes",
             rationale="0 < |a| < 1: every kernel function K_z with z != 0 "
             "(and K_0 when b != 0) is a cyclic vector",
         )
-
-    gram = symbol.A @ symbol.A.conj().T - np.eye(n)
-    if np.linalg.norm(gram) < tol_unit:
-        ev = eigenvalues(symbol.A)
-        thetas = [float(np.angle(l)) % (2.0 * np.pi) for l in ev]
-        angle_set = AngleSet.build(thetas, exact_angles)
-        iv = rational_independence(angle_set, max_coeff)
-        if iv.independent == "yes":
-            return CyclicityVerdict(
-                verdict="yes",
-                rationale="unitary A with eigenvalue angles rationally "
-                "independent from pi",
-                independence=iv,
-            )
-        if iv.independent == "no":
-            return CyclicityVerdict(
-                verdict="no",
-                rationale="unitary A with a rational relation among the "
-                "eigenvalue angles and pi",
-                relation=iv.relation,
-                independence=iv,
-            )
+    if not scalar and not np.linalg.norm(A @ A.conj().T - np.eye(n)) < tol_unit:
         return CyclicityVerdict(
             verdict="unknown",
-            rationale="unitary A; independence of the eigenvalue angles "
-            "could not be decided from floating data",
+            rationale="invertible non-unitary A in dimension >= 2: cyclicity "
+            "is an open problem",
+        )
+    angle_set = _unimodular_angles(eigenvalues(A), tol_unit, exact_angles)
+    iv = rational_independence(angle_set, max_coeff)
+    if iv.independent == "no":
+        return CyclicityVerdict(
+            verdict="no",
+            rationale=_RELATION_FOUND[scalar],
+            relation=iv.relation,
             independence=iv,
         )
-
+    m = _find_root_of_unity(a / abs(a)) if scalar else None
+    if m is not None:
+        k = int(round((m - 1) * angle_set.thetas[0] / (2.0 * np.pi)))
+        return CyclicityVerdict(
+            verdict="no",
+            rationale=f"a^{m} = a: the orbit of any vector spans "
+            f"at most {m - 1} distinct directions per eigenline",
+            relation=_canonical_relation([-2 * k, m - 1]),
+            independence=iv,
+        )
     return CyclicityVerdict(
-        verdict="unknown",
-        rationale="invertible non-unitary A in dimension >= 2: cyclicity "
-        "is an open problem",
+        verdict="unknown", rationale=_UNDECIDED[scalar], independence=iv
     )
 
 

@@ -21,33 +21,21 @@ from typing import Optional
 import numpy as np
 
 from .analysis import _require_bounded
-from .errors import (
-    NonSquareError,
-    NotDiagonalizableError,
-    ShapeMismatchError,
-    SizeOverflowError,
-)
+from .dynamics import _unimodular_angles, rational_independence
+from .errors import NotDiagonalizableError, ShapeMismatchError, SizeOverflowError
 from .exact import GaussianRational
 from .polynomials import MultiPolynomial, graded_dim, graded_indices
 from .symbol import (
     AffineSymbol,
     DEFAULT_TOL_UNIT,
     block_schur_of_symbol,
-    sort_eigenvalues,
+    eigenvalues,
 )
 from .truncation import _creation_matrix, _exact_columns, build_basis, dimension_cap
 
 DEDUP_TOL = 1e-10
 _DEDUP_BLOCK = 64
 _COND_CAP = 1e8
-
-
-def eigenvalues(A):
-    """Eigenvalues sorted modulus-descending, ties argument-ascending."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NonSquareError(f"expected square matrix, got shape {A.shape}")
-    return sort_eigenvalues(np.linalg.eigvals(A))
 
 
 def eigenvalue_products(eigvals, max_degree):
@@ -165,7 +153,6 @@ class SpectrumEnumeration:
     products: tuple
     closure_contains_zero: bool
     unimodular_angles_independent: str
-    independence_detail: object = None
 
 
 def enumerate_spectrum(
@@ -190,31 +177,17 @@ def enumerate_spectrum(
     multiples of pi, aligned with the sorted eigenvalue order (None per
     untagged slot); tags flow into the independence verdict.
     """
-    from .dynamics import AngleSet, rational_independence
-
     ev = eigenvalues(symbol.A)
     indices, values = _products(ev, max_degree)
     keep = _dedup_mask(values)
     reps = list(zip([indices[i] for i in np.flatnonzero(keep)], values[keep].tolist()))
-
-    contains_zero = bool(np.any(np.abs(ev) < 1.0 - tol_unit))
-
-    unim = [i for i in range(len(ev)) if abs(ev[i]) >= 1.0 - tol_unit]
-    thetas = [float(np.angle(ev[i])) % (2 * np.pi) for i in unim]
-    tags = None
-    if exact_angles is not None:
-        if len(exact_angles) != len(ev):
-            raise ShapeMismatchError("exact_angles must align with the eigenvalues")
-        tags = [exact_angles[i] for i in unim]
-    angle_set = AngleSet.build(thetas, tags)
-    verdict = rational_independence(angle_set)
+    verdict = rational_independence(_unimodular_angles(ev, tol_unit, exact_angles))
     return SpectrumEnumeration(
         eigenvalues=ev,
         max_degree=max_degree,
         products=tuple(reps),
-        closure_contains_zero=contains_zero,
+        closure_contains_zero=bool(np.any(np.abs(ev) < 1.0 - tol_unit)),
         unimodular_angles_independent=verdict.independent,
-        independence_detail=verdict,
     )
 
 

@@ -153,14 +153,14 @@ class BlockSchurForm:
         return M
 
 
-def _eig_sort_key(lam, tol_unit=DEFAULT_TOL_UNIT):
+def _eig_sort_key(lam):
     # modulus descending, ties broken by argument ascending in [0, 2pi).
     # Moduli inside the unimodular band collapse to exactly 1 so the
     # argument tiebreak is not defeated by 1-ulp modulus noise, and an
     # argument just below 2pi folds to 0 so the sign of a rounded
     # imaginary part cannot send a real eigenvalue to the end.
     m = abs(lam)
-    if m >= 1.0 - tol_unit:
+    if m >= 1.0 - DEFAULT_TOL_UNIT:
         m = 1.0
     theta = float(np.angle(lam)) % (2.0 * np.pi)
     if 2.0 * np.pi - theta < _ZERO_ANGLE_TOL:
@@ -171,6 +171,14 @@ def _eig_sort_key(lam, tol_unit=DEFAULT_TOL_UNIT):
 def sort_eigenvalues(ev):
     """Eigenvalues sorted modulus-descending, ties argument-ascending."""
     return np.array(sorted(ev, key=_eig_sort_key), dtype=complex)
+
+
+def eigenvalues(A):
+    """Eigenvalues sorted modulus-descending, ties argument-ascending."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise NonSquareError(f"expected square matrix, got shape {A.shape}")
+    return sort_eigenvalues(np.linalg.eigvals(A))
 
 
 def _is_sorted_triangular(A):

@@ -132,6 +132,23 @@ def test_z0_residual_scales_with_b():
     assert operator_norm(s) == pytest.approx(math.exp(25.0), rel=1e-9)
 
 
+def test_caller_tolerance_reaches_z0():
+    # B's 1e-8 along the unit direction e_1 is inside tol = 1e-6 but not
+    # inside the default 1e-10, so every entry point that accepts the
+    # symbol at 1e-6 must also solve for z0 at 1e-6
+    s = AffineSymbol(np.diag([1.0, 0.5]), np.array([1e-8, 1.0]))
+    tol = 1e-6
+    assert check_bounded(s, tol).bounded
+    norm = math.exp(0.25 * (4 / 9 - 1 / 9 + 1 + 1e-16))
+    assert operator_norm(s, tol) == pytest.approx(norm, rel=1e-14)
+    assert essential_norm(s, tol) == pytest.approx(norm, rel=1e-14)
+    report = classify(s, tol)
+    assert report.norm == pytest.approx(norm, rel=1e-14)
+    assert report.essential_norm == pytest.approx(norm, rel=1e-14)
+    with pytest.raises(NotBoundedError):
+        operator_norm(s)  # at the default 1e-10 the symbol is unbounded
+
+
 def test_operator_norm_rejects_unbounded(corpus):
     with pytest.raises(NotBoundedError):
         operator_norm(corpus["unbounded_2d"])

@@ -133,6 +133,18 @@ def test_analyze_unbounded_exit_2_with_witness(tmp_path, capsys):
     assert abs(w[0]) == pytest.approx(1.0)  # the unit singular direction
 
 
+def test_analyze_tolerance_reaches_z0(tmp_path, capsys):
+    # bounded at --tolerance 1e-6 (B's 1e-8 along the unit direction), so
+    # the norms must be solved at 1e-6 too, not at the default 1e-10
+    path = write_doc(tmp_path, "s.json", doc_for([[1.0, 0.0], [0.0, 0.5]], [1e-8, 1.0]))
+    code, out, err = run(["analyze", "--tolerance", "1e-6", path], capsys)
+    assert code == 0, err
+    r = json.loads(out)["report"]
+    assert r["bounded"] is True
+    assert r["norm"] == pytest.approx(np.exp(1 / 3), rel=1e-14)
+    assert r["essentialNorm"] == r["norm"]
+
+
 def test_analyze_text_mode(tmp_path, capsys):
     path = write_doc(tmp_path, "s.json", COMPACT_1D)
     code, out, _ = run(["analyze", path, "--text"], capsys)

@@ -14,6 +14,7 @@ from fockop import (
     ShapeMismatchError,
     check_cyclic,
     check_supercyclic,
+    enumerate_spectrum,
     kernel_orbit,
     kernel_series_polynomial,
     orbit_density_experiment,
@@ -71,6 +72,63 @@ def test_independence_rejects_lattice_noise():
     assert v.independent == "unknown"
     w = rational_independence(AngleSet.build([np.sqrt(2), np.sqrt(3), np.sqrt(5)]))
     assert w.independent == "unknown"
+
+
+def test_independence_finds_small_relations_under_the_guard():
+    # the coefficient guard must leave genuine small relations standing
+    cases = [
+        [np.pi / 2, np.pi / 3],
+        [1.0, 2.0],
+        [5 * np.pi / 7, 9 * np.pi / 7, 4 * np.pi / 3],
+        [0.3, 0.5, 0.8],
+    ]
+    for thetas in cases:
+        v = rational_independence(AngleSet.build(thetas))
+        assert v.independent == "no", thetas
+        assert len(v.relation) == len(thetas) + 1 and v.residual < 1e-12, thetas
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(st.lists(st.floats(0.0, 2.0 * np.pi, exclude_max=True), min_size=1, max_size=3))
+def test_independence_never_yes_on_angles(thetas):
+    # "yes" needs an empty angle set, so the unit-circle branch of the
+    # cyclicity tree, which always has n >= 1 angles, never sees it
+    assert rational_independence(AngleSet.build(thetas)).independent != "yes"
+
+
+def _unitary(rng, n):
+    # the QR construction of perfbench/symbols.py: Haar-distributed, so
+    # the eigenvalue angles are generic
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def test_generic_unitary_symbols_get_no_false_relation():
+    # 300 generic unitaries each at n = 2 and 3: a "no" here would be a
+    # PSLQ relation among lattice noise.  Before the guard was calibrated,
+    # 15 and 13 of these draws came back "no".
+    for n, seed in [(2, 1000), (3, 1001)]:
+        rng = np.random.default_rng(seed)
+        for i in range(300):
+            v = check_cyclic(AffineSymbol(_unitary(rng, n), np.zeros(n)))
+            assert v.verdict == "unknown", (n, i, v.relation)
+
+
+def test_spectrum_and_cyclicity_share_the_angle_verdict():
+    rng = np.random.default_rng(17)
+    symbols = [AffineSymbol(_unitary(rng, n), np.zeros(n)) for n in (2, 3, 4) for _ in range(4)]
+    symbols.append(AffineSymbol(np.diag(np.exp(2j * np.pi * rng.random(3))), np.zeros(3)))
+    for theta in [np.pi / 2, 2 * np.pi / 5, 1.0, 2.0 * np.pi * 12345 / 100003]:
+        for r in (1.0, 1.0 - 1e-11):
+            symbols.append(AffineSymbol([[r * np.exp(1j * theta)]], [0.0]))
+    cases = [(s, None) for s in symbols]
+    rotation = AffineSymbol(np.diag(np.exp(1j * np.pi * np.array([0.5, 1 / 3]))), np.zeros(2))
+    cases += [(rotation, None), (rotation, [Fraction(1, 3), Fraction(1, 2)])]
+    for s, tags in cases:
+        spectral = enumerate_spectrum(s, 2, exact_angles=tags).unimodular_angles_independent
+        cyclic = check_cyclic(s, exact_angles=tags).independence.independent
+        assert spectral == cyclic, (s, tags)
 
 
 def test_supercyclic_always_false_on_bounded(corpus):

@@ -323,9 +323,7 @@ def spectrum_document(sym, exact_angles, max_degree, verify):
         "verification": None,
     }
     if verify:
-        products = spectrum_mod.eigenvalue_products(spec.eigenvalues, max_degree)
-        got = truncation.truncated_spectrum(sym, max_degree)
-        dist = spectrum_mod.multiset_distance([v for _, v in products], got)
+        dist = spectrum_mod.shell_spectrum_distance(sym, max_degree)
         doc["verification"] = {"degree": max_degree, "multisetDistance": dist}
     return doc
 

@@ -6,10 +6,10 @@ non-unimodular invertible a gives cyclicity with a kernel function as
 cyclic vector; the invertible non-unitary case in several variables is
 open and reported as such.  On the unit circle (a unimodular a, or a
 unitary A) one branch serves every n: the angles of the unimodular
-eigenvalues (_unimodular_angles, which spectrum.enumerate_spectrum uses
-too) go through one integer-relation search with pi, and in one variable
-the continued-fraction walk for a root of unity is the fallback when that
-search is inconclusive.
+eigenvalues go through one integer-relation search with pi, and in one
+variable the continued-fraction walk for a root of unity is the fallback
+when that search is inconclusive.  _angle_verdict owns both steps, and
+spectrum.enumerate_spectrum reads its verdict too.
 
 The independence test is three-valued on purpose: floating angles can
 certify a relation (hence "no") but never independence, so "yes" only
@@ -302,19 +302,42 @@ _UNDECIDED = (
 )
 
 
+def _angle_verdict(ev, tol_unit, exact_angles, max_coeff=DEFAULT_MAX_COEFF):
+    """The independence verdict for the unimodular angles of the sorted
+    eigenvalues ev, and the m of a^m = a when the root-of-unity walk
+    decided it (else None).
+
+    The relation search runs for every n.  In one variable its "unknown"
+    falls back to _find_root_of_unity on a / |a|: an m found there gives
+    the verdict "no" with the relation (m - 1) theta = 2k pi and its double
+    residual.  check_cyclic and spectrum.enumerate_spectrum both read this
+    verdict, so they agree on every symbol.
+    """
+    angles = _unimodular_angles(ev, tol_unit, exact_angles)
+    iv = rational_independence(angles, max_coeff)
+    if iv.independent != "unknown" or len(ev) != 1:
+        return iv, None
+    a = complex(ev[0])
+    m = _find_root_of_unity(a / abs(a))
+    if m is None:
+        return iv, None
+    k = int(round((m - 1) * angles.thetas[0] / (2.0 * np.pi)))
+    rel = _canonical_relation([-2 * k, m - 1])
+    return IndependenceVerdict("no", rel, _relation_residual(rel, angles.thetas)), m
+
+
 def _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles):
     """check_cyclic for a symbol already known to be bounded.  On the unit
-    circle one relation search runs for every n (it cannot answer "yes":
-    every eigenvalue of a unitary A is on the circle, so there are angles);
-    in one variable an "unknown" falls back to the root-of-unity walk."""
+    circle the angle verdict decides (it cannot answer "yes": every
+    eigenvalue of a unitary A is on the circle, so there are angles)."""
     n, A = symbol.n, symbol.A
     if np.linalg.svd(A, compute_uv=False)[-1] <= 1e-12:
         return CyclicityVerdict(
             verdict="no",
             rationale="A is not invertible; the range of C_phi is not dense",
         )
-    scalar, a = n == 1, complex(A[0, 0])
-    if scalar and abs(a) < 1.0 - tol_unit:
+    scalar = n == 1
+    if scalar and abs(complex(A[0, 0])) < 1.0 - tol_unit:
         return CyclicityVerdict(
             verdict="yes",
             rationale="0 < |a| < 1: every kernel function K_z with z != 0 "
@@ -326,23 +349,15 @@ def _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles):
             rationale="invertible non-unitary A in dimension >= 2: cyclicity "
             "is an open problem",
         )
-    angle_set = _unimodular_angles(eigenvalues(A), tol_unit, exact_angles)
-    iv = rational_independence(angle_set, max_coeff)
+    iv, m = _angle_verdict(eigenvalues(A), tol_unit, exact_angles, max_coeff)
     if iv.independent == "no":
         return CyclicityVerdict(
             verdict="no",
-            rationale=_RELATION_FOUND[scalar],
-            relation=iv.relation,
-            independence=iv,
-        )
-    m = _find_root_of_unity(a / abs(a)) if scalar else None
-    if m is not None:
-        k = int(round((m - 1) * angle_set.thetas[0] / (2.0 * np.pi)))
-        return CyclicityVerdict(
-            verdict="no",
-            rationale=f"a^{m} = a: the orbit of any vector spans "
+            rationale=_RELATION_FOUND[scalar]
+            if m is None
+            else f"a^{m} = a: the orbit of any vector spans "
             f"at most {m - 1} distinct directions per eigenline",
-            relation=_canonical_relation([-2 * k, m - 1]),
+            relation=iv.relation,
             independence=iv,
         )
     return CyclicityVerdict(

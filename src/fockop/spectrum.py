@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import _require_bounded
-from .dynamics import _unimodular_angles, rational_independence
+from .dynamics import _angle_verdict
 from .errors import NotDiagonalizableError, ShapeMismatchError, SizeOverflowError
 from .exact import GaussianRational
 from .polynomials import MultiPolynomial, graded_dim, graded_indices
@@ -31,7 +31,13 @@ from .symbol import (
     block_schur_of_symbol,
     eigenvalues,
 )
-from .truncation import _creation_matrix, _exact_columns, build_basis, dimension_cap
+from .truncation import (
+    _creation_matrix,
+    _exact_columns,
+    build_basis,
+    build_truncation,
+    dimension_cap,
+)
 
 DEDUP_TOL = 1e-10
 _DEDUP_BLOCK = 64
@@ -181,7 +187,7 @@ def enumerate_spectrum(
     indices, values = _products(ev, max_degree)
     keep = _dedup_mask(values)
     reps = list(zip([indices[i] for i in np.flatnonzero(keep)], values[keep].tolist()))
-    verdict = rational_independence(_unimodular_angles(ev, tol_unit, exact_angles))
+    verdict, _ = _angle_verdict(ev, tol_unit, exact_angles)
     return SpectrumEnumeration(
         eigenvalues=ev,
         max_degree=max_degree,
@@ -192,16 +198,106 @@ def enumerate_spectrum(
 
 
 def multiset_distance(xs, ys):
-    """Optimal-matching sup distance between equal-size complex multisets."""
-    from scipy.optimize import linear_sum_assignment
+    """Bottleneck distance between equal-size complex multisets: the least
+    t such that some bijection moves every x to within t of its partner.
 
+    The answer is one of the pairwise distances |x_i - y_j|, so it is
+    never above the largest distance of any one bijection, the sum-optimal
+    one included.  The greedy matching (each x in turn takes its nearest
+    free y) bounds it from above, and the largest nearest-neighbour
+    distance, taken both ways, from below.  The distinct distances between
+    the two bounds are binary-searched, each tested for a perfect matching
+    by augmenting paths (Gabow and Tarjan, J. Algorithms 9, 1988).  An
+    overflowed distance is inf.  Empty inputs give 0.0.
+
+    Raises ValueError if the sizes differ or a distance is nan.
+    """
     xs = np.asarray(xs, dtype=complex).reshape(-1)
     ys = np.asarray(ys, dtype=complex).reshape(-1)
     if xs.shape != ys.shape:
         raise ValueError(f"multiset sizes differ: {xs.shape} vs {ys.shape}")
-    cost = np.abs(xs[:, None] - ys[None, :])
-    r, c = linear_sum_assignment(cost)
-    return float(cost[r, c].max()) if len(r) else 0.0
+    if not len(xs):
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = np.abs(xs[:, None] - ys[None, :])
+    if np.isnan(cost).any():
+        raise ValueError("multiset distance of nan values")
+    match = np.empty(len(xs), dtype=np.intp)
+    free = np.ones(len(ys), dtype=bool)
+    for i, row in enumerate(cost):
+        cols = np.flatnonzero(free)
+        match[i] = cols[np.argmin(row[cols])]
+        free[match[i]] = False
+    lo = max(cost.min(axis=0).max(), cost.min(axis=1).max())
+    hi = cost[np.arange(len(xs)), match].max()
+    candidates = np.unique(cost[(cost >= lo) & (cost <= hi)])
+    # the perfect matching match keeps every distance within candidates[top]
+    bottom, top = 0, len(candidates) - 1
+    while bottom < top:
+        mid = (bottom + top) // 2
+        found = _perfect_matching(cost <= candidates[mid], match)
+        if found is None:
+            bottom = mid + 1
+        else:
+            top, match = mid, found
+    return float(candidates[top])
+
+
+def _perfect_matching(adj, start):
+    """A perfect matching of the square bipartite graph adj (adj[i, j]:
+    row i may take column j) as the column of each row, or None.
+
+    The pairs of the row-to-column bijection start that are edges of adj
+    are kept.  Each other row is matched by one augmenting path, found by
+    a breadth-first search over alternating paths a whole level at a time
+    and flipped in a loop, so a path of any length is found without
+    recursion.  A row with no augmenting path means there is no perfect
+    matching.
+    """
+    n = len(adj)
+    kept = adj[np.arange(n), start]
+    col_of = np.where(kept, start, -1)
+    row_of = np.full(n, -1, dtype=np.intp)
+    row_of[start[kept]] = np.flatnonzero(kept)
+    for r in np.flatnonzero(~kept):
+        parent = np.full(n, -1, dtype=np.intp)  # the row that reached a column
+        frontier = np.array([r])
+        end = -1
+        while end < 0:
+            reach = adj[frontier] & (parent < 0)
+            hit = np.flatnonzero(reach.any(axis=0))
+            if not hit.size:
+                return None
+            parent[hit] = frontier[reach[:, hit].argmax(axis=0)]
+            unmatched = hit[row_of[hit] < 0]
+            if unmatched.size:
+                end = unmatched[0]
+            frontier = row_of[hit]
+        while end >= 0:
+            i = parent[end]
+            before = col_of[i]  # -1 once the path is back at r
+            col_of[i], row_of[end] = end, i
+            end = before
+    return col_of
+
+
+def shell_spectrum_distance(symbol, max_degree):
+    """The largest multiset_distance, over the degree shells d <= max_degree,
+    between the products lambda^gamma with |gamma| = d and the eigenvalues
+    of the truncation's shell-d block.
+
+    The truncation is block triangular over the shells (block diagonal when
+    B = 0), and shell d's block has exactly the shell-d products as its
+    eigenvalues, so each shell is matched on its own.
+
+    Raises SizeOverflowError as eigenvalue_products and build_truncation do.
+    """
+    _, values = _products(eigenvalues(symbol.A), max_degree)
+    op = build_truncation(symbol, max_degree)
+    return max(
+        multiset_distance(values[op.basis.shell(d)], np.linalg.eigvals(block))
+        for d, block in enumerate(op.shell_blocks())
+    )
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,21 @@ def test_cyclic_root_of_unity(tmp_path, capsys):
     assert c["relation"] == [-1, 2]
 
 
+def test_spectrum_and_cyclic_agree_on_a_large_order_root_of_unity(tmp_path, capsys):
+    # a = exp(2 pi i 12345/100003): the relation search says "unknown" and
+    # the continued-fraction walk finds a^100004 = a
+    a = np.exp(2j * np.pi * 12345 / 100003)
+    path = write_doc(tmp_path, "w.json", doc_for([[a]], [0.0]))
+    _, out, _ = run(["cyclic", path], capsys)
+    c = json.loads(out)["cyclic"]
+    assert c["verdict"] == "no" and c["rationale"].startswith("a^100004 = a")
+    assert c["relation"] == [-24690, 100003]
+    assert c["independence"]["independent"] == "no"
+    assert c["independence"]["relation"] == [-24690, 100003]
+    _, out, _ = run(["spectrum", path, "--max-degree", "2"], capsys)
+    assert json.loads(out)["spectrum"]["unimodularAnglesIndependent"] == "no"
+
+
 def test_cyclic_yes_and_supercyclic_false(tmp_path, capsys):
     path = write_doc(tmp_path, "s.json", COMPACT_1D)
     _, out, _ = run(["cyclic", path], capsys)

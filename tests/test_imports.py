@@ -1,5 +1,5 @@
 """Start-up cost guard: the command line loads scipy and mpmath only on
-the paths that call them (spectrum --verify, the Schur form, PSLQ).
+the paths that call them (the Schur form, PSLQ).
 
 Each check runs in a fresh interpreter, since this test process has
 long since imported everything.
@@ -42,5 +42,19 @@ def test_analyze_loads_no_scipy():
         "from fockop.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main(['analyze', {str(doc)!r}]) == 0\n"
+    )
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_spectrum_verify_loads_no_scipy():
+    # unitary_2d's A = [[0, 1], [-1, 0]] is not upper triangular
+    golden = ROOT / "tests" / "golden"
+    docs = [str(golden / f"{name}.sym.json") for name in ("compact_2d", "unitary_2d")]
+    loaded = loaded_after(
+        "import contextlib, io\n"
+        "from fockop.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for doc in {docs!r}:\n"
+        "        assert main(['spectrum', doc, '--verify']) == 0\n"
     )
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []

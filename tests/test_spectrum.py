@@ -2,6 +2,8 @@
 
 import cmath
 import dataclasses
+import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,14 @@ from fockop import (
     verify_eigenfunction,
 )
 from fockop.polynomials import graded_indices
-from fockop.spectrum import DEDUP_TOL, _COND_CAP, _dedup_mask, _matched_eig
+from fockop.spectrum import (
+    DEDUP_TOL,
+    _COND_CAP,
+    _dedup_mask,
+    _matched_eig,
+    _perfect_matching,
+    shell_spectrum_distance,
+)
 from conftest import (
     THETA,
     random_bounded_noncompact_symbol,
@@ -343,6 +352,72 @@ def test_multiset_distance_properties():
     assert multiset_distance(xs, [3.0, 1.0, 2.5]) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         multiset_distance(xs, [1.0])
+
+
+def _reference_multiset_distance(xs, ys):
+    """Optimal-matching sup distance between equal-size complex multisets."""
+    from scipy.optimize import linear_sum_assignment
+
+    xs = np.asarray(xs, dtype=complex).reshape(-1)
+    ys = np.asarray(ys, dtype=complex).reshape(-1)
+    if xs.shape != ys.shape:
+        raise ValueError(f"multiset sizes differ: {xs.shape} vs {ys.shape}")
+    cost = np.abs(xs[:, None] - ys[None, :])
+    r, c = linear_sum_assignment(cost)
+    return float(cost[r, c].max()) if len(r) else 0.0
+
+
+@st.composite
+def _grid_multisets(draw):
+    # two multisets of the same size on a 3 x 3 grid of step 1/2: many
+    # pairwise distances tie exactly
+    size = draw(st.integers(0, 6))
+    point = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    sets = [draw(st.lists(point, min_size=size, max_size=size)) for _ in range(2)]
+    return [np.array([complex(x, y) / 2 for x, y in p], dtype=complex) for p in sets]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_grid_multisets())
+def test_multiset_distance_is_the_bottleneck_distance(sets):
+    xs, ys = sets
+    perms = np.array(list(itertools.permutations(range(len(xs)))), dtype=np.intp)
+    brute = float(np.abs(xs - ys[perms]).max(axis=1, initial=0.0).min())
+    got = multiset_distance(xs, ys)
+    assert got == brute
+    assert got <= _reference_multiset_distance(xs, ys)
+
+
+def test_multiset_distance_never_exceeds_the_sum_optimal_matching():
+    rng = np.random.default_rng(RNG_SEED)
+    for size in (10, 40, 120):
+        centers = rng.random(5) + 1j * rng.random(5)
+        xs = rng.choice(centers, size) + 1e-3 * rng.standard_normal(size)
+        ys = rng.choice(centers, size) + 1e-3 * rng.standard_normal(size)
+        assert multiset_distance(xs, ys) <= _reference_multiset_distance(xs, ys)
+
+
+def test_perfect_matching_follows_a_path_past_the_recursion_limit():
+    # cyclic staircase: row i meets columns i and i + 1, the last row only
+    # column 0; from the identity start, the last row's one augmenting path
+    # runs through all 1100 columns
+    n = 1100
+    adj = np.zeros((n, n), dtype=bool)
+    rows = np.arange(n - 1)
+    adj[rows, rows] = adj[rows, rows + 1] = True
+    adj[n - 1, 0] = True
+    assert n > sys.getrecursionlimit()
+    got = _perfect_matching(adj, np.arange(n))
+    assert got.tolist() == list(range(1, n)) + [0]
+    # without column n - 1's one edge the same search runs to a dead end
+    adj[n - 2, n - 1] = False
+    assert _perfect_matching(adj, np.arange(n)) is None
+
+
+def test_shell_spectrum_distance_on_the_corpus(corpus):
+    # every shell block's eigenvalues are that shell's products
+    for name, s in corpus.items():
+        assert shell_spectrum_distance(s, 6) < 1e-12, name
 
 
 def test_eigenfunction_rotation_compact(corpus):

@@ -331,10 +331,11 @@ def spectrum_document(sym, exact_angles, max_degree, verify):
 def truncate_document(sym, degree, dump, fmt):
     op = truncation.build_truncation(sym, degree)
     if dump is not None:
-        if fmt == "csv":
-            truncation.dump_csv(op, dump)
-        else:
-            truncation.dump_binary(op, dump)
+        write = truncation.dump_csv if fmt == "csv" else truncation.dump_binary
+        try:
+            write(op, dump)
+        except OSError as exc:
+            raise ParseError(f"cannot write {dump}: {exc}") from None
     sv = op.singular_values()
     return {
         "tool": _tool_header(),

@@ -38,6 +38,7 @@ DEFAULT_MAX_COEFF = 10**6
 _RELATION_RESIDUAL_TOL = 1e-10
 _ROOT_BOUND = 10**6
 _RANK_TOL = 1e-8
+_MAX_TAG = 2**53
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,9 @@ class AngleSet:
     """Angles in [0, 2pi), optionally tagged as exact multiples of pi.
 
     exact[i] = Fraction(p, q) certifies theta_i = (p/q) pi exactly; None
-    marks a plain floating angle.  Tags must match the floats to 1e-9.
+    marks a plain floating angle.  Tags must match the floats to 1e-9 and
+    keep |p| and q within 2**53 (ValueError otherwise): a double angle
+    cannot certify a finer tag, nor a double residual its relation.
     """
 
     thetas: tuple
@@ -65,6 +68,8 @@ class AngleSet:
                     tags.append(None)
                     continue
                 tag = Fraction(tag)
+                if max(abs(tag.numerator), tag.denominator) > _MAX_TAG:
+                    raise ValueError("exact tag numerator or denominator exceeds 2**53")
                 target = (float(tag) * np.pi) % (2.0 * np.pi)
                 diff = abs(target - t) % (2.0 * np.pi)
                 if min(diff, 2.0 * np.pi - diff) > 1e-9:
@@ -423,7 +428,6 @@ class OrbitDensityReport:
     dimension: int
     basis_dim: int
     fraction: float
-    steps: int
 
 
 def orbit_density_experiment(symbol, seed, max_degree, steps):
@@ -479,5 +483,4 @@ def orbit_density_experiment(symbol, seed, max_degree, steps):
         dimension=dims[-1],
         basis_dim=basis.dim,
         fraction=dims[-1] / basis.dim,
-        steps=steps,
     )

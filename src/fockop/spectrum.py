@@ -24,7 +24,7 @@ from .analysis import _require_bounded
 from .dynamics import _angle_verdict
 from .errors import NotDiagonalizableError, ShapeMismatchError, SizeOverflowError
 from .exact import GaussianRational
-from .polynomials import MultiPolynomial, graded_dim, graded_indices
+from .polynomials import MultiPolynomial
 from .symbol import (
     AffineSymbol,
     DEFAULT_TOL_UNIT,
@@ -36,7 +36,6 @@ from .truncation import (
     _exact_columns,
     build_basis,
     build_truncation,
-    dimension_cap,
 )
 
 DEDUP_TOL = 1e-10
@@ -60,32 +59,24 @@ def eigenvalue_products(eigvals, max_degree):
     Raises
     ------
     SizeOverflowError
-        If C(max_degree + n, n) exceeds truncation.dimension_cap(), before
-        any index is generated; or at the first multi-index in graded order
-        whose product leaves the range of a double.
+        As build_basis does, before any index is generated; or at the first
+        multi-index in graded order whose product leaves the range of a
+        double.
     """
-    indices, values = _products(eigvals, max_degree)
-    return list(zip(indices, values.tolist()))
+    basis = build_basis(len(eigvals), max_degree)
+    return list(zip(basis.indices, _products(eigvals, basis).tolist()))
 
 
-def _products(eigvals, max_degree):
-    """eigenvalue_products as the index list and a complex array."""
+def _products(eigvals, basis):
+    """eigenvalue_products' values on a GradedBasis, as a complex array."""
     eigvals = np.asarray(eigvals, dtype=complex)
-    n = len(eigvals)
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    P, cap = graded_dim(n, max_degree), dimension_cap()
-    if P > cap:
-        raise SizeOverflowError(
-            f"eigenvalue product count {P} exceeds cap {cap} (n={n}, N={max_degree})"
-        )
-    indices = graded_indices(n, max_degree)
-    G = np.fromiter(chain.from_iterable(indices), dtype=np.intp, count=P * n)
+    P, n, N = basis.dim, basis.n, basis.max_degree
+    G = np.fromiter(chain.from_iterable(basis.indices), dtype=np.intp, count=P * n)
     G = G.reshape(P, n)
     vr, vi = np.ones(P), np.zeros(P)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, lam in enumerate(eigvals):
-            table = np.array([1.0] + [lam**k for k in range(1, max_degree + 1)])
+            table = np.array([1.0] + [lam**k for k in range(1, N + 1)])
             k = G[:, i]
             pr, pi = table.real[k], table.imag[k]
             # skipped, not multiplied by 1 + 0j, which can flip a signed zero
@@ -96,13 +87,13 @@ def _products(eigvals, max_degree):
             )
         bad = ~(np.isfinite(vr) & np.isfinite(vi))
     if bad.any():
-        g = indices[int(np.argmax(bad))]
+        g = basis.indices[int(np.argmax(bad))]
         raise SizeOverflowError(
             f"eigenvalue product at multi-index {g} exceeds the double range"
         )
     values = np.empty(P, dtype=complex)
     values.real, values.imag = vr, vi
-    return indices, values
+    return values
 
 
 def _dedup_mask(values):
@@ -176,17 +167,18 @@ def enumerate_spectrum(
     kept unless it lies within DEDUP_TOL of a value kept before it in
     graded order; the blocked comparison keeps exactly that set.
 
-    Raises SizeOverflowError as eigenvalue_products does, including when
-    C(max_degree + n, n) exceeds truncation.dimension_cap().
+    Raises SizeOverflowError as eigenvalue_products does.
 
     exact_angles optionally tags eigenvalue arguments as exact rational
     multiples of pi, aligned with the sorted eigenvalue order (None per
     untagged slot); tags flow into the independence verdict.
     """
     ev = eigenvalues(symbol.A)
-    indices, values = _products(ev, max_degree)
+    basis = build_basis(symbol.n, max_degree)
+    values = _products(ev, basis)
     keep = _dedup_mask(values)
-    reps = list(zip([indices[i] for i in np.flatnonzero(keep)], values[keep].tolist()))
+    indices = [basis.indices[i] for i in np.flatnonzero(keep)]
+    reps = list(zip(indices, values[keep].tolist()))
     verdict, _ = _angle_verdict(ev, tol_unit, exact_angles)
     return SpectrumEnumeration(
         eigenvalues=ev,
@@ -292,8 +284,8 @@ def shell_spectrum_distance(symbol, max_degree):
 
     Raises SizeOverflowError as eigenvalue_products and build_truncation do.
     """
-    _, values = _products(eigenvalues(symbol.A), max_degree)
     op = build_truncation(symbol, max_degree)
+    values = _products(eigenvalues(symbol.A), op.basis)
     return max(
         multiset_distance(values[op.basis.shell(d)], np.linalg.eigvals(block))
         for d, block in enumerate(op.shell_blocks())
@@ -314,7 +306,6 @@ class EigenfunctionSpec:
     beta: tuple
     gamma: tuple
     C: np.ndarray
-    eigvecs_a1t: np.ndarray
     polynomial: MultiPolynomial
     eigenvalue: complex
     normalized_symbol: AffineSymbol
@@ -440,7 +431,6 @@ def construct_eigenfunction(
         beta=beta,
         gamma=gamma,
         C=np.array([complex(c) for c in C]) if exact else C,
-        eigvecs_a1t=V,
         polynomial=poly,
         eigenvalue=complex(eig),
         normalized_symbol=_normalized_symbol(form),
@@ -483,7 +473,7 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
                 resid[i] = resid.get(i, 0) + c * v
         return max((abs(complex(v)) for v in resid.values()), default=0.0)
     f = np.array(list(terms.values()), dtype=complex)
-    ones = np.ones((poly.n, graded_dim(poly.n, d - 1)))
+    ones = np.ones((poly.n, basis.shell(d).start))
     # elementwise, in place on the gathered columns: a BLAS product would
     # wake OpenBLAS's worker threads
     with np.errstate(over="ignore", invalid="ignore"):

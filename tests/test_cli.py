@@ -1,5 +1,7 @@
 """End-to-end command line behavior: documents, exit codes, determinism."""
 
+import cmath
+import contextlib
 import csv
 import io
 import json
@@ -7,10 +9,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockop.cli import (
     canonical_json,
@@ -264,6 +268,18 @@ def test_truncate_dump_binary(tmp_path, capsys):
     assert M[1, 1] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+def test_truncate_dump_unwritable_exit_1(tmp_path, capsys, target, fmt):
+    path = write_doc(tmp_path, "s.json", COMPACT_1D)
+    dump = tmp_path if target == "directory" else tmp_path / "missing" / "M.out"
+    args = ["truncate", path, "--degree", "1", "--dump", str(dump), "--format", fmt]
+    code, out, err = run(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"fockop: cannot write {dump}: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # cyclic
 
@@ -344,6 +360,64 @@ def test_angle_tag_mismatch_exit_1(tmp_path, capsys):
     code, _, err = run(["cyclic", path], capsys)
     assert code == 1
     assert "anglesExact" in err
+
+
+HUGE_TAGS = {
+    "numerator": doc_for([[1j]], [0.0], angles=[{"num": 10**400, "den": 1}]),
+    # pi / 10^400 matches the angle 0 to 1e-9
+    "denominator": doc_for([[1.0]], [0.0], angles=[{"num": 1, "den": 10**400}]),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum", "cyclic", "truncate"])
+@pytest.mark.parametrize("which", sorted(HUGE_TAGS))
+def test_tag_beyond_2_53_exit_1(tmp_path, capsys, which, command):
+    path = write_doc(tmp_path, "t.json", HUGE_TAGS[which])
+    code, out, err = run([command, path], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fockop: anglesExact: ") and err.count("\n") == 1
+    assert "2**53" in err and len(err) < 100  # the 400-digit integer is not echoed
+
+
+_TAG_INT = st.one_of(st.integers(-12, 12), st.integers(-(10**400), 10**400))
+
+
+@st.composite
+def _tagged_documents(draw):
+    """n in {1, 2}, a unimodular diagonal A and tags null or {num, den}; an
+    angle is drawn, or taken from its tag so that the tag matches it."""
+    n = draw(st.sampled_from([1, 2]))
+    tag = st.fixed_dictionaries({"num": _TAG_INT, "den": _TAG_INT})
+    tags = draw(st.lists(st.none() | tag, min_size=n, max_size=n))
+    diag = []
+    for t in tags:
+        if t is not None and t["den"] and draw(st.booleans()):
+            theta = float(Fraction(t["num"], t["den"]) % 2) * np.pi
+        else:
+            theta = draw(st.floats(0.0, 2 * np.pi))
+        diag.append(cmath.exp(1j * theta))
+    b = draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=n, max_size=n))
+    return doc_for(np.diag(diag), b, angles=tags)
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("tagged") / "s.json"
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_tagged_documents())
+def test_tagged_documents_get_an_answer_or_one_error_line(doc_path, doc):
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("analyze", "spectrum", "cyclic", "truncate"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(doc_path)])
+        assert code in (0, 1, 2), command
+        if code == 1:
+            text = err.getvalue()
+            assert text.startswith("fockop: ") and text.count("\n") == 1, command
 
 
 def test_truncate_degree_160_answers(tmp_path, capsys):

@@ -32,6 +32,20 @@ def test_angle_set_build_and_validation():
         AngleSet.build([1.0], exact=[Fraction(1, 2)])  # tag does not match
 
 
+def test_angle_tags_stop_at_2_53():
+    AngleSet.build([0.0], exact=[Fraction(1, 2**53)])
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        AngleSet.build([0.0], exact=[Fraction(1, 2**53 + 1)])
+
+
+def test_check_cyclic_rejects_a_tag_beyond_2_53():
+    # pi / 10^400 matches the angle 0 to 1e-9, but the relation it gives,
+    # (-1, 10^400), has a coefficient that no double holds
+    sym = AffineSymbol(np.array([[1.0]]), np.array([0.0]))
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        check_cyclic(sym, exact_angles=[Fraction(1, 10**400)])
+
+
 def test_independence_empty_is_yes():
     v = rational_independence(AngleSet.build([]))
     assert v.independent == "yes"

@@ -32,8 +32,11 @@ from .symbol import (
     eigenvalues,
 )
 from .truncation import (
+    _block_diagonal,
+    _creation_blocks,
     _creation_matrix,
     _exact_columns,
+    _refuse_past_memory,
     build_basis,
     build_truncation,
 )
@@ -442,15 +445,17 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     """Residual max|C f - eigenvalue f| of F o psi = eigenvalue F, with f
     the coefficients of F and C the coefficient matrix of C_psi on the
     monomials of degree <= deg F, from the truncation's creation recursion
-    with weights one.  Exact-mode specs sum the exact columns of C instead
-    and return exactly 0.0 on success.
+    with weights one (its shell blocks when psi has B = 0).  Exact-mode
+    specs sum the exact columns of C instead and return exactly 0.0 on
+    success.
 
     With symbol given, the Schur normalization psi is recomputed from it;
     otherwise the one stored on the spec is used.
 
     Raises ShapeMismatchError if psi and F differ in dimension, and
-    SizeOverflowError if C(deg F + n, n) exceeds the dimension cap (before
-    anything is built) or a residual entry leaves the double range.
+    SizeOverflowError if C(deg F + n, n) exceeds the dimension cap or C
+    would not fit in physical memory (both before anything is built), or
+    if a residual entry leaves the double range.
     """
     poly = spec.polynomial
     psi = spec.normalized_symbol
@@ -472,12 +477,17 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
             for i, v in columns[p].items():
                 resid[i] = resid.get(i, 0) + c * v
         return max((abs(complex(v)) for v in resid.values()), default=0.0)
+    _refuse_past_memory(basis)
     f = np.array(list(terms.values()), dtype=complex)
     ones = np.ones((poly.n, basis.shell(d).start))
     # elementwise, in place on the gathered columns: a BLAS product would
     # wake OpenBLAS's worker threads
     with np.errstate(over="ignore", invalid="ignore"):
-        cols = _creation_matrix(psi, basis, ones)[:, pos]
+        if np.any(psi.B):
+            C = _creation_matrix(psi, basis, ones)
+        else:
+            C = _block_diagonal(basis, _creation_blocks(psi, basis, ones))
+        cols = C[:, pos]
         cols *= f
         resid = cols.sum(axis=1)
         resid[pos] -= spec.eigenvalue * f

@@ -24,10 +24,17 @@ Z_k e_g = sqrt(2(g_k+1)) e_{g+e_k} (Bargmann 1961, Comm. Pure Appl. Math.
 
 with j the first nonzero slot of alpha.  M is block upper triangular in
 the degree shells, and block diagonal when B = 0, so its eigenvalues, and
-for B = 0 its singular values, are those of the shell blocks.  Exact mode
-and build_adjoint_truncation are the oracles for this recursion and share
-no code with it; they go through the norms, which fit a double only up to
-degree 150.
+for B = 0 its singular values, are those of the shell blocks.  With B = 0,
+L_j maps shell d - 1 into shell d, so only the blocks are built, each from
+the one before it, and the dense matrix is assembled only when read.
+Exact mode and build_adjoint_truncation are the oracles for this
+recursion and share no code with it; they go through the norms, which fit
+a double only up to degree 150.
+
+Before anything is allocated, the bytes it takes (16 dim^2 for a dense
+matrix, 16 sum_d s_d^2 for the blocks of shells of size s_d) are checked
+against the machine's physical memory, since the dimension cap counts
+basis elements and not bytes.
 
 Eigenfunctions F are verified by this recursion in the monomial basis z^g
 (creation weights one, so no norm is formed), and by the exact columns in
@@ -36,6 +43,7 @@ constructs F.
 """
 
 import bisect
+import itertools
 import math
 import operator
 import os
@@ -111,7 +119,13 @@ class GradedBasis:
 
     def degrees(self):
         """Total degree of each basis element, as an int array."""
-        return np.array([sum(g) for g in self.indices])
+        return self.exponents.sum(axis=1)
+
+    @cached_property
+    def exponents(self):
+        """The multi-indices as a dim x n int64 array."""
+        flat = itertools.chain.from_iterable(self.indices)
+        return np.fromiter(flat, np.int64, self.dim * self.n).reshape(self.dim, self.n)
 
     def shell(self, d):
         """Slice of the positions of degree exactly d."""
@@ -161,27 +175,44 @@ def build_basis(n, max_degree):
 class TruncatedOperator:
     """Matrix of C_phi on the degree <= N subspace.
 
-    matrix is always the normalized complex128 matrix.  When built in
-    exact mode, exact_columns[j] maps row index -> GaussianRational
-    unnormalized coefficient c_{alpha beta}; the float matrix is then
-    D^{1/2} C D^{-1/2} evaluated from those exact entries.
-
     The matrix is block triangular in the degree shells (upper for C_phi,
     lower for the adjoint route), and block diagonal when symbol.B = 0;
     the solves below use that structure.
+
+    A double-mode build with B = 0 is kept in block form: blocks holds the
+    shell blocks, and the dense matrix is assembled from them on the first
+    read of matrix.  Every other build stores the dense matrix.  matrix is
+    the normalized complex128 matrix either way.  When built in exact
+    mode, exact_columns[j] maps row index -> GaussianRational unnormalized
+    coefficient c_{alpha beta}; the float matrix is then
+    D^{1/2} C D^{-1/2} evaluated from those exact entries.
     """
 
     basis: GradedBasis
-    matrix: np.ndarray
     symbol: object
+    blocks: tuple = None
+    dense: np.ndarray = None
     exact_columns: tuple = None
 
     @property
     def dim(self):
         return self.basis.dim
 
+    @cached_property
+    def matrix(self):
+        """The dense matrix, assembled once from the blocks in block form.
+
+        Raises SizeOverflowError if it would not fit in physical memory.
+        """
+        if self.blocks is None:
+            return self.dense
+        _refuse_past_memory(self.basis)
+        return _block_diagonal(self.basis, self.blocks)
+
     def shell_blocks(self):
         """The diagonal blocks of the degree shells 0..N."""
+        if self.blocks is not None:
+            return list(self.blocks)
         shells = [self.basis.shell(d) for d in range(self.basis.max_degree + 1)]
         return [self.matrix[s, s] for s in shells]
 
@@ -209,35 +240,84 @@ class TruncatedOperator:
         Because columns are exact, entry d is exactly
         sum_{|alpha| = d} ||C_phi e_alpha||^2.
         """
-        col_sq = np.sum(np.abs(self.matrix) ** 2, axis=0)
+        if self.blocks is None:
+            col_sq = np.sum(np.abs(self.matrix) ** 2, axis=0)
+        else:
+            # the zeros off the blocks add nothing to a column's sum
+            col_sq = np.concatenate(
+                [np.sum(np.abs(b) ** 2, axis=0) for b in self.blocks]
+            )
         degs = self.basis.degrees()
         out = np.zeros(self.basis.max_degree + 1)
         np.add.at(out, degs, col_sq)
         return out
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
+def _refuse_past_memory(basis, blocks=False):
+    """Raise SizeOverflowError, before anything is allocated, if the dense
+    complex matrix on basis (16 dim^2 bytes) or, with blocks, its shell
+    blocks (16 sum_d s_d^2 bytes, s_d the size of shell d) would take more
+    than the machine's physical memory."""
+    if blocks:
+        sizes = (math.comb(d + basis.n - 1, d) for d in range(basis.max_degree + 1))
+        nbytes, what = 16 * sum(m * m for m in sizes), "shell blocks"
+    else:
+        nbytes, what = 16 * basis.dim**2, "dense matrix"
+    memory = _physical_memory()
+    if memory is not None and nbytes > memory:
+        raise SizeOverflowError(
+            f"the dim-{basis.dim} truncation's {what} would take {nbytes} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
+
+
+def _block_diagonal(basis, blocks):
+    """The dense matrix with the shell blocks on its diagonal."""
+    M = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for d, block in enumerate(blocks):
+        s = basis.shell(d)
+        M[s, s] = block
+    return M
+
+
 def _creation_maps(basis):
     """dst[k, i] = position of g_i + e_k, for the basis elements g_i of
-    degree < N."""
-    rows = graded_dim(basis.n, basis.max_degree - 1)
-    low = basis.indices[:rows]
-    pos = basis._index_of
-    return np.array(
-        [[pos[g[:k] + (g[k] + 1,) + g[k + 1 :]] for g in low] for k in range(basis.n)],
-        dtype=np.intp,
-    ).reshape(basis.n, rows)
+    degree < N.
+
+    Each index is keyed by its degree and then its entries, in radix
+    N + 1, so the keys ascend in graded-lex order and one searchsorted
+    finds every g + e_k.  The keys are Python ints where (N + 1)^(n + 1)
+    leaves int64.
+    """
+    n, N = basis.n, basis.max_degree
+    rows = graded_dim(n, N - 1)
+    dtype = np.int64 if (N + 1) ** (n + 1) <= 2**63 else object
+    place = np.array([(N + 1) ** p for p in range(n, -1, -1)], dtype=dtype)
+    G = basis.exponents.astype(dtype, copy=False)
+    keys = G.sum(axis=1) * place[0] + G @ place[1:]
+    # g + e_k adds one to the degree and one to entry k
+    return np.searchsorted(keys, keys[:rows] + (place[0] + place[1:])[:, None])
 
 
 def _creation_weights(basis):
     """w[k, i] = sqrt(2 (g_k + 1)), for the basis elements g_i of degree < N."""
     rows = graded_dim(basis.n, basis.max_degree - 1)
-    G = np.array(basis.indices[:rows], dtype=float).reshape(rows, basis.n)
-    return np.sqrt(2.0 * (G.T + 1.0))
+    return np.sqrt(2.0 * (basis.exponents[:rows].T + 1.0))
 
 
 def _creation_matrix(symbol, basis, w):
-    """The matrix of C_phi, one degree shell at a time by the creation
-    recursion of the module docstring.
+    """The dense matrix of C_phi, one degree shell at a time by the
+    creation recursion of the module docstring.  Used for B != 0;
+    _creation_blocks builds B = 0.
 
     z_k b_i = w[k, i] b_{i + e_k} on the basis vectors b_i of degree < N:
     _creation_weights gives b = e and the normalized matrix, and weights
@@ -246,34 +326,69 @@ def _creation_matrix(symbol, basis, w):
     Within shell d the columns whose first nonzero slot is j are
     contiguous, and their parents alpha - e_j are the first columns of
     shell d - 1, in the same order.  So each (d, j) is one gather of the
-    parent columns, one scaled scatter per nonzero A_jk, and a division
-    by the real w[j, parent], applied to the real and imaginary parts
-    separately so that exact entries stay exact.
+    parent columns, whose entries lie in the rows of degree < d, one
+    scaled scatter per nonzero A_jk, and a division by the real
+    w[j, parent], applied to the real and imaginary parts separately so
+    that exact entries stay exact.
     """
     n, A, B = basis.n, symbol.A, symbol.B
     dst = _creation_maps(basis)
     M = np.zeros((basis.dim, basis.dim), dtype=complex)
     M[0, 0] = 1.0
-    b_zero = not np.any(B)
     for d in range(1, basis.max_degree + 1):
         parent, shell = basis.shell(d - 1), basis.shell(d)
-        # parent columns have entries only in rows of degree < d, and with
-        # B = 0 only in shell d - 1, whose images lie in shell d alone
-        rows = slice(parent.start if b_zero else 0, parent.stop)
-        top = shell.start if b_zero else 0
+        rows = slice(0, parent.stop)
         for j in range(n):
             cols = slice(parent.start, parent.start + math.comb(d + n - 2 - j, n - 1 - j))
             P = M[rows, cols]
             kids = dst[j, cols]
-            X = M[top : shell.stop, kids[0] : kids[-1] + 1]
+            X = M[: shell.stop, kids[0] : kids[-1] + 1]
             if B[j] != 0:
-                X[rows.start - top : rows.stop - top] += B[j] * P
+                X[rows] += B[j] * P
             for k in range(n):
                 if A[j, k] != 0:
-                    X[dst[k, rows] - top] += (A[j, k] * w[k, rows])[:, None] * P
+                    X[dst[k, rows]] += (A[j, k] * w[k, rows])[:, None] * P
             X.real /= w[j, cols]
             X.imag /= w[j, cols]
     return M
+
+
+def _creation_blocks(symbol, basis, w):
+    """The shell blocks of C_phi for B = 0, by the creation recursion.
+
+    With B = 0, L_j maps shell d - 1 into shell d, so shell d's block
+    comes from shell d - 1's block alone.  Each entry gets the same
+    products, added in the same order and with the same operand layouts,
+    as in _creation_matrix, and the same division, so the blocks have the
+    bits of the dense matrix's diagonal blocks.  Each column is divided
+    once all of the shell's columns are built.
+    """
+    n, A = basis.n, symbol.A
+    dst = _creation_maps(basis)
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for d in range(1, basis.max_degree + 1):
+        parent, shell = basis.shell(d - 1), basis.shell(d)
+        weights = w[:, parent]
+        # a run of consecutive rows (every k for n <= 2) is added to in
+        # place through a slice, without a fancy-index round trip
+        targets = [
+            slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1 else t
+            for t in dst[:, parent] - shell.start
+        ]
+        size = shell.stop - shell.start
+        block, div = np.zeros((size, size), dtype=complex), np.empty(size)
+        for j in range(n):
+            m = math.comb(d + n - 2 - j, n - 1 - j)
+            first = dst[j, parent.start] - shell.start
+            X, P = block[:, first : first + m], blocks[-1][:, :m]
+            for k in range(n):
+                if A[j, k] != 0:
+                    X[targets[k]] += (A[j, k] * weights[k])[:, None] * P
+            div[first : first + m] = w[j, parent.start : parent.start + m]
+        block.real /= div
+        block.imag /= div
+        blocks.append(block)
+    return blocks
 
 
 def _exact_columns(symbol, basis):
@@ -360,23 +475,39 @@ def build_truncation(symbol, max_degree, exact=False):
         coefficients as GaussianRational, and evaluate the matrix from
         them.  Limited to degree <= 150.
 
-    Raises SizeOverflowError if an entry leaves the range of a double.
+    With B = 0 and exact False only the shell blocks are built, and the
+    operator is returned in block form.
+
+    Raises SizeOverflowError if an entry leaves the range of a double, or
+    if what would be built does not fit in physical memory: 16 dim^2
+    bytes for a dense matrix, 16 sum_d s_d^2 for the blocks of shells of
+    size s_d.
     """
     basis = build_basis(symbol.n, max_degree)
-    exact_cols = None
+    blockwise = not exact and not np.any(symbol.B)
+    _refuse_past_memory(basis, blocks=blockwise)
+    exact_cols = blocks = matrix = None
     if exact:
         sqrt_ns = np.sqrt(basis.norm_sq)  # raises above degree 150
         exact_cols = _exact_columns(symbol, basis)
         matrix = _matrix_from_exact(sqrt_ns, exact_cols)
     else:
+        w = _creation_weights(basis)
         with np.errstate(over="ignore", invalid="ignore"):
-            matrix = _creation_matrix(symbol, basis, _creation_weights(basis))
-    if not np.isfinite(matrix).all():
+            if blockwise:
+                blocks = tuple(_creation_blocks(symbol, basis, w))
+            else:
+                matrix = _creation_matrix(symbol, basis, w)
+    if not all(np.isfinite(m).all() for m in (blocks or (matrix,))):
         raise SizeOverflowError(
             f"a degree-{max_degree} truncation entry exceeds the double range"
         )
     return TruncatedOperator(
-        basis=basis, matrix=matrix, symbol=symbol, exact_columns=exact_cols
+        basis=basis,
+        symbol=symbol,
+        blocks=blocks,
+        dense=matrix,
+        exact_columns=exact_cols,
     )
 
 
@@ -430,6 +561,7 @@ def build_adjoint_truncation(symbol, max_degree):
     that recursion's oracles.  Limited to degree <= 150.
     """
     basis = build_basis(symbol.n, max_degree)
+    _refuse_past_memory(basis)
     sqrt_ns = np.sqrt(basis.norm_sq)
     n, N = symbol.n, max_degree
     tau, weight = adjoint_symbol(symbol)
@@ -464,7 +596,7 @@ def build_adjoint_truncation(symbol, max_degree):
             for t, c in q.items():
                 out[pos[t], col] = c
     out *= sqrt_ns[:, None] / sqrt_ns[None, :]
-    return TruncatedOperator(basis=basis, matrix=out, symbol=symbol)
+    return TruncatedOperator(basis=basis, symbol=symbol, dense=out)
 
 
 def truncated_norm(symbol, max_degree):

@@ -474,6 +474,24 @@ def test_bad_dimension_cap_exit_1(capsys, monkeypatch, cap):
     assert "FOCKOP_DIM_CAP" in err and "Traceback" not in err
 
 
+def test_truncation_past_physical_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # n = 4 at degree 30 passes the dimension cap (dim 46376), but its dense
+    # matrix would take 34 GB; physical memory is patched to 8 GiB and the
+    # dense recursion to refuse, so nothing that size is allocated
+    def refuse(*args):
+        raise AssertionError("allocated past physical memory")
+
+    monkeypatch.setattr("fockop.truncation._creation_matrix", refuse)
+    monkeypatch.setattr("fockop.truncation._physical_memory", lambda: 8 * 2**30)
+    doc = doc_for(np.diag([0.5, 0.4, 0.3, 0.2]), [0.5, 0.0, 0.0, 0.0])
+    path = write_doc(tmp_path, "s.json", doc)
+    code, out, err = run(["truncate", path, "--degree", "30"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fockop: ") and err.count("\n") == 1
+    assert "34411734016 bytes" in err and "8589934592 bytes of physical memory" in err
+
+
 @pytest.mark.parametrize("args", [["analyze", "-"], ["analyze", "-", "--degree", "0"]])
 def test_overflow_reports_one_line_and_no_warning(args):
     # ||B||^2 overflows in the inner products and in numpy.linalg.norm;

@@ -1,5 +1,8 @@
 """Finite truncations on the graded monomial basis and their certificates."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,8 +30,15 @@ from fockop import (
     truncated_spectrum,
     verify_eigenfunction,
 )
+from fockop.polynomials import graded_dim
 from fockop.spectrum import multiset_distance
-from fockop.truncation import dimension_cap
+from fockop.symbol import sort_eigenvalues
+from fockop.truncation import (
+    _block_diagonal,
+    _creation_blocks,
+    _creation_maps,
+    dimension_cap,
+)
 from conftest import (
     make_corpus,
     random_bounded_noncompact_symbol,
@@ -447,3 +457,171 @@ def test_norm_routes_stop_at_degree_150():
         orbit_density_experiment(s, MultiPolynomial(1, {(0,): 1.0}), 151, 2)
     with pytest.raises(SizeOverflowError, match="150"):
         build_basis(1, 151).norm_sq
+
+
+# The dense creation recursion as it stood before B = 0 truncations were
+# built as shell blocks, with its B = 0 row window, its creation maps from
+# a dict lookup per entry and its weights: the reference for the bits of
+# the block route.
+
+
+def _reference_creation_maps(basis):
+    rows = graded_dim(basis.n, basis.max_degree - 1)
+    low = basis.indices[:rows]
+    pos = {g: i for i, g in enumerate(basis.indices)}
+    return np.array(
+        [[pos[g[:k] + (g[k] + 1,) + g[k + 1 :]] for g in low] for k in range(basis.n)],
+        dtype=np.intp,
+    ).reshape(basis.n, rows)
+
+
+def _reference_creation_weights(basis):
+    rows = graded_dim(basis.n, basis.max_degree - 1)
+    G = np.array(basis.indices[:rows], dtype=float).reshape(rows, basis.n)
+    return np.sqrt(2.0 * (G.T + 1.0))
+
+
+def _reference_creation_matrix(symbol, basis, w):
+    n, A, B = basis.n, symbol.A, symbol.B
+    dst = _reference_creation_maps(basis)
+    M = np.zeros((basis.dim, basis.dim), dtype=complex)
+    M[0, 0] = 1.0
+    b_zero = not np.any(B)
+    for d in range(1, basis.max_degree + 1):
+        parent, shell = basis.shell(d - 1), basis.shell(d)
+        rows = slice(parent.start if b_zero else 0, parent.stop)
+        top = shell.start if b_zero else 0
+        for j in range(n):
+            cols = slice(parent.start, parent.start + math.comb(d + n - 2 - j, n - 1 - j))
+            P = M[rows, cols]
+            kids = dst[j, cols]
+            X = M[top : shell.stop, kids[0] : kids[-1] + 1]
+            if B[j] != 0:
+                X[rows.start - top : rows.stop - top] += B[j] * P
+            for k in range(n):
+                if A[j, k] != 0:
+                    X[dst[k, rows] - top] += (A[j, k] * w[k, rows])[:, None] * P
+            X.real /= w[j, cols]
+            X.imag /= w[j, cols]
+    return M
+
+
+def test_creation_maps_match_the_dict_lookup():
+    # at (40, 2) the keys (N + 1)^(n + 1) = 3^41 leave int64
+    for n, N in [(1, 0), (1, 150), (2, 40), (3, 16), (4, 10), (40, 2)]:
+        basis = build_basis(n, N)
+        want = _reference_creation_maps(basis)
+        assert np.array_equal(_creation_maps(basis), want), (n, N)
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return (
+        x.shape == y.shape
+        and np.array_equal(x, y)
+        and np.array_equal(np.signbit(x.real), np.signbit(y.real))
+        and np.array_equal(np.signbit(x.imag), np.signbit(y.imag))
+    )
+
+
+def test_block_route_has_the_dense_recursions_bits():
+    rng = np.random.default_rng(RNG_SEED + 8)
+    for n, Ns in [(1, (0, 1, 40, 150)), (2, (0, 7, 24)), (3, (0, 8)), (4, (0, 6))]:
+        for N in Ns:
+            A = random_contraction(rng, n, top=0.9)
+            if n > 1:
+                # skipped terms, one of them a negative zero
+                A[0, -1], A[-1, 0] = 0.0, -0.0
+            s = AffineSymbol(A, np.zeros(n))
+            op = build_truncation(s, N)
+            basis = op.basis
+            M = _reference_creation_matrix(s, basis, _reference_creation_weights(basis))
+            shells = [M[basis.shell(d), basis.shell(d)] for d in range(N + 1)]
+            sv = [np.linalg.svd(b, compute_uv=False) for b in shells]
+            assert _same_bits(op.singular_values(), np.sort(np.concatenate(sv))[::-1])
+            ev = sort_eigenvalues(np.concatenate([np.linalg.eigvals(b) for b in shells]))
+            assert _same_bits(op.spectrum(), ev)
+            comm = math.hypot(
+                *(np.linalg.norm(b.conj().T @ b - b @ b.conj().T) for b in shells)
+            )
+            assert _same_bits(truncated_commutator_norm(s, N), comm)
+            col = np.zeros(N + 1)
+            np.add.at(col, basis.degrees(), np.sum(np.abs(M) ** 2, axis=0))
+            assert _same_bits(op.column_norms_sq_by_degree(), col)
+            assert _same_bits(op.matrix, M), (n, N)
+            ones = np.ones((n, basis.shell(N).start))
+            C = _block_diagonal(basis, _creation_blocks(s, basis, ones))
+            assert _same_bits(C, _reference_creation_matrix(s, basis, ones)), (n, N)
+
+
+def test_b_zero_norm_never_forms_the_dense_matrix():
+    # dim 5151: the dense matrix would take 424 MB, the shell blocks 5.6 MB
+    rng = np.random.default_rng(RNG_SEED + 9)
+    A = random_contraction(rng, 2, top=0.9)
+    s = AffineSymbol(A, np.zeros(2))
+    tracemalloc.start()
+    try:
+        norm = truncated_norm(s, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # C_{Az} has the singular values sigma^gamma, sigma those of A, and the
+    # section at N holds every |gamma| <= N exactly
+    s1, s2 = np.linalg.svd(A, compute_uv=False)
+    want = sorted(
+        (s1**g1 * s2**g2 for g1 in range(101) for g2 in range(101 - g1)), reverse=True
+    )
+    got = build_truncation(s, 100).singular_values()
+    assert got[0] == norm
+    assert np.max(np.abs(got[:10] - want[:10])) <= 1e-12
+
+
+def test_builds_refuse_what_physical_memory_cannot_hold(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("allocated past physical memory")
+
+    for name in ("_creation_matrix", "_creation_blocks", "_exact_columns", "_block_diagonal"):
+        monkeypatch.setattr(f"fockop.truncation.{name}", refuse)
+    monkeypatch.setattr("fockop.truncation._physical_memory", lambda: 10**9)
+    # n = 4, N = 30: dim 46376, under the dimension cap
+    A = np.diag([0.5, 0.4, 0.3, 0.2]).astype(complex)
+    dense = (
+        "dim-46376 truncation's dense matrix would take 34411734016 bytes, "
+        "more than the 1000000000 bytes"
+    )
+    blocks = "dim-46376 truncation's shell blocks would take 2421198208 bytes"
+    with pytest.raises(SizeOverflowError, match=dense):
+        build_truncation(AffineSymbol(A, np.full(4, 0.5 + 0j)), 30)
+    with pytest.raises(SizeOverflowError, match=dense):
+        build_truncation(AffineSymbol(A, np.full(4, 0.5 + 0j)), 30, exact=True)
+    with pytest.raises(SizeOverflowError, match=dense):
+        build_adjoint_truncation(AffineSymbol(A, np.full(4, 0.5 + 0j)), 30)
+    with pytest.raises(SizeOverflowError, match=blocks):
+        build_truncation(AffineSymbol(A, np.zeros(4)), 30)
+
+
+def test_block_form_matrix_refuses_past_physical_memory(monkeypatch):
+    # n = 2, N = 10: the blocks take 16 * 506 = 8096 bytes, the dense
+    # matrix 16 * 66^2 = 69696
+    s = make_corpus()["compact_2d"]
+    monkeypatch.setattr("fockop.truncation._physical_memory", lambda: 10_000)
+    op = build_truncation(s, 10)
+    assert op.norm() == 1.0
+    with pytest.raises(SizeOverflowError, match="dense matrix would take 69696 bytes"):
+        op.matrix
+
+
+def test_eigenfunction_check_refuses_past_physical_memory(monkeypatch):
+    # degree 2 in 2 variables: a dim-6 coefficient matrix, 576 bytes
+    spec = construct_eigenfunction(make_corpus()["compact_2d"], beta=(), gamma=(1, 1))
+    assert verify_eigenfunction(spec) < 1e-15
+
+    def refuse(*args):
+        raise AssertionError("allocated past physical memory")
+
+    for name in ("_creation_matrix", "_creation_blocks", "_block_diagonal"):
+        monkeypatch.setattr(f"fockop.spectrum.{name}", refuse)
+    monkeypatch.setattr("fockop.truncation._physical_memory", lambda: 500)
+    with pytest.raises(SizeOverflowError, match="dense matrix would take 576 bytes"):
+        verify_eigenfunction(spec)

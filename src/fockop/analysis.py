@@ -38,7 +38,7 @@ def _exp(x, what):
     return val
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundednessVerdict:
     """Outcome of the boundedness test.
 
@@ -456,7 +456,7 @@ def hilbert_schmidt_norm_sq_closed_form(symbol, tol_unit=DEFAULT_TOL_UNIT):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassificationReport:
     """Aggregate verdicts for one symbol.
 

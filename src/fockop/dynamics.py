@@ -370,7 +370,7 @@ def _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelOrbitResult:
     """C^m applied to K_z stays a scalar multiple of a kernel function."""
 

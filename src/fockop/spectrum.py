@@ -136,7 +136,7 @@ def _dedup_mask(values):
     return keep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumEnumeration:
     """Finite enumeration of the eigenvalue-product set.
 
@@ -295,7 +295,7 @@ def shell_spectrum_distance(symbol, max_degree):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenfunctionSpec:
     """An explicit eigenfunction in the Schur coordinates z' = Uz.
 

@@ -121,7 +121,7 @@ class AffineSymbol:
         return f"AffineSymbol(n={self.n}, ||A||={self.norm_a:.6g}, |B|={np.linalg.norm(self.B):.6g})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSchurForm:
     """Unitary block triangularization U A U* = diag(D, A1).
 

@@ -27,6 +27,10 @@ the degree shells, and block diagonal when B = 0, so its eigenvalues, and
 for B = 0 its singular values, are those of the shell blocks.  With B = 0,
 L_j maps shell d - 1 into shell d, so only the blocks are built, each from
 the one before it, and the dense matrix is assembled only when read.
+The norm then solves only the blocks that can hold it: a block whose
+Frobenius norm, an upper bound on its 2-norm taken from its own entries,
+lies below a top singular value already computed is certified smaller and
+skipped (see _PRUNE_SLACK).
 Exact mode and build_adjoint_truncation are the oracles for this
 recursion and share no code with it; they go through the norms, which fit
 a double only up to degree 150.
@@ -74,6 +78,21 @@ BINARY_MAGIC = b"FOCKTRNC1"
 # ||z^gamma||^2 = gamma! 2^|gamma| peaks at N! 2^N on degree N, and that
 # exceeds the largest double from N = 151 on
 _MAX_FLOAT_DEGREE = 150
+# Relative slack of the B = 0 norm's block pruning.  A block of size s is
+# skipped when its computed Frobenius norm f times (1 + _PRUNE_SLACK) is
+# below best, the largest computed top singular value so far.  Its own
+# computed top singular value would then be below best too, so the norm
+# keeps its bits: _frobenius sums s squares per column and then 2s column
+# sums, all nonnegative, so in any order f is at most (1.5 s + 2) u below
+# the true Frobenius norm (u = 2^-53; a sum in the subnormal range belongs
+# to a block far below block 0's norm 1 <= best).  LAPACK's SVD is
+# backward stable, so the computed top singular value exceeds the true
+# one, which the Frobenius norm bounds, by at most p(s) u relative, p a
+# modest polynomial of about s.  1e-10 is 9e5 u: that covers every shell
+# under the default dimension cap (s <= 50000, under 1.3e5 u) sevenfold,
+# and any shell up to s = 3e5, past what the memory check lets a shell
+# block hold on machines below a terabyte.  Equal values are never skipped.
+_PRUNE_SLACK = 1e-10
 
 
 def dimension_cap():
@@ -171,7 +190,7 @@ def build_basis(n, max_degree):
     return GradedBasis(n=n, max_degree=max_degree, indices=tuple(graded_indices(n, max_degree)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedOperator:
     """Matrix of C_phi on the degree <= N subspace.
 
@@ -217,12 +236,29 @@ class TruncatedOperator:
         return [self.matrix[s, s] for s in shells]
 
     def norm(self):
-        """Operator 2-norm (largest singular value)."""
-        return float(self.singular_values()[0])
+        """Operator 2-norm (largest singular value), with the bits of
+        singular_values()[0].
+
+        In block form only the blocks that can hold the norm are solved:
+        they are visited by descending Frobenius norm, and the visit stops
+        at the first block whose Frobenius norm, widened by _PRUNE_SLACK,
+        is below the largest top singular value found so far.
+        """
+        if self.blocks is None:
+            return float(self.singular_values()[0])
+        with np.errstate(over="ignore"):  # an infinite bound prunes nothing
+            bounds = [_frobenius(b) for b in self.blocks]
+        best = 0.0
+        for d in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
+            if bounds[d] * (1.0 + _PRUNE_SLACK) < best:
+                break
+            best = max(best, np.linalg.svd(self.blocks[d], compute_uv=False)[0])
+        return float(best)
 
     def singular_values(self):
-        """Descending; from the shell blocks when B = 0, where M is block
-        diagonal, and from the whole matrix otherwise."""
+        """Descending; from every shell block when B = 0, where M is block
+        diagonal, and from the whole matrix otherwise.  norm() needs only
+        the first and solves fewer blocks."""
         if np.any(self.symbol.B):
             return np.linalg.svd(self.matrix, compute_uv=False)
         blocks = [np.linalg.svd(b, compute_uv=False) for b in self.shell_blocks()]
@@ -251,6 +287,13 @@ class TruncatedOperator:
         out = np.zeros(self.basis.max_degree + 1)
         np.add.at(out, degs, col_sq)
         return out
+
+
+def _frobenius(block):
+    """||block||_F of a C-contiguous complex block: the squares of the real
+    and imaginary parts summed down each column, then across."""
+    parts = block.view(float)
+    return math.sqrt((parts * parts).sum(axis=0).sum())
 
 
 def _physical_memory():

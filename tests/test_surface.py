@@ -1,5 +1,5 @@
-"""The public surface: the package's export list, and every name the
-benchmark in perfbench/ looks up.
+"""The public surface: the package's export list, every name the
+benchmark in perfbench/ looks up, and how the result types compare.
 
 The benchmark's tracer finds the functions it wraps by name, and the test
 suite never installs the tracer, so a deleted name would otherwise break
@@ -11,6 +11,8 @@ import importlib
 import pathlib
 import re
 import runpy
+
+import numpy as np
 
 import fockop
 from fockop import polynomials
@@ -51,3 +53,25 @@ def test_public_surface():
     names = set(re.findall(r"\bF\.(\w+)", (PERFBENCH / "workloads.py").read_text()))
     assert "exact_matrix_as_double" in names
     assert sorted(name for name in names if not hasattr(fockop, name)) == []
+
+
+def test_results_holding_arrays_compare_by_identity():
+    # generated field-wise equality would ask numpy for the truth value of
+    # an array comparison, which raises ValueError
+    compact = fockop.AffineSymbol([[0.5, 0.1], [0.0, 0.25]], [0.0, 0.0])
+    # ||A|| = 1 with B along the unit direction: unbounded, with a witness
+    unbounded = fockop.AffineSymbol([[1.0, 0.0], [0.0, 0.5]], [1.0, 0.0])
+    builds = [
+        lambda: fockop.build_truncation(compact, 3),
+        lambda: fockop.enumerate_spectrum(compact, 3),
+        lambda: fockop.construct_eigenfunction(compact, (), (1, 1)),
+        lambda: fockop.classify(compact),
+        lambda: fockop.kernel_orbit(compact, np.ones(2), 2),
+        lambda: fockop.block_schur_of_symbol(compact),
+        lambda: fockop.check_bounded(unbounded),
+    ]
+    for build in builds:
+        x, y = build(), build()
+        assert not (x == y) and x != y, type(x).__name__
+        assert x == x and not (x != x), type(x).__name__
+        assert hash(x) != hash(y) and len({x, y}) == 2, type(x).__name__

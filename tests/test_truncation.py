@@ -577,6 +577,56 @@ def test_b_zero_norm_never_forms_the_dense_matrix():
     assert np.max(np.abs(got[:10] - want[:10])) <= 1e-12
 
 
+def _b_zero_symbols(rng, n):
+    """Compact, unitary, boundary (||A|| = 1, not unitary for n > 1) and
+    ||A|| > 1."""
+    A = random_contraction(rng, n)
+    top = A / np.linalg.svd(A, compute_uv=False)[0]
+    return {
+        "compact": A,
+        "unitary": random_unitary(rng, n),
+        "boundary": top,
+        "expanding": 1.3 * top,
+    }
+
+
+def test_pruned_norm_has_the_all_block_bits():
+    rng = np.random.default_rng(RNG_SEED + 10)
+    for n, N in [(1, 40), (2, 20), (3, 10), (4, 6)]:
+        for kind, A in _b_zero_symbols(rng, n).items():
+            op = build_truncation(AffineSymbol(A, np.zeros(n)), N)
+            tops = [np.linalg.svd(b, compute_uv=False)[0] for b in op.shell_blocks()]
+            assert _same_bits(op.norm(), max(tops)), (n, kind)
+            if kind == "expanding":
+                assert int(np.argmax(tops)) == N, n
+
+
+def test_pruned_norm_solves_only_the_blocks_that_can_hold_it(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(RNG_SEED + 11)
+    for n, N in [(1, 40), (2, 20), (3, 10), (4, 6)]:
+        # ||A||_F < 1 puts every shell block past block 0 below Frobenius
+        # norm 1: Gamma_d(A) is a compression of the d-fold tensor power
+        A = random_contraction(rng, n)
+        A *= 0.9 / np.linalg.norm(A)
+        op = build_truncation(AffineSymbol(A, np.zeros(n)), N)
+        calls.clear()
+        assert op.norm() == 1.0
+        assert calls == [(1, 1)], n
+        # a unitary A has unitary blocks: every one ties with block 0
+        op = build_truncation(AffineSymbol(random_unitary(rng, n), np.zeros(n)), N)
+        calls.clear()
+        assert op.norm() == pytest.approx(1.0, abs=1e-12)
+        assert len(calls) == N + 1, n
+
+
 def test_builds_refuse_what_physical_memory_cannot_hold(monkeypatch):
     def refuse(*args):
         raise AssertionError("allocated past physical memory")

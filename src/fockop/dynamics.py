@@ -9,13 +9,18 @@ unitary A) one branch serves every n: the angles of the unimodular
 eigenvalues go through one integer-relation search with pi, and in one
 variable the continued-fraction walk for a root of unity is the fallback
 when that search is inconclusive.  _angle_verdict owns both steps, and
-spectrum.enumerate_spectrum reads its verdict too.
+spectrum.enumerate_spectrum reads its verdict too.  Each of the two
+searches remembers its last input and result: one symbol's verdicts
+(classify, enumerate_spectrum, check_cyclic, or the CLI's analyze) ask
+for the same angles back to back, so a one-entry memo runs each search
+once per symbol, and a hit returns what the same input computed.
 
 The independence test is three-valued on purpose: floating angles can
 certify a relation (hence "no") but never independence, so "yes" only
 comes from structural case analysis, never from numerics.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +41,8 @@ from .truncation import build_truncation
 
 DEFAULT_MAX_COEFF = 10**6
 _RELATION_RESIDUAL_TOL = 1e-10
+_TAG_MATCH_TOL = 1e-9  # |tag * pi - theta| mod 2pi, in AngleSet.build
+_SINGULAR_TOL = 1e-12  # smallest singular value of a non-invertible A
 _ROOT_BOUND = 10**6
 _RANK_TOL = 1e-8
 _MAX_TAG = 2**53
@@ -72,7 +79,7 @@ class AngleSet:
                     raise ValueError("exact tag numerator or denominator exceeds 2**53")
                 target = (float(tag) * np.pi) % (2.0 * np.pi)
                 diff = abs(target - t) % (2.0 * np.pi)
-                if min(diff, 2.0 * np.pi - diff) > 1e-9:
+                if min(diff, 2.0 * np.pi - diff) > _TAG_MATCH_TOL:
                     raise ValueError(
                         f"exact tag {tag} pi does not match angle {t!r}"
                     )
@@ -172,6 +179,31 @@ def rational_independence(angles, max_coeff=DEFAULT_MAX_COEFF):
                 residual=_relation_residual(rel, thetas),
             )
 
+    found = _pslq_relation(tuple(thetas), max_coeff)
+    if found is not None:
+        rel, resid = found
+        if (
+            resid < _RELATION_RESIDUAL_TOL
+            and max(abs(x) for x in rel) <= max_coeff
+            and sum(abs(x) for x in rel) <= _l1_guard(k)
+        ):
+            return IndependenceVerdict(
+                independent="no",
+                relation=rel,
+                residual=_relation_residual(rel, thetas),
+            )
+    return IndependenceVerdict(independent="unknown", relation=None, residual=None)
+
+
+# typed: a float max_coeff makes PSLQ raise and must not hit an int's entry
+@functools.lru_cache(maxsize=1, typed=True)
+def _pslq_relation(thetas, max_coeff):
+    """PSLQ's canonical relation among (pi, *thetas) and its residual at 40
+    digits, or None when the search finds none.
+
+    Remembered for its last input (see _angle_verdict); a hit returns the
+    immutable pair the same input computed.
+    """
     # Search depth 1e-13, not the 1e-10 reporting gate: double inputs only
     # certify a relation to ~|k|*1e-16, while unrelated angles admit lattice
     # noise at the 1e-11 level once three or more terms are in play (e.g.
@@ -189,21 +221,12 @@ def rational_independence(angles, max_coeff=DEFAULT_MAX_COEFF):
                 values, tol=mp.mpf(10) ** -13, maxcoeff=max_coeff, maxsteps=20000
             )
         except ValueError:
-            found = None
-        if found is not None:
-            rel = _canonical_relation(found)
-            # at 40 digits: in doubles the |k| 2pi terms round at ~1e-10
-            resid = abs(mp.fdot(rel, values))
-    if (
-        found is not None
-        and resid < _RELATION_RESIDUAL_TOL
-        and max(abs(x) for x in rel) <= max_coeff
-        and sum(abs(x) for x in rel) <= _l1_guard(k)
-    ):
-        return IndependenceVerdict(
-            independent="no", relation=rel, residual=_relation_residual(rel, thetas)
-        )
-    return IndependenceVerdict(independent="unknown", relation=None, residual=None)
+            return None
+        if found is None:
+            return None
+        rel = _canonical_relation(found)
+        # at 40 digits: in doubles the |k| 2pi terms round at ~1e-10
+        return rel, abs(mp.fdot(rel, values))
 
 
 def _l1_guard(k):
@@ -233,6 +256,7 @@ class CyclicityVerdict:
     independence: Optional[IndependenceVerdict] = None
 
 
+@functools.lru_cache(maxsize=1)
 def _find_root_of_unity(a):
     """Smallest 1 < m <= _ROOT_BOUND with a^m = a for unimodular a, else None.
 
@@ -316,7 +340,10 @@ def _angle_verdict(ev, tol_unit, exact_angles, max_coeff=DEFAULT_MAX_COEFF):
     falls back to _find_root_of_unity on a / |a|: an m found there gives
     the verdict "no" with the relation (m - 1) theta = 2k pi and its double
     residual.  check_cyclic and spectrum.enumerate_spectrum both read this
-    verdict, so they agree on every symbol.
+    verdict, so they agree on every symbol.  Both searches remember their
+    last input (_pslq_relation by angles and max_coeff, _find_root_of_unity
+    by a / |a|): the callers ask for one symbol's verdict back to back, so
+    one entry each spares every repeat.
     """
     angles = _unimodular_angles(ev, tol_unit, exact_angles)
     iv = rational_independence(angles, max_coeff)
@@ -336,7 +363,7 @@ def _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles):
     circle the angle verdict decides (it cannot answer "yes": every
     eigenvalue of a unitary A is on the circle, so there are angles)."""
     n, A = symbol.n, symbol.A
-    if np.linalg.svd(A, compute_uv=False)[-1] <= 1e-12:
+    if np.linalg.svd(A, compute_uv=False)[-1] <= _SINGULAR_TOL:
         return CyclicityVerdict(
             verdict="no",
             rationale="A is not invertible; the range of C_phi is not dense",

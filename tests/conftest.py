@@ -9,7 +9,7 @@ A = 0 point evaluations.
 import numpy as np
 import pytest
 
-from fockop import AffineSymbol
+from fockop import AffineSymbol, dynamics
 
 THETA = 0.7  # irrational-looking rotation angle reused by several tests
 
@@ -60,6 +60,18 @@ BOUNDED = [
 ]
 
 UNBOUNDED = ["translation_1d", "unbounded_2d"]
+
+
+def clear_angle_searches():
+    """Empty the one-entry memos of the unit-circle angle searches."""
+    dynamics._pslq_relation.cache_clear()
+    dynamics._find_root_of_unity.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_angle_searches():
+    # no test sees a search that another test ran
+    clear_angle_searches()
 
 
 @pytest.fixture

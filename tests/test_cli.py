@@ -420,6 +420,91 @@ def test_tagged_documents_get_an_answer_or_one_error_line(doc_path, doc):
             assert text.startswith("fockop: ") and text.count("\n") == 1, command
 
 
+_FINITE = st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-12]) | st.floats(-0.5, 0.5)
+_NUMBER = st.one_of(
+    _FINITE,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**400), 10**400),
+)
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2))
+_GOOD_ENTRY = _FINITE | st.fixed_dictionaries({"re": _FINITE, "im": _FINITE})
+_ANY_ENTRY = st.one_of(
+    _GOOD_ENTRY,
+    _NUMBER,
+    st.fixed_dictionaries({"re": _NUMBER, "im": _NUMBER}),
+    st.dictionaries(st.sampled_from(["re", "im", "x"]), _NUMBER | _JUNK, max_size=3),
+    _JUNK,
+)
+_SMALL_TAG = st.fixed_dictionaries({"num": st.integers(-4, 4), "den": st.integers(1, 4)})
+_GOOD_TAG = st.none() | _SMALL_TAG
+_ANY_TAG = st.one_of(
+    _GOOD_TAG,
+    st.fixed_dictionaries({"num": _TAG_INT, "den": _TAG_INT}),
+    st.dictionaries(st.sampled_from(["num", "den"]), _NUMBER | _JUNK, max_size=2),
+    _JUNK,
+)
+# an angle in turns of pi: a tag {num, den} or a plain float
+_TURN = _SMALL_TAG | st.floats(0.0, 2.0)
+
+
+@st.composite
+def _arbitrary_documents(draw):
+    """Any JSON value.  Most are symbol documents with at most one flaw:
+    junk entries or tags, shapes of their own, a key missing or junk, or
+    none.  Half the flawless ones have a diagonal A on the unit circle,
+    whose angles may carry their tags, in an order that need not be the
+    sorted eigenvalues' (a misplaced tag exits 1)."""
+    flaw = draw(st.sampled_from(["none"] * 8 + ["entries", "shapes", "keys", "document"]))
+    if flaw == "document":
+        return draw(_JUNK | _NUMBER)
+    k = draw(st.integers(1, 3))
+    entry = _ANY_ENTRY if flaw == "entries" else _GOOD_ENTRY
+    tags = st.lists(_ANY_TAG if flaw == "entries" else _GOOD_TAG, min_size=k, max_size=k)
+    if flaw == "shapes":
+        cols = draw(st.lists(st.integers(0, 3), max_size=3))
+        doc = {
+            "n": draw(st.integers(-1, 4)),
+            "A": [draw(st.lists(entry, min_size=c, max_size=c)) for c in cols],
+            "B": draw(st.lists(entry, max_size=3)),
+        }
+    elif flaw == "none" and draw(st.booleans()):
+        turns = draw(st.lists(_TURN, min_size=k, max_size=k))
+        angles = [float(Fraction(t["num"], t["den"])) if isinstance(t, dict) else t for t in turns]
+        diag = [cmath.exp(1j * np.pi * t) for t in angles]
+        b = draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=k, max_size=k))
+        doc = doc_for(np.diag(diag), b)
+        tags = st.permutations([t if isinstance(t, dict) else None for t in turns]) | tags
+    else:
+        doc = {
+            "n": k,
+            "A": draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k)),
+            "B": draw(st.lists(entry, min_size=k, max_size=k)),
+        }
+    if draw(st.booleans()):
+        doc["anglesExact"] = draw(tags)
+    if flaw == "keys":
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            doc[key] = draw(_JUNK | _NUMBER)
+        else:
+            del doc[key]
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(_arbitrary_documents())
+def test_any_document_exits_0_1_or_2_with_no_traceback(doc_path, doc):
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in (["analyze"], ["spectrum", "--verify"], ["truncate"], ["cyclic"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], str(doc_path), *command[1:]])
+        assert code in (0, 1, 2), command
+        if code == 1:
+            text = err.getvalue()
+            assert text.startswith("fockop: ") and text.count("\n") == 1, command
+
+
 def test_truncate_degree_160_answers(tmp_path, capsys):
     # the creation recursion never forms ||z^160||^2 = 160! 2^160, which
     # does not fit a double; the norm is monotone in the degree and below

@@ -1,7 +1,9 @@
 """Cyclicity verdicts, rational independence, kernel orbits."""
 
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,14 +16,16 @@ from fockop import (
     ShapeMismatchError,
     check_cyclic,
     check_supercyclic,
+    classify,
     enumerate_spectrum,
     kernel_orbit,
     kernel_series_polynomial,
     orbit_density_experiment,
     rational_independence,
 )
+from fockop import cli, dynamics
 from fockop.dynamics import _find_root_of_unity
-from conftest import BOUNDED
+from conftest import BOUNDED, clear_angle_searches
 
 
 def test_angle_set_build_and_validation():
@@ -143,6 +147,74 @@ def test_spectrum_and_cyclicity_share_the_angle_verdict():
         spectral = enumerate_spectrum(s, 2, exact_angles=tags).unimodular_angles_independent
         cyclic = check_cyclic(s, exact_angles=tags).independence.independent
         assert spectral == cyclic, (s, tags)
+
+
+@pytest.fixture
+def pslq_calls(monkeypatch):
+    """The argument lists of every mpmath.pslq call made during the test."""
+    calls = []
+    search = mpmath.pslq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "pslq", counted)
+    return calls
+
+
+def _verdicts(s, tags=None, fresh=False):
+    """The three requests for one symbol's angle verdict, in the CLI's
+    order; fresh empties the memos before each request."""
+    parts = []
+    for request, args in ((classify, (s,)), (enumerate_spectrum, (s, 2)), (check_cyclic, (s,))):
+        if fresh:
+            clear_angle_searches()
+        parts.append(request(*args, exact_angles=tags))
+    return repr((parts[0].cyclic_detail, parts[1].unimodular_angles_independent, parts[2]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_angle_search_per_symbol(n, pslq_calls):
+    rng = np.random.default_rng(2200 + n)
+    _verdicts(AffineSymbol(_unitary(rng, n), np.zeros(n)))
+    assert len(pslq_calls) == 1
+    # in one variable the inconclusive search falls back to the walk, once
+    walks = dynamics._find_root_of_unity.cache_info()
+    assert walks.misses == (n == 1) and walks.hits == 2 * (n == 1)
+
+
+@pytest.mark.parametrize("name", ["unitary_2d", "rotation_irrational"])
+def test_cli_analyze_runs_one_angle_search(name, pslq_calls, capsys):
+    path = Path(__file__).parent / "golden" / f"{name}.sym.json"
+    assert cli.main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    assert len(pslq_calls) == 1
+
+
+def _unit_circle_cases():
+    rng = np.random.default_rng(2202)
+    cases = [(AffineSymbol(_unitary(rng, n), np.zeros(n)), None) for n in (1, 2, 3) for _ in range(4)]
+    for theta in [np.pi / 2, 2 * np.pi / 5, 1.0, 2.0 * np.pi * 12345 / 100003]:
+        cases.append((AffineSymbol([[np.exp(1j * theta)]], [0.0]), None))
+    rotation = AffineSymbol(np.diag(np.exp(1j * np.pi * np.array([0.5, 1 / 3]))), np.zeros(2))
+    cases += [(rotation, [Fraction(1, 3), Fraction(1, 2)]), (rotation, None)]
+    cases.append((AffineSymbol([[1j]], [0.0]), [Fraction(1, 2)]))
+    return cases
+
+
+def test_remembered_angle_verdicts_equal_fresh_ones():
+    fresh = [_verdicts(s, tags, fresh=True) for s, tags in _unit_circle_cases()]
+    clear_angle_searches()
+    remembered = [_verdicts(s, tags) for s, tags in _unit_circle_cases()]
+    assert remembered == fresh
+    assert dynamics._pslq_relation.cache_info().hits > 0
+    assert dynamics._find_root_of_unity.cache_info().hits > 0
+
+
+def test_angle_searches_remember_one_input():
+    for memo in (dynamics._pslq_relation, dynamics._find_root_of_unity):
+        assert memo.cache_parameters()["maxsize"] == 1
 
 
 def test_supercyclic_always_false_on_bounded(corpus):

@@ -33,8 +33,7 @@ from .symbol import (
 )
 from .truncation import (
     _block_diagonal,
-    _creation_blocks,
-    _creation_matrix,
+    _creation_shells,
     _exact_columns,
     _refuse_past_memory,
     build_basis,
@@ -445,9 +444,8 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     """Residual max|C f - eigenvalue f| of F o psi = eigenvalue F, with f
     the coefficients of F and C the coefficient matrix of C_psi on the
     monomials of degree <= deg F, from the truncation's creation recursion
-    with weights one (its shell blocks when psi has B = 0).  Exact-mode
-    specs sum the exact columns of C instead and return exactly 0.0 on
-    success.
+    with weights one.  Exact-mode specs sum the exact columns of C instead
+    and return exactly 0.0 on success.
 
     With symbol given, the Schur normalization psi is recomputed from it;
     otherwise the one stored on the spec is used.
@@ -483,10 +481,9 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     # elementwise, in place on the gathered columns: a BLAS product would
     # wake OpenBLAS's worker threads
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.any(psi.B):
-            C = _creation_matrix(psi, basis, ones)
-        else:
-            C = _block_diagonal(basis, _creation_blocks(psi, basis, ones))
+        blocks, C = _creation_shells(psi, basis, ones)
+        if C is None:
+            C = _block_diagonal(basis, blocks)
         cols = C[:, pos]
         cols *= f
         resid = cols.sum(axis=1)

@@ -24,13 +24,15 @@ Z_k e_g = sqrt(2(g_k+1)) e_{g+e_k} (Bargmann 1961, Comm. Pure Appl. Math.
 
 with j the first nonzero slot of alpha.  M is block upper triangular in
 the degree shells, and block diagonal when B = 0, so its eigenvalues, and
-for B = 0 its singular values, are those of the shell blocks.  With B = 0,
-L_j maps shell d - 1 into shell d, so only the blocks are built, each from
-the one before it, and the dense matrix is assembled only when read.
-The norm then solves only the blocks that can hold it: a block whose
-Frobenius norm, an upper bound on its 2-norm taken from its own entries,
-lies below a top singular value already computed is certified smaller and
-skipped (see _PRUNE_SLACK).
+for B = 0 its singular values, are those of the shell blocks.  The one
+recursion builds M shell by shell, each shell's columns from the one
+before, and B sets the row window: with B = 0, L_j maps shell d - 1 into
+shell d, so only the diagonal blocks are built and the dense matrix is
+assembled only when read; otherwise the columns span every row above.
+With B = 0 the norm solves only the blocks that can hold it: a block
+whose Frobenius norm, an upper bound on its 2-norm taken from its own
+entries, lies below a top singular value already computed is certified
+smaller and skipped (see _PRUNE_SLACK).
 Exact mode and build_adjoint_truncation are the oracles for this
 recursion and share no code with it; they go through the norms, which fit
 a double only up to degree 150.
@@ -239,20 +241,21 @@ class TruncatedOperator:
         """Operator 2-norm (largest singular value), with the bits of
         singular_values()[0].
 
-        In block form only the blocks that can hold the norm are solved:
-        they are visited by descending Frobenius norm, and the visit stops
-        at the first block whose Frobenius norm, widened by _PRUNE_SLACK,
-        is below the largest top singular value found so far.
+        With B = 0 only the shell blocks that can hold the norm are
+        solved: they are visited by descending Frobenius norm, and the
+        visit stops at the first block whose Frobenius norm, widened by
+        _PRUNE_SLACK, is below the largest top singular value found so far.
         """
-        if self.blocks is None:
+        if np.any(self.symbol.B):
             return float(self.singular_values()[0])
+        blocks = self.shell_blocks()
         with np.errstate(over="ignore"):  # an infinite bound prunes nothing
-            bounds = [_frobenius(b) for b in self.blocks]
+            bounds = [_frobenius(b) for b in blocks]
         best = 0.0
         for d in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
             if bounds[d] * (1.0 + _PRUNE_SLACK) < best:
                 break
-            best = max(best, np.linalg.svd(self.blocks[d], compute_uv=False)[0])
+            best = max(best, np.linalg.svd(blocks[d], compute_uv=False)[0])
         return float(best)
 
     def singular_values(self):
@@ -290,8 +293,8 @@ class TruncatedOperator:
 
 
 def _frobenius(block):
-    """||block||_F of a C-contiguous complex block: the squares of the real
-    and imaginary parts summed down each column, then across."""
+    """||block||_F of a complex block with contiguous rows: the squares of
+    the real and imaginary parts summed down each column, then across."""
     parts = block.view(float)
     return math.sqrt((parts * parts).sum(axis=0).sum())
 
@@ -357,81 +360,67 @@ def _creation_weights(basis):
     return np.sqrt(2.0 * (basis.exponents[:rows].T + 1.0))
 
 
-def _creation_matrix(symbol, basis, w):
-    """The dense matrix of C_phi, one degree shell at a time by the
-    creation recursion of the module docstring.  Used for B != 0;
-    _creation_blocks builds B = 0.
+def _creation_shells(symbol, basis, w):
+    """C_phi one degree shell at a time, by the creation recursion of the
+    module docstring.  Returns (blocks, M).
 
     z_k b_i = w[k, i] b_{i + e_k} on the basis vectors b_i of degree < N:
     _creation_weights gives b = e and the normalized matrix, and weights
     one give b = z^g and the coefficient matrix C, with no degree limit.
 
+    blocks[d] is the column block M[lo_d : shell_d.stop, shell_d], which
+    holds every entry of shell d's columns that can be nonzero.  With
+    B = 0, L_j maps shell d - 1 into shell d, so lo_d = shell_d.start: the
+    blocks are the diagonal shell blocks, separate arrays, and M is None.
+    Otherwise lo_d = 0: the blocks are views into the dense M.
+
     Within shell d the columns whose first nonzero slot is j are
     contiguous, and their parents alpha - e_j are the first columns of
-    shell d - 1, in the same order.  So each (d, j) is one gather of the
-    parent columns, whose entries lie in the rows of degree < d, one
-    scaled scatter per nonzero A_jk, and a division by the real
-    w[j, parent], applied to the real and imaginary parts separately so
-    that exact entries stay exact.
+    shell d - 1, in the same order.  So each (d, j) reads the parent block,
+    adds B_j times it where B_j != 0, and adds one scaled scatter per
+    nonzero A_jk.  Once all of the shell's columns are built, each is
+    divided by the real w[j, parent], the real and imaginary parts
+    separately, so that exact entries stay exact.
     """
     n, A, B = basis.n, symbol.A, symbol.B
     dst = _creation_maps(basis)
-    M = np.zeros((basis.dim, basis.dim), dtype=complex)
-    M[0, 0] = 1.0
-    for d in range(1, basis.max_degree + 1):
-        parent, shell = basis.shell(d - 1), basis.shell(d)
-        rows = slice(0, parent.stop)
-        for j in range(n):
-            cols = slice(parent.start, parent.start + math.comb(d + n - 2 - j, n - 1 - j))
-            P = M[rows, cols]
-            kids = dst[j, cols]
-            X = M[: shell.stop, kids[0] : kids[-1] + 1]
-            if B[j] != 0:
-                X[rows] += B[j] * P
-            for k in range(n):
-                if A[j, k] != 0:
-                    X[dst[k, rows]] += (A[j, k] * w[k, rows])[:, None] * P
-            X.real /= w[j, cols]
-            X.imag /= w[j, cols]
-    return M
-
-
-def _creation_blocks(symbol, basis, w):
-    """The shell blocks of C_phi for B = 0, by the creation recursion.
-
-    With B = 0, L_j maps shell d - 1 into shell d, so shell d's block
-    comes from shell d - 1's block alone.  Each entry gets the same
-    products, added in the same order and with the same operand layouts,
-    as in _creation_matrix, and the same division, so the blocks have the
-    bits of the dense matrix's diagonal blocks.  Each column is divided
-    once all of the shell's columns are built.
-    """
-    n, A = basis.n, symbol.A
-    dst = _creation_maps(basis)
-    blocks = [np.ones((1, 1), dtype=complex)]
-    for d in range(1, basis.max_degree + 1):
-        parent, shell = basis.shell(d - 1), basis.shell(d)
-        weights = w[:, parent]
-        # a run of consecutive rows (every k for n <= 2) is added to in
-        # place through a slice, without a fancy-index round trip
-        targets = [
-            slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1 else t
-            for t in dst[:, parent] - shell.start
-        ]
-        size = shell.stop - shell.start
-        block, div = np.zeros((size, size), dtype=complex), np.empty(size)
-        for j in range(n):
-            m = math.comb(d + n - 2 - j, n - 1 - j)
-            first = dst[j, parent.start] - shell.start
-            X, P = block[:, first : first + m], blocks[-1][:, :m]
-            for k in range(n):
-                if A[j, k] != 0:
-                    X[targets[k]] += (A[j, k] * weights[k])[:, None] * P
-            div[first : first + m] = w[j, parent.start : parent.start + m]
-        block.real /= div
-        block.imag /= div
+    M = np.zeros((basis.dim, basis.dim), dtype=complex) if np.any(B) else None
+    blocks = []
+    for d in range(basis.max_degree + 1):
+        shell = basis.shell(d)
+        if M is None:
+            lo = shell.start
+            block = np.zeros((shell.stop - lo,) * 2, dtype=complex)
+        else:
+            lo, block = 0, M[: shell.stop, shell]
+        if d == 0:
+            block[0, 0] = 1.0
+        else:
+            # rows: the rows of shell d - 1's block, where its entries lie
+            parent = basis.shell(d - 1)
+            weights = w[:, rows]
+            # a run of consecutive target rows is added to in place through
+            # a slice, without a fancy-index round trip
+            targets = [
+                slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1 else t
+                for t in dst[:, rows] - lo
+            ]
+            div = np.empty(shell.stop - shell.start)
+            for j in range(n):
+                m = math.comb(d + n - 2 - j, n - 1 - j)
+                first = dst[j, parent.start] - shell.start
+                X, P = block[:, first : first + m], blocks[-1][:, :m]
+                if B[j] != 0:
+                    X[rows.start - lo : rows.stop - lo] += B[j] * P
+                for k in range(n):
+                    if A[j, k] != 0:
+                        X[targets[k]] += (A[j, k] * weights[k])[:, None] * P
+                div[first : first + m] = w[j, parent.start : parent.start + m]
+            block.real /= div
+            block.imag /= div
         blocks.append(block)
-    return blocks
+        rows = slice(lo, shell.stop)
+    return blocks, M
 
 
 def _exact_columns(symbol, basis):
@@ -527,20 +516,16 @@ def build_truncation(symbol, max_degree, exact=False):
     size s_d.
     """
     basis = build_basis(symbol.n, max_degree)
-    blockwise = not exact and not np.any(symbol.B)
-    _refuse_past_memory(basis, blocks=blockwise)
-    exact_cols = blocks = matrix = None
+    _refuse_past_memory(basis, blocks=not exact and not np.any(symbol.B))
+    exact_cols = blocks = None
     if exact:
         sqrt_ns = np.sqrt(basis.norm_sq)  # raises above degree 150
         exact_cols = _exact_columns(symbol, basis)
         matrix = _matrix_from_exact(sqrt_ns, exact_cols)
     else:
-        w = _creation_weights(basis)
         with np.errstate(over="ignore", invalid="ignore"):
-            if blockwise:
-                blocks = tuple(_creation_blocks(symbol, basis, w))
-            else:
-                matrix = _creation_matrix(symbol, basis, w)
+            blocks, matrix = _creation_shells(symbol, basis, _creation_weights(basis))
+    # the blocks hold every entry that can be nonzero
     if not all(np.isfinite(m).all() for m in (blocks or (matrix,))):
         raise SizeOverflowError(
             f"a degree-{max_degree} truncation entry exceeds the double range"
@@ -548,7 +533,7 @@ def build_truncation(symbol, max_degree, exact=False):
     return TruncatedOperator(
         basis=basis,
         symbol=symbol,
-        blocks=blocks,
+        blocks=None if matrix is not None else tuple(blocks),
         dense=matrix,
         exact_columns=exact_cols,
     )
@@ -702,7 +687,10 @@ def load_binary(path):
         magic = fh.read(len(BINARY_MAGIC))
         if magic != BINARY_MAGIC:
             raise ValueError(f"bad magic {magic!r}")
-        (dim,) = struct.unpack("<I", fh.read(4))
+        header = fh.read(4)
+        if len(header) != 4:
+            raise ValueError("truncated header")
+        (dim,) = struct.unpack("<I", header)
         data = fh.read(16 * dim * dim)
         if len(data) != 16 * dim * dim:
             raise ValueError("truncated payload")

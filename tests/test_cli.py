@@ -566,7 +566,7 @@ def test_truncation_past_physical_memory_exits_1(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("allocated past physical memory")
 
-    monkeypatch.setattr("fockop.truncation._creation_matrix", refuse)
+    monkeypatch.setattr("fockop.truncation._creation_shells", refuse)
     monkeypatch.setattr("fockop.truncation._physical_memory", lambda: 8 * 2**30)
     doc = doc_for(np.diag([0.5, 0.4, 0.3, 0.2]), [0.5, 0.0, 0.0, 0.0])
     path = write_doc(tmp_path, "s.json", doc)

@@ -25,7 +25,7 @@ from fockop import (
 )
 from fockop import cli, dynamics
 from fockop.dynamics import _find_root_of_unity
-from conftest import BOUNDED, clear_angle_searches
+from conftest import BOUNDED, clear_angle_searches, random_unitary
 
 
 def test_angle_set_build_and_validation():
@@ -114,14 +114,6 @@ def test_independence_never_yes_on_angles(thetas):
     assert rational_independence(AngleSet.build(thetas)).independent != "yes"
 
 
-def _unitary(rng, n):
-    # the QR construction of perfbench/symbols.py: Haar-distributed, so
-    # the eigenvalue angles are generic
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(Z)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
 def test_generic_unitary_symbols_get_no_false_relation():
     # 300 generic unitaries each at n = 2 and 3: a "no" here would be a
     # PSLQ relation among lattice noise.  Before the guard was calibrated,
@@ -129,13 +121,15 @@ def test_generic_unitary_symbols_get_no_false_relation():
     for n, seed in [(2, 1000), (3, 1001)]:
         rng = np.random.default_rng(seed)
         for i in range(300):
-            v = check_cyclic(AffineSymbol(_unitary(rng, n), np.zeros(n)))
+            v = check_cyclic(AffineSymbol(random_unitary(rng, n), np.zeros(n)))
             assert v.verdict == "unknown", (n, i, v.relation)
 
 
 def test_spectrum_and_cyclicity_share_the_angle_verdict():
     rng = np.random.default_rng(17)
-    symbols = [AffineSymbol(_unitary(rng, n), np.zeros(n)) for n in (2, 3, 4) for _ in range(4)]
+    symbols = [
+        AffineSymbol(random_unitary(rng, n), np.zeros(n)) for n in (2, 3, 4) for _ in range(4)
+    ]
     symbols.append(AffineSymbol(np.diag(np.exp(2j * np.pi * rng.random(3))), np.zeros(3)))
     for theta in [np.pi / 2, 2 * np.pi / 5, 1.0, 2.0 * np.pi * 12345 / 100003]:
         for r in (1.0, 1.0 - 1e-11):
@@ -177,7 +171,7 @@ def _verdicts(s, tags=None, fresh=False):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_one_angle_search_per_symbol(n, pslq_calls):
     rng = np.random.default_rng(2200 + n)
-    _verdicts(AffineSymbol(_unitary(rng, n), np.zeros(n)))
+    _verdicts(AffineSymbol(random_unitary(rng, n), np.zeros(n)))
     assert len(pslq_calls) == 1
     # in one variable the inconclusive search falls back to the walk, once
     walks = dynamics._find_root_of_unity.cache_info()
@@ -194,7 +188,11 @@ def test_cli_analyze_runs_one_angle_search(name, pslq_calls, capsys):
 
 def _unit_circle_cases():
     rng = np.random.default_rng(2202)
-    cases = [(AffineSymbol(_unitary(rng, n), np.zeros(n)), None) for n in (1, 2, 3) for _ in range(4)]
+    cases = [
+        (AffineSymbol(random_unitary(rng, n), np.zeros(n)), None)
+        for n in (1, 2, 3)
+        for _ in range(4)
+    ]
     for theta in [np.pi / 2, 2 * np.pi / 5, 1.0, 2.0 * np.pi * 12345 / 100003]:
         cases.append((AffineSymbol([[np.exp(1j * theta)]], [0.0]), None))
     rotation = AffineSymbol(np.diag(np.exp(1j * np.pi * np.array([0.5, 1 / 3]))), np.zeros(2))

@@ -474,7 +474,7 @@ def test_eigenfunction_check_is_capped_before_it_builds(corpus, monkeypatch):
         raise AssertionError("built a matrix past the cap")
 
     monkeypatch.setenv("FOCKOP_DIM_CAP", "9")
-    monkeypatch.setattr("fockop.spectrum._creation_matrix", refuse)
+    monkeypatch.setattr("fockop.spectrum._creation_shells", refuse)
     monkeypatch.setattr("fockop.spectrum._exact_columns", refuse)
     for spec in (double, exact):
         with pytest.raises(SizeOverflowError, match="10 exceeds cap 9"):

@@ -35,8 +35,8 @@ from fockop.spectrum import multiset_distance
 from fockop.symbol import sort_eigenvalues
 from fockop.truncation import (
     _block_diagonal,
-    _creation_blocks,
     _creation_maps,
+    _creation_shells,
     dimension_cap,
 )
 from conftest import (
@@ -277,6 +277,18 @@ def test_dump_binary_round_trip(tmp_path):
     assert np.array_equal(M, op.matrix)
 
 
+def test_load_binary_refuses_cut_off_files(tmp_path):
+    s = make_corpus()["compact_1d"]
+    path = tmp_path / "m.bin"
+    dump_binary(build_truncation(s, 2), path)
+    data = path.read_bytes()
+    # within the magic, within the 4-byte dim, and within the payload
+    for cut, match in [(5, "bad magic"), (11, "truncated header"), (20, "truncated payload")]:
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=match):
+            load_binary(path)
+
+
 def test_dump_csv_round_trip(tmp_path):
     s = make_corpus()["compact_1d"]
     op = build_truncation(s, 3)
@@ -462,7 +474,7 @@ def test_norm_routes_stop_at_degree_150():
 # The dense creation recursion as it stood before B = 0 truncations were
 # built as shell blocks, with its B = 0 row window, its creation maps from
 # a dict lookup per entry and its weights: the reference for the bits of
-# the block route.
+# the creation recursion, in both of its row windows.
 
 
 def _reference_creation_maps(basis):
@@ -550,8 +562,51 @@ def test_block_route_has_the_dense_recursions_bits():
             assert _same_bits(op.column_norms_sq_by_degree(), col)
             assert _same_bits(op.matrix, M), (n, N)
             ones = np.ones((n, basis.shell(N).start))
-            C = _block_diagonal(basis, _creation_blocks(s, basis, ones))
+            C = _block_diagonal(basis, _creation_shells(s, basis, ones)[0])
             assert _same_bits(C, _reference_creation_matrix(s, basis, ones)), (n, N)
+
+
+def test_dense_route_has_the_reference_recursions_bits():
+    rng = np.random.default_rng(RNG_SEED + 12)
+    for n, Ns in [(1, (0, 1, 40, 150)), (2, (0, 7, 24)), (3, (0, 8)), (4, (0, 6))]:
+        for N in Ns:
+            A = random_contraction(rng, n, top=0.9)
+            B = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            if n > 1:
+                # skipped terms, one of them a negative zero, and a B_j = 0
+                A[0, -1], A[-1, 0], B[-1] = 0.0, -0.0, 0.0
+            s = AffineSymbol(A, B)
+            basis = build_basis(n, N)
+            ones = np.ones((n, basis.shell(N).start))
+            for w in (_reference_creation_weights(basis), ones):
+                blocks, M = _creation_shells(s, basis, w)
+                assert _same_bits(M, _reference_creation_matrix(s, basis, w)), (n, N)
+                for d, block in enumerate(blocks):
+                    assert np.shares_memory(block, M)
+                    assert _same_bits(block, M[: basis.shell(d).stop, basis.shell(d)])
+            M = _reference_creation_matrix(s, basis, _reference_creation_weights(basis))
+            assert _same_bits(build_truncation(s, N).matrix, M), (n, N)
+
+
+def _dyadic(A):
+    """A rounded to multiples of 2^-8, so that exact mode stays cheap."""
+    return (np.round(A.real * 256) + 1j * np.round(A.imag * 256)) / 256
+
+
+def test_oracle_routes_take_the_pruned_norm_with_the_all_block_bits():
+    rng = np.random.default_rng(RNG_SEED + 13)
+    # a dyadic unitary: (1 + i)/2 and (1 - i)/2 have modulus 2^-1/2
+    h = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2
+    unitary = {
+        1: np.array([[1j]]),
+        2: h,
+        3: np.block([[h, np.zeros((2, 1))], [np.zeros((1, 2)), -1j * np.eye(1)]]),
+    }
+    for n, N in [(1, 20), (2, 8), (3, 5)]:
+        for A in (_dyadic(random_contraction(rng, n, top=0.9)), unitary[n]):
+            s = AffineSymbol(A, np.zeros(n))
+            for op in (build_truncation(s, N, exact=True), build_adjoint_truncation(s, N)):
+                assert _same_bits(op.norm(), op.singular_values()[0]), (n, N)
 
 
 def test_b_zero_norm_never_forms_the_dense_matrix():
@@ -631,7 +686,7 @@ def test_builds_refuse_what_physical_memory_cannot_hold(monkeypatch):
     def refuse(*args):
         raise AssertionError("allocated past physical memory")
 
-    for name in ("_creation_matrix", "_creation_blocks", "_exact_columns", "_block_diagonal"):
+    for name in ("_creation_shells", "_exact_columns", "_block_diagonal"):
         monkeypatch.setattr(f"fockop.truncation.{name}", refuse)
     monkeypatch.setattr("fockop.truncation._physical_memory", lambda: 10**9)
     # n = 4, N = 30: dim 46376, under the dimension cap
@@ -670,7 +725,7 @@ def test_eigenfunction_check_refuses_past_physical_memory(monkeypatch):
     def refuse(*args):
         raise AssertionError("allocated past physical memory")
 
-    for name in ("_creation_matrix", "_creation_blocks", "_block_diagonal"):
+    for name in ("_creation_shells", "_block_diagonal"):
         monkeypatch.setattr(f"fockop.spectrum.{name}", refuse)
     monkeypatch.setattr("fockop.truncation._physical_memory", lambda: 500)
     with pytest.raises(SizeOverflowError, match="dense matrix would take 576 bytes"):

@@ -444,8 +444,9 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     """Residual max|C f - eigenvalue f| of F o psi = eigenvalue F, with f
     the coefficients of F and C the coefficient matrix of C_psi on the
     monomials of degree <= deg F, from the truncation's creation recursion
-    with weights one.  Exact-mode specs sum the exact columns of C instead
-    and return exactly 0.0 on success.
+    with weights one; when psi has B = 0 only F's columns of C are read,
+    from its shell blocks.  Exact-mode specs sum the exact columns of C
+    instead and return exactly 0.0 on success.
 
     With symbol given, the Schur normalization psi is recomputed from it;
     otherwise the one stored on the spec is used.
@@ -482,9 +483,7 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     # wake OpenBLAS's worker threads
     with np.errstate(over="ignore", invalid="ignore"):
         blocks, C = _creation_shells(psi, basis, ones)
-        if C is None:
-            C = _block_diagonal(basis, blocks)
-        cols = C[:, pos]
+        cols = _block_diagonal(basis, blocks, pos) if C is None else C[:, pos]
         cols *= f
         resid = cols.sum(axis=1)
         resid[pos] -= spec.eigenvalue * f

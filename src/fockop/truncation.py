@@ -25,10 +25,14 @@ Z_k e_g = sqrt(2(g_k+1)) e_{g+e_k} (Bargmann 1961, Comm. Pure Appl. Math.
 with j the first nonzero slot of alpha.  M is block upper triangular in
 the degree shells, and block diagonal when B = 0, so its eigenvalues, and
 for B = 0 its singular values, are those of the shell blocks.  The one
-recursion builds M shell by shell, each shell's columns from the one
-before, and B sets the row window: with B = 0, L_j maps shell d - 1 into
-shell d, so only the diagonal blocks are built and the dense matrix is
-assembled only when read; otherwise the columns span every row above.
+recursion builds M shell by shell: each shell gathers its columns'
+parents alpha - e_j from the shell before once, adds B_j times them when
+B != 0, then one scaled scatter of them per variable k, in that order for
+every entry; a zero A_jk or B_j adds only +-0, which leaves an entry's
+bits as they are.  B sets the row window: with B = 0, L_j maps shell
+d - 1 into shell d, so only the diagonal blocks are built and the dense
+matrix is assembled only when read; otherwise the columns span every row
+above.
 With B = 0 the norm solves only the blocks that can hold it: a block
 whose Frobenius norm, an upper bound on its 2-norm taken from its own
 entries, lies below a top singular value already computed is certified
@@ -326,12 +330,26 @@ def _refuse_past_memory(basis, blocks=False):
         )
 
 
-def _block_diagonal(basis, blocks):
-    """The dense matrix with the shell blocks on its diagonal."""
-    M = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for d, block in enumerate(blocks):
+def _block_diagonal(basis, blocks, cols=None):
+    """The dense matrix with the shell blocks on its diagonal, or, given
+    the positions cols, only its columns M[:, cols], read from the blocks.
+
+    The columns are laid out in Fortran order, as numpy lays out the
+    gather M[:, cols]: a sum across them rounds by that layout.
+    """
+    if cols is None:
+        M = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for d, block in enumerate(blocks):
+            s = basis.shell(d)
+            M[s, s] = block
+        return M
+    cols = np.asarray(cols, dtype=np.intp)
+    degree = basis.degrees()[cols]
+    M = np.zeros((basis.dim, len(cols)), dtype=complex, order="F")
+    for d in set(degree.tolist()):
         s = basis.shell(d)
-        M[s, s] = block
+        i = np.flatnonzero(degree == d)
+        M[s, i] = blocks[d][:, cols[i] - s.start]
     return M
 
 
@@ -360,6 +378,24 @@ def _creation_weights(basis):
     return np.sqrt(2.0 * (basis.exponents[:rows].T + 1.0))
 
 
+def _creation_parents(basis, dst, w):
+    """slot[c], parent[c] and div[c] for each column c of degree >= 1:
+    the first nonzero slot j of alpha_c, the position of alpha_c - e_j,
+    and w[j, parent[c]].  Column 0 has no parent; it gets 0, 0 and 1.
+
+    Column dst[j, i] is g_i + e_j, so each j with alpha_j > 0 names a
+    parent of alpha; writing j from n - 1 down to 0 leaves the first.
+    """
+    slot = np.zeros(basis.dim, dtype=np.intp)
+    parent = np.zeros(basis.dim, dtype=np.intp)
+    for j in reversed(range(basis.n)):
+        slot[dst[j]] = j
+        parent[dst[j]] = np.arange(dst.shape[1])
+    div = np.ones(basis.dim)
+    div[1:] = w[slot[1:], parent[1:]]
+    return slot, parent, div
+
+
 def _creation_shells(symbol, basis, w):
     """C_phi one degree shell at a time, by the creation recursion of the
     module docstring.  Returns (blocks, M).
@@ -374,17 +410,30 @@ def _creation_shells(symbol, basis, w):
     blocks are the diagonal shell blocks, separate arrays, and M is None.
     Otherwise lo_d = 0: the blocks are views into the dense M.
 
-    Within shell d the columns whose first nonzero slot is j are
-    contiguous, and their parents alpha - e_j are the first columns of
-    shell d - 1, in the same order.  So each (d, j) reads the parent block,
-    adds B_j times it where B_j != 0, and adds one scaled scatter per
-    nonzero A_jk.  Once all of the shell's columns are built, each is
+    Shell d gathers each column's parent alpha - e_j from shell d - 1's
+    block once, as G.  With B != 0 it adds B_j G to the parent rows, then,
+    for k ascending, one scaled scatter of G into the rows of Z_k, with
+    coefficient A_jk w[k, row], where j is each column's slot.  Each entry
+    thus gets its terms in the order of the recursion, and every term of a
+    zero A_jk or B_j is +-0: an entry starts at +0 and a sum of doubles is
+    -0 only when both terms are, so adding +-0 never changes its bits.
+    (A zero coefficient times an infinite parent entry gives nan, but
+    only after an earlier shell has overflowed.)  Each column is then
     divided by the real w[j, parent], the real and imaginary parts
     separately, so that exact entries stay exact.
     """
     n, A, B = basis.n, symbol.A, symbol.B
     dst = _creation_maps(basis)
+    slot, parent, div = _creation_parents(basis, dst, w)
     M = np.zeros((basis.dim, basis.dim), dtype=complex) if np.any(B) else None
+    # start[d] = shell_d.start; the parents local to their shell, and the
+    # rows of Z_k local to the block they land in
+    start = np.array([graded_dim(n, d - 1) for d in range(basis.max_degree + 2)])
+    degree = basis.degrees()
+    local = parent - start[degree[parent]]
+    if M is None:
+        dst = dst - start[degree[: dst.shape[1]] + 1]
+    coef = A.T[:, slot]  # coef[k, c] = A_jk, j the slot of column c
     blocks = []
     for d in range(basis.max_degree + 1):
         shell = basis.shell(d)
@@ -397,27 +446,18 @@ def _creation_shells(symbol, basis, w):
             block[0, 0] = 1.0
         else:
             # rows: the rows of shell d - 1's block, where its entries lie
-            parent = basis.shell(d - 1)
-            weights = w[:, rows]
-            # a run of consecutive target rows is added to in place through
-            # a slice, without a fancy-index round trip
-            targets = [
-                slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1 else t
-                for t in dst[:, rows] - lo
-            ]
-            div = np.empty(shell.stop - shell.start)
-            for j in range(n):
-                m = math.comb(d + n - 2 - j, n - 1 - j)
-                first = dst[j, parent.start] - shell.start
-                X, P = block[:, first : first + m], blocks[-1][:, :m]
-                if B[j] != 0:
-                    X[rows.start - lo : rows.stop - lo] += B[j] * P
-                for k in range(n):
-                    if A[j, k] != 0:
-                        X[targets[k]] += (A[j, k] * weights[k])[:, None] * P
-                div[first : first + m] = w[j, parent.start : parent.start + m]
-            block.real /= div
-            block.imag /= div
+            G = blocks[-1][:, local[shell]]
+            if M is not None:  # then lo = 0, so rows index this block too
+                block[rows] += B[slot[shell]] * G
+            for k in range(n):
+                t = dst[k, rows]
+                # consecutive target rows are added to in place through a
+                # slice, without a fancy-index round trip
+                if t[-1] - t[0] == len(t) - 1:
+                    t = slice(t[0], t[-1] + 1)
+                block[t] += (w[k, rows][:, None] * coef[k, shell]) * G
+            block.real /= div[shell]
+            block.imag /= div[shell]
         blocks.append(block)
         rows = slice(lo, shell.stop)
     return blocks, M

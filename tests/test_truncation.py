@@ -36,6 +36,7 @@ from fockop.symbol import sort_eigenvalues
 from fockop.truncation import (
     _block_diagonal,
     _creation_maps,
+    _creation_parents,
     _creation_shells,
     dimension_cap,
 )
@@ -586,6 +587,73 @@ def test_dense_route_has_the_reference_recursions_bits():
                     assert _same_bits(block, M[: basis.shell(d).stop, basis.shell(d)])
             M = _reference_creation_matrix(s, basis, _reference_creation_weights(basis))
             assert _same_bits(build_truncation(s, N).matrix, M), (n, N)
+
+
+def test_creation_parents_match_the_dict_lookup():
+    # at (40, 2) the creation maps' keys (N + 1)^(n + 1) = 3^41 leave int64
+    for n, N in [(1, 0), (1, 150), (2, 40), (3, 16), (4, 10), (40, 2)]:
+        basis = build_basis(n, N)
+        dst = _creation_maps(basis)
+        w = _reference_creation_weights(basis)
+        slot, parent, div = _creation_parents(basis, dst, w)
+        want = [(0, 0, 1.0)]
+        for alpha in basis.indices[1:]:
+            j = next(i for i, a in enumerate(alpha) if a > 0)
+            p = basis.position(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :])
+            # the creation weight w[j, p] = sqrt(2 alpha_j)
+            want.append((j, p, math.sqrt(2 * alpha[j])))
+        assert list(zip(slot.tolist(), parent.tolist(), div.tolist())) == want, (n, N)
+        ones = np.ones((n, basis.shell(N).start))
+        assert np.all(_creation_parents(basis, dst, ones)[2] == 1.0), (n, N)
+
+
+def test_creation_recursion_has_the_reference_bits_in_more_variables():
+    rng = np.random.default_rng(RNG_SEED + 14)
+    for n, N in [(5, 0), (5, 4), (6, 4), (8, 3)]:
+        A = random_contraction(rng, n, top=0.9)
+        # a zero column: no L_j has a z_1 term; and a negative zero
+        A[:, 1] = 0.0
+        A[0, -1] = -0.0
+        B = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        B[::2] = 0.0
+        basis = build_basis(n, N)
+        ones = np.ones((n, basis.shell(N).start))
+        for b in (np.zeros(n), B):
+            s = AffineSymbol(A, b)
+            for w in (_reference_creation_weights(basis), ones):
+                blocks, M = _creation_shells(s, basis, w)
+                if M is None:
+                    M = _block_diagonal(basis, blocks)
+                assert _same_bits(M, _reference_creation_matrix(s, basis, w)), (n, N)
+
+
+def test_eigenfunction_residual_reads_the_shell_blocks_with_the_dense_bits():
+    # with B = 0 the check reads F's columns from the shell blocks; the
+    # reference takes them from the whole block-diagonal matrix
+    rng = np.random.default_rng(RNG_SEED + 15)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            sym = AffineSymbol(random_contraction(rng, n), np.zeros(n))
+            gamma = tuple(int(x) for x in rng.integers(0, 3, size=n))
+            spec = construct_eigenfunction(sym, (), gamma)
+            psi = spec.normalized_symbol
+            assert not np.any(psi.B)
+            terms = spec.polynomial.terms
+            d = max(sum(g) for g in terms)
+            basis = build_basis(n, d)
+            pos = [basis.position(g) for g in terms]
+            blocks, _ = _creation_shells(psi, basis, np.ones((n, basis.shell(d).start)))
+            C = _block_diagonal(basis, blocks)
+            # F is homogeneous here; a shuffled half of all positions
+            # reads across the shells
+            for cols in (pos, rng.permutation(basis.dim)[: basis.dim // 2]):
+                got = _block_diagonal(basis, blocks, cols)
+                assert _same_bits(got, C[:, cols]) and got.flags.f_contiguous
+            f = np.array(list(terms.values()), dtype=complex)
+            resid = (C[:, pos] * f).sum(axis=1)
+            resid[pos] -= spec.eigenvalue * f
+            want = float(np.max(np.abs(resid)))
+            assert _same_bits(verify_eigenfunction(spec), want), (n, gamma)
 
 
 def _dyadic(A):

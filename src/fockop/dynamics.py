@@ -137,6 +137,14 @@ def _relation_residual(relation, thetas):
     return float(abs(total))
 
 
+def _relation_found(ks, thetas):
+    """The "no" verdict for the integer relation ks among (pi, *thetas):
+    the relation canonicalized, with its double residual.  Every found
+    relation is reported through here."""
+    rel = _canonical_relation(ks)
+    return IndependenceVerdict("no", rel, _relation_residual(rel, thetas))
+
+
 def rational_independence(angles, max_coeff=DEFAULT_MAX_COEFF):
     """Decide rational (in)dependence of (pi, theta_1, ..., theta_k).
 
@@ -159,10 +167,7 @@ def rational_independence(angles, max_coeff=DEFAULT_MAX_COEFF):
         rel = [0] * (k + 1)
         rel[0] = -tag.numerator
         rel[i + 1] = tag.denominator
-        rel = _canonical_relation(rel)
-        return IndependenceVerdict(
-            independent="no", relation=rel, residual=_relation_residual(rel, thetas)
-        )
+        return _relation_found(rel, thetas)
 
     # a zero angle is a relation on its own and breaks PSLQ's nonzero
     # input requirement, so handle it first
@@ -172,12 +177,7 @@ def rational_independence(angles, max_coeff=DEFAULT_MAX_COEFF):
             rel[i + 1] = 1
             if t > np.pi:  # theta ~ 2pi: theta - 2pi = 0
                 rel[0] = -2
-            rel = _canonical_relation(rel)
-            return IndependenceVerdict(
-                independent="no",
-                relation=rel,
-                residual=_relation_residual(rel, thetas),
-            )
+            return _relation_found(rel, thetas)
 
     found = _pslq_relation(tuple(thetas), max_coeff)
     if found is not None:
@@ -187,11 +187,7 @@ def rational_independence(angles, max_coeff=DEFAULT_MAX_COEFF):
             and max(abs(x) for x in rel) <= max_coeff
             and sum(abs(x) for x in rel) <= _l1_guard(k)
         ):
-            return IndependenceVerdict(
-                independent="no",
-                relation=rel,
-                residual=_relation_residual(rel, thetas),
-            )
+            return _relation_found(rel, thetas)
     return IndependenceVerdict(independent="unknown", relation=None, residual=None)
 
 
@@ -354,8 +350,7 @@ def _angle_verdict(ev, tol_unit, exact_angles, max_coeff=DEFAULT_MAX_COEFF):
     if m is None:
         return iv, None
     k = int(round((m - 1) * angles.thetas[0] / (2.0 * np.pi)))
-    rel = _canonical_relation([-2 * k, m - 1])
-    return IndependenceVerdict("no", rel, _relation_residual(rel, angles.thetas)), m
+    return _relation_found([-2 * k, m - 1], angles.thetas), m
 
 
 def _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles):

@@ -15,7 +15,6 @@ Schur coordinates z' = U z = (w, v).
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -72,9 +71,8 @@ def eigenvalue_products(eigvals, max_degree):
 def _products(eigvals, basis):
     """eigenvalue_products' values on a GradedBasis, as a complex array."""
     eigvals = np.asarray(eigvals, dtype=complex)
-    P, n, N = basis.dim, basis.n, basis.max_degree
-    G = np.fromiter(chain.from_iterable(basis.indices), dtype=np.intp, count=P * n)
-    G = G.reshape(P, n)
+    P, N = basis.dim, basis.max_degree
+    G = basis.exponents
     vr, vi = np.ones(P), np.zeros(P)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, lam in enumerate(eigvals):
@@ -453,8 +451,9 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
 
     Raises ShapeMismatchError if psi and F differ in dimension, and
     SizeOverflowError if C(deg F + n, n) exceeds the dimension cap or C
-    would not fit in physical memory (both before anything is built), or
-    if a residual entry leaves the double range.
+    would not fit in physical memory (both before anything is built; with
+    B = 0 C's shell blocks are counted, as in build_truncation), or if a
+    residual entry leaves the double range.
     """
     poly = spec.polynomial
     psi = spec.normalized_symbol
@@ -476,7 +475,7 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
             for i, v in columns[p].items():
                 resid[i] = resid.get(i, 0) + c * v
         return max((abs(complex(v)) for v in resid.values()), default=0.0)
-    _refuse_past_memory(basis)
+    _refuse_past_memory(basis, blocks=not np.any(psi.B))
     f = np.array(list(terms.values()), dtype=complex)
     ones = np.ones((poly.n, basis.shell(d).start))
     # elementwise, in place on the gathered columns: a BLAS product would

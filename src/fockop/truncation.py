@@ -596,12 +596,14 @@ def kernel_series_polynomial(w, max_degree):
     """Degree <= N Taylor polynomial of K_w(z) = exp(<z, w>/2).
 
     The coefficient of z^gamma is conj(w)^gamma / (2^{|gamma|} gamma!).
+    Its terms run over build_basis(n, N), in graded order, so the series
+    obeys the dimension cap: SizeOverflowError when C(N + n, n) exceeds it.
     """
     w = np.asarray(w, dtype=complex).reshape(-1)
     n = w.shape[0]
     wbar = np.conj(w)
     terms = {}
-    for g in graded_indices(n, max_degree):
+    for g in build_basis(n, max_degree).indices:
         c = 1.0 + 0.0j
         for wi, gi in zip(wbar, g):
             if gi:

@@ -1,5 +1,6 @@
 """Cyclicity verdicts, rational independence, kernel orbits."""
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,13 @@ from fockop import (
     rational_independence,
 )
 from fockop import cli, dynamics
-from fockop.dynamics import _find_root_of_unity
+from fockop.dynamics import (
+    _angle_verdict,
+    _find_root_of_unity,
+    _relation_residual,
+    _unimodular_angles,
+)
+from fockop.symbol import DEFAULT_TOL_UNIT
 from conftest import BOUNDED, clear_angle_searches, random_unitary
 
 
@@ -112,6 +119,55 @@ def test_independence_never_yes_on_angles(thetas):
     # "yes" needs an empty angle set, so the unit-circle branch of the
     # cyclicity tree, which always has n >= 1 angles, never sees it
     assert rational_independence(AngleSet.build(thetas)).independent != "yes"
+
+
+@st.composite
+def _related_angles(draw):
+    """(thetas, tags) with an integer relation among pi and the angles,
+    from one of four sources: exact tags p/q pi; an angle within 1e-13 of 0
+    or 2 pi; small rational multiples of pi in floats, for PSLQ; or one
+    angle 2 pi p/q of large order q, past PSLQ's reach but in the walk's."""
+    source = draw(st.sampled_from(["tag", "zero", "pslq", "walk"]))
+    if source == "walk":
+        # prime orders, and angles past 2 pi / 3, whose doubles are too
+        # coarse for PSLQ to certify the relation (-2p, q)
+        q = draw(st.sampled_from([20011, 40009, 60013, 80021, 99991]))
+        p = draw(st.integers(q // 3, q - 1))
+        return [2.0 * np.pi * p / q], None
+    if source == "zero":
+        t = draw(st.floats(0.0, 1e-13))
+        others = draw(st.lists(st.floats(0.1, 6.0), max_size=2))
+        return [draw(st.sampled_from([t, 2.0 * np.pi - t]))] + others, None
+    fracs = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    thetas = [float(f) * np.pi for f in fracs]
+    return thetas, (fracs if source == "tag" else None)
+
+
+def _assert_found_relation(iv, thetas):
+    if iv.independent != "no":
+        return
+    rel = iv.relation
+    assert math.gcd(*rel) == 1, rel
+    assert next(k for k in reversed(rel) if k != 0) > 0, rel
+    assert iv.residual.hex() == _relation_residual(rel, thetas).hex()
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_related_angles())
+def test_every_found_relation_is_canonical_with_its_residual(case):
+    thetas, tags = case
+    angles = AngleSet.build(thetas, tags)
+    _assert_found_relation(rational_independence(angles), angles.thetas)
+    # the unit-circle branch, which adds the walk in one variable
+    ev = np.exp(1j * np.array(thetas))
+    iv, _ = _angle_verdict(ev, DEFAULT_TOL_UNIT, tags)
+    _assert_found_relation(iv, _unimodular_angles(ev, DEFAULT_TOL_UNIT, tags).thetas)
 
 
 def test_generic_unitary_symbols_get_no_false_relation():

@@ -318,6 +318,13 @@ def test_size_overflow(monkeypatch):
         build_truncation(s, 10)
 
 
+def test_kernel_series_obeys_the_dimension_cap(monkeypatch):
+    # C(20 + 2, 2) = 231 terms, as many as build_basis(2, 20) has indices
+    monkeypatch.setenv("FOCKOP_DIM_CAP", "10")
+    with pytest.raises(SizeOverflowError, match="231 exceeds cap 10"):
+        kernel_series_polynomial(np.array([0.4 - 0.3j, 0.2j]), 20)
+
+
 def test_basis_position_and_contains():
     basis = build_basis(3, 4)
     for k, g in enumerate(basis.indices):
@@ -786,7 +793,8 @@ def test_block_form_matrix_refuses_past_physical_memory(monkeypatch):
 
 
 def test_eigenfunction_check_refuses_past_physical_memory(monkeypatch):
-    # degree 2 in 2 variables: a dim-6 coefficient matrix, 576 bytes
+    # degree 2 in 2 variables with B = 0: the shell blocks of the dim-6
+    # coefficient matrix take 16 * (1 + 4 + 9) = 224 bytes
     spec = construct_eigenfunction(make_corpus()["compact_2d"], beta=(), gamma=(1, 1))
     assert verify_eigenfunction(spec) < 1e-15
 
@@ -795,6 +803,15 @@ def test_eigenfunction_check_refuses_past_physical_memory(monkeypatch):
 
     for name in ("_creation_shells", "_block_diagonal"):
         monkeypatch.setattr(f"fockop.spectrum.{name}", refuse)
-    monkeypatch.setattr("fockop.truncation._physical_memory", lambda: 500)
-    with pytest.raises(SizeOverflowError, match="dense matrix would take 576 bytes"):
+    monkeypatch.setattr("fockop.truncation._physical_memory", lambda: 200)
+    with pytest.raises(SizeOverflowError, match="shell blocks would take 224 bytes"):
         verify_eigenfunction(spec)
+
+
+def test_eigenfunction_check_with_b_zero_counts_its_shell_blocks(monkeypatch):
+    # 500 bytes hold the 224 bytes of shell blocks, though not the 576 of
+    # the dense matrix, which a B = 0 check never builds
+    spec = construct_eigenfunction(make_corpus()["compact_2d"], beta=(), gamma=(1, 1))
+    resid = verify_eigenfunction(spec)
+    monkeypatch.setattr("fockop.truncation._physical_memory", lambda: 500)
+    assert _same_bits(verify_eigenfunction(spec), resid)

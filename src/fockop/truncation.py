@@ -25,26 +25,30 @@ Z_k e_g = sqrt(2(g_k+1)) e_{g+e_k} (Bargmann 1961, Comm. Pure Appl. Math.
 with j the first nonzero slot of alpha.  M is block upper triangular in
 the degree shells, and block diagonal when B = 0, so its eigenvalues, and
 for B = 0 its singular values, are those of the shell blocks.  The one
-recursion builds M shell by shell: each shell gathers its columns'
-parents alpha - e_j from the shell before once, adds B_j times them when
-B != 0, then one scaled scatter of them per variable k, in that order for
-every entry; a zero A_jk or B_j adds only +-0, which leaves an entry's
-bits as they are.  B sets the row window: with B = 0, L_j maps shell
-d - 1 into shell d, so only the diagonal blocks are built and the dense
-matrix is assembled only when read; otherwise the columns span every row
-above.
+recursion builds M shell by shell: each shell reads its columns' parents
+alpha - e_j from the shell before, adds B_j times them when B != 0, then
+one scaled scatter of them per variable k, in that order for every
+entry; a zero A_jk or B_j adds only +-0, which leaves an entry's bits as
+they are.  The tables it reads that depend on the basis alone are built
+once per basis (GradedBasis._creation_plan), and build_basis shares one
+basis per (n, N).  B sets the row window: with B = 0, L_j maps shell
+d - 1 into shell d, so only the diagonal blocks are built, as views into
+one buffer, and the dense matrix is assembled only when read; otherwise
+the columns span every row above.
 With B = 0 the norm solves only the blocks that can hold it: a block
 whose Frobenius norm, an upper bound on its 2-norm taken from its own
 entries, lies below a top singular value already computed is certified
-smaller and skipped (see _PRUNE_SLACK).
+smaller and skipped (see _PRUNE_SLACK).  The bounds of all blocks come
+from one pass over the buffer.
 Exact mode and build_adjoint_truncation are the oracles for this
 recursion and share no code with it; they go through the norms, which fit
 a double only up to degree 150.
 
-Before anything is allocated, the bytes it takes (16 dim^2 for a dense
-matrix, 16 sum_d s_d^2 for the blocks of shells of size s_d) are checked
-against the machine's physical memory, since the dimension cap counts
-basis elements and not bytes.
+Before anything is allocated, the bytes it takes are checked against the
+machine's physical memory, since the dimension cap counts basis elements
+and not bytes: 16 dim^2 for a dense matrix, and for the shell blocks
+(shells of size s_d) the 16 sum_d s_d^2 bytes of the one buffer that
+they share.
 
 Eigenfunctions F are verified by this recursion in the monomial basis z^g
 (creation weights one, so no norm is formed), and by the exact columns in
@@ -88,10 +92,13 @@ _MAX_FLOAT_DEGREE = 150
 # skipped when its computed Frobenius norm f times (1 + _PRUNE_SLACK) is
 # below best, the largest computed top singular value so far.  Its own
 # computed top singular value would then be below best too, so the norm
-# keeps its bits: _frobenius sums s squares per column and then 2s column
-# sums, all nonnegative, so in any order f is at most (1.5 s + 2) u below
-# the true Frobenius norm (u = 2^-53; a sum in the subnormal range belongs
-# to a block far below block 0's norm 1 <= best).  LAPACK's SVD is
+# keeps its bits: _frobenius_bounds sums the 2s squares of each row's real
+# and imaginary parts and then the block's s row sums, all nonnegative, so
+# in any order the relative errors of the squares (u), the row sums
+# ((2s - 1) u) and the block sum ((s - 1) u) add to at most 3s u, and f,
+# its square root, is at most (1.5 s + 2) u below the true Frobenius norm
+# (u = 2^-53; a sum in the subnormal range belongs to a block far below
+# block 0's norm 1 <= best).  LAPACK's SVD is
 # backward stable, so the computed top singular value exceeds the true
 # one, which the Frobenius norm bounds, by at most p(s) u relative, p a
 # modest polynomial of about s.  1e-10 is 9e5 u: that covers every shell
@@ -99,6 +106,12 @@ _MAX_FLOAT_DEGREE = 150
 # and any shell up to s = 3e5, past what the memory check lets a shell
 # block hold on machines below a terabyte.  Equal values are never skipped.
 _PRUNE_SLACK = 1e-10
+# build_basis keeps the bases it built last, most recently used last
+_BASES_KEPT = 16
+_bases = {}
+# Doubles squared at a time by the B = 0 norm's Frobenius bounds: 256 kB
+# of scratch, which stays in cache where a buffer-sized one would not
+_ROW_CHUNK = 1 << 15
 
 
 def dimension_cap():
@@ -121,6 +134,10 @@ def dimension_cap():
 @dataclass(frozen=True)
 class GradedBasis:
     """Monomial basis of degree <= max_degree in graded lexicographic order.
+
+    build_basis shares one basis per (n, max_degree), so everything cached
+    here is computed once per basis and must not be written to: the arrays
+    are read-only.
 
     Fields
     ------
@@ -148,9 +165,10 @@ class GradedBasis:
 
     @cached_property
     def exponents(self):
-        """The multi-indices as a dim x n int64 array."""
+        """The multi-indices as a read-only dim x n int64 array."""
         flat = itertools.chain.from_iterable(self.indices)
-        return np.fromiter(flat, np.int64, self.dim * self.n).reshape(self.dim, self.n)
+        G = np.fromiter(flat, np.int64, self.dim * self.n).reshape(self.dim, self.n)
+        return _read_only(G)
 
     def shell(self, d):
         """Slice of the positions of degree exactly d."""
@@ -158,7 +176,7 @@ class GradedBasis:
 
     @cached_property
     def norm_sq(self):
-        """||z^gamma||^2 = gamma! 2^{|gamma|} per index, as doubles.
+        """||z^gamma||^2 = gamma! 2^{|gamma|} per index, as read-only doubles.
 
         Raises SizeOverflowError above degree 150, where the norms leave
         the double range.
@@ -170,15 +188,54 @@ class GradedBasis:
                 f"and adjoint routes and the orbit experiment stop at degree "
                 f"{_MAX_FLOAT_DEGREE}"
             )
-        return np.array([float(monomial_norm_sq_exact(g)) for g in self.indices])
+        return _read_only(np.array([float(monomial_norm_sq_exact(g)) for g in self.indices]))
 
     @cached_property
     def _index_of(self):
         return {g: i for i, g in enumerate(self.indices)}
 
+    @cached_property
+    def _block_layout(self):
+        """(starts, offsets, chunks) of the shell blocks laid end to end in
+        one buffer, each row-major.  Shell d holds the positions starts[d]
+        up to starts[d + 1], and its block the buffer's entries offsets[d]
+        up to offsets[d + 1].  chunks cuts the buffer's real view into runs
+        of whole rows of at most _ROW_CHUNK doubles (or one longer row):
+        (rows, doubles, row_starts), the rows as positions, the slice of
+        doubles they take and where each row starts within that slice."""
+        starts = [graded_dim(self.n, d - 1) for d in range(self.max_degree + 2)]
+        sizes = np.diff(starts)
+        offsets = np.zeros(len(starts), dtype=np.intp)
+        np.cumsum(sizes * sizes, out=offsets[1:])
+        # row i of the dense matrix starts at double at[i], and at[dim] is
+        # the end of the buffer
+        at = np.zeros(self.dim + 1, dtype=np.intp)
+        np.cumsum(2 * np.repeat(sizes, sizes), out=at[1:])
+        chunks, i = [], 0
+        while i < self.dim:
+            j = max(i + 1, int(np.searchsorted(at, at[i] + _ROW_CHUNK, "right")) - 1)
+            chunks.append((slice(i, j), slice(at[i], at[j]), _read_only(at[i:j] - at[i])))
+            i = j
+        return tuple(starts), tuple(offsets.tolist()), tuple(chunks)
+
+    @cached_property
+    def _creation_plan(self):
+        """The creation recursion's tables that depend on the basis alone;
+        see _CreationPlan."""
+        return _CreationPlan.of(self)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
 
 def build_basis(n, max_degree):
-    """Construct the graded basis, enforcing the dimension cap.
+    """The graded basis, enforcing the dimension cap.
+
+    The basis is shared: calls with the same (n, max_degree) return the
+    same read-only object, of which the last _BASES_KEPT built are kept.
+    The cap is read, and checked, on every call.
 
     Raises
     ------
@@ -193,7 +250,14 @@ def build_basis(n, max_degree):
         raise SizeOverflowError(
             f"basis dimension {dim} exceeds cap {cap} (n={n}, N={max_degree})"
         )
-    return GradedBasis(n=n, max_degree=max_degree, indices=tuple(graded_indices(n, max_degree)))
+    key = (n, max_degree)
+    basis = _bases.pop(key, None)
+    if basis is None:
+        basis = GradedBasis(n=n, max_degree=max_degree, indices=tuple(graded_indices(n, max_degree)))
+        if len(_bases) == _BASES_KEPT:
+            del _bases[next(iter(_bases))]  # the least recently used
+    _bases[key] = basis
+    return basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,6 +286,11 @@ class TruncatedOperator:
     @property
     def dim(self):
         return self.basis.dim
+
+    @property
+    def _buffer(self):
+        """In block form, the one buffer that the blocks are views into."""
+        return self.blocks[0].base
 
     @cached_property
     def matrix(self):
@@ -253,8 +322,11 @@ class TruncatedOperator:
         if np.any(self.symbol.B):
             return float(self.singular_values()[0])
         blocks = self.shell_blocks()
-        with np.errstate(over="ignore"):  # an infinite bound prunes nothing
-            bounds = [_frobenius(b) for b in blocks]
+        if self.blocks is not None:
+            entries = self._buffer
+        else:
+            entries = np.concatenate([b.ravel() for b in blocks])
+        bounds = _frobenius_bounds(self.basis, entries).tolist()
         best = 0.0
         for d in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
             if bounds[d] * (1.0 + _PRUNE_SLACK) < best:
@@ -296,11 +368,21 @@ class TruncatedOperator:
         return out
 
 
-def _frobenius(block):
-    """||block||_F of a complex block with contiguous rows: the squares of
-    the real and imaginary parts summed down each column, then across."""
-    parts = block.view(float)
-    return math.sqrt((parts * parts).sum(axis=0).sum())
+def _frobenius_bounds(basis, entries):
+    """||M_d||_F of every shell block M_d, from entries, the blocks laid
+    end to end as GradedBasis._block_layout says: the squares of the real
+    and imaginary parts summed along each row, then each block's row sums.
+    The squares are taken a chunk of rows at a time, so that their scratch
+    stays small and in cache.  An overflowed square gives an infinite
+    bound."""
+    starts, _, chunks = basis._block_layout
+    parts = entries.view(float)
+    rows = np.empty(basis.dim)
+    with np.errstate(over="ignore"):
+        for r, doubles, at in chunks:
+            x = parts[doubles]
+            rows[r] = np.add.reduceat(x * x, at)
+    return np.sqrt(np.add.reduceat(rows, starts[:-1]))
 
 
 def _physical_memory():
@@ -378,10 +460,11 @@ def _creation_weights(basis):
     return np.sqrt(2.0 * (basis.exponents[:rows].T + 1.0))
 
 
-def _creation_parents(basis, dst, w):
+def _creation_parents(basis, dst, w=None):
     """slot[c], parent[c] and div[c] for each column c of degree >= 1:
     the first nonzero slot j of alpha_c, the position of alpha_c - e_j,
     and w[j, parent[c]].  Column 0 has no parent; it gets 0, 0 and 1.
+    Without w, div is None.
 
     Column dst[j, i] is g_i + e_j, so each j with alpha_j > 0 names a
     parent of alpha; writing j from n - 1 down to 0 leaves the first.
@@ -391,9 +474,76 @@ def _creation_parents(basis, dst, w):
     for j in reversed(range(basis.n)):
         slot[dst[j]] = j
         parent[dst[j]] = np.arange(dst.shape[1])
+    if w is None:
+        return slot, parent, None
     div = np.ones(basis.dim)
     div[1:] = w[slot[1:], parent[1:]]
     return slot, parent, div
+
+
+def _consecutive(t):
+    """The rows t as a slice when they are consecutive, so that a block is
+    added to in place through it, without a fancy-index round trip."""
+    if t[-1] - t[0] == len(t) - 1:
+        return slice(int(t[0]), int(t[-1]) + 1)
+    return t
+
+
+@dataclass(frozen=True)
+class _CreationPlan:
+    """The creation recursion's tables on one basis: they depend on
+    neither the symbol nor the weights, so a basis builds them once.
+
+    Fields
+    ------
+    shells : shells[d], the slice of the positions of degree d.
+    slot, parent : as _creation_parents gives them, per position.
+    slots : slots[d], one (j, kids, m) per slot j of shell d's columns.
+        The columns of slot j are contiguous, kids within the shell, and
+        their parents alpha - e_j are the first m columns of shell d - 1,
+        in the same order.
+    block_rows, dense_rows : [d][k], the rows of Z_k applied to shell
+        d - 1's block, within shell d's block: local to the diagonal block
+        (B = 0) and rows of M (B != 0), as a slice where consecutive.
+    """
+
+    shells: tuple
+    slot: np.ndarray
+    parent: np.ndarray
+    slots: tuple
+    block_rows: tuple
+    dense_rows: tuple
+
+    @classmethod
+    def of(cls, basis):
+        n = basis.n
+        dst = _read_only(_creation_maps(basis))
+        slot, parent, _ = _creation_parents(basis, dst)
+        starts = basis._block_layout[0]
+        shells = tuple(slice(a, b) for a, b in zip(starts, starts[1:]))
+        slots = [None]
+        for s in shells[1:]:
+            runs, col = [], 0
+            for j, run in itertools.groupby(slot[s].tolist()):
+                m = len(list(run))
+                runs.append((j, slice(col, col + m), m))
+                col += m
+            slots.append(tuple(runs))
+        # the rows of Z_k local to the block they land in
+        degree = basis.degrees()
+        near = _read_only(dst - np.array(starts)[degree[: dst.shape[1]] + 1])
+        return cls(
+            shells=shells,
+            slot=_read_only(slot),
+            parent=_read_only(parent),
+            slots=tuple(slots),
+            block_rows=(None,) + tuple(
+                tuple(_consecutive(near[k, s]) for k in range(n)) for s in shells[:-1]
+            ),
+            dense_rows=(None,) + tuple(
+                tuple(_consecutive(dst[k, : s.stop]) for k in range(n)) for s in shells[:-1]
+            ),
+        )
 
 
 def _creation_shells(symbol, basis, w):
@@ -407,59 +557,68 @@ def _creation_shells(symbol, basis, w):
     blocks[d] is the column block M[lo_d : shell_d.stop, shell_d], which
     holds every entry of shell d's columns that can be nonzero.  With
     B = 0, L_j maps shell d - 1 into shell d, so lo_d = shell_d.start: the
-    blocks are the diagonal shell blocks, separate arrays, and M is None.
-    Otherwise lo_d = 0: the blocks are views into the dense M.
+    blocks are the diagonal shell blocks, views into one buffer of
+    16 sum_d s_d^2 bytes (s_d the size of shell d; see
+    GradedBasis._block_layout), and M is None.  Otherwise lo_d = 0: the
+    blocks are views into the dense M.
 
-    Shell d gathers each column's parent alpha - e_j from shell d - 1's
-    block once, as G.  With B != 0 it adds B_j G to the parent rows, then,
-    for k ascending, one scaled scatter of G into the rows of Z_k, with
-    coefficient A_jk w[k, row], where j is each column's slot.  Each entry
-    thus gets its terms in the order of the recursion, and every term of a
-    zero A_jk or B_j is +-0: an entry starts at +0 and a sum of doubles is
-    -0 only when both terms are, so adding +-0 never changes its bits.
-    (A zero coefficient times an infinite parent entry gives nan, but
-    only after an earlier shell has overflowed.)  Each column is then
-    divided by the real w[j, parent], the real and imaginary parts
-    separately, so that exact entries stay exact.
+    The columns of shell d whose slot (first nonzero entry) is j are
+    contiguous, and their parents alpha - e_j are the first columns of
+    shell d - 1's block, in the same order.  With B != 0 the shell first
+    adds B_j times the parents to the parent rows; then, for k ascending,
+    it scales the parents by A_jk w[k, row], slot by slot, into X and adds
+    X to the rows of Z_k.  Each entry thus gets its terms in the order of
+    the recursion, and every term of a zero A_jk or B_j is +-0: an entry
+    starts at +0 and a sum of doubles is -0 only when both terms are, so
+    adding +-0 never changes its bits.  (A zero coefficient times an
+    infinite parent entry gives nan, but only after an earlier shell has
+    overflowed.)  Each column is then divided by the real w[j, parent], its
+    real and imaginary parts alike, in one pass over the block's real view,
+    so that exact entries stay exact.  X is a view into one buffer made
+    per build, so the shells reuse memory that is in cache.
     """
-    n, A, B = basis.n, symbol.A, symbol.B
-    dst = _creation_maps(basis)
-    slot, parent, div = _creation_parents(basis, dst, w)
-    M = np.zeros((basis.dim, basis.dim), dtype=complex) if np.any(B) else None
-    # start[d] = shell_d.start; the parents local to their shell, and the
-    # rows of Z_k local to the block they land in
-    start = np.array([graded_dim(n, d - 1) for d in range(basis.max_degree + 2)])
-    degree = basis.degrees()
-    local = parent - start[degree[parent]]
-    if M is None:
-        dst = dst - start[degree[: dst.shape[1]] + 1]
-    coef = A.T[:, slot]  # coef[k, c] = A_jk, j the slot of column c
-    blocks = []
-    for d in range(basis.max_degree + 1):
-        shell = basis.shell(d)
+    A, B = symbol.A, symbol.B
+    plan = basis._creation_plan  # only now: a refused build builds no plan
+    shells, slot = plan.shells, plan.slot
+    # coef[k, i, j] = A_jk w[k, i]
+    coef = w[:, :, None] * A.T[:, None, :]
+    # div[c - 1] = w[j, parent], twice over: once per real and imaginary part
+    div = np.repeat(w[slot[1:], plan.parent[1:]], 2)
+    if np.any(B):
+        M = np.zeros((basis.dim, basis.dim), dtype=complex)
+        blocks = [M[: s.stop, s] for s in shells]
+        targets = plan.dense_rows
+    else:
+        M, (_, offsets, _) = None, basis._block_layout
+        # each block is zeroed just before its shell is built, in cache
+        buffer = np.empty(offsets[-1], dtype=complex)
+        blocks = [
+            buffer[offsets[d] : offsets[d + 1]].reshape(s.stop - s.start, -1)
+            for d, s in enumerate(shells)
+        ]
+        targets = plan.block_rows
+        blocks[0].fill(0.0)
+    blocks[0][0, 0] = 1.0
+    size = max((len(a) * b.shape[1] for a, b in zip(blocks, blocks[1:])), default=0)
+    X = np.empty(size, dtype=complex)
+    for d in range(1, basis.max_degree + 1):
+        shell, block, prev = shells[d], blocks[d], blocks[d - 1]
         if M is None:
-            lo = shell.start
-            block = np.zeros((shell.stop - lo,) * 2, dtype=complex)
-        else:
-            lo, block = 0, M[: shell.stop, shell]
-        if d == 0:
-            block[0, 0] = 1.0
-        else:
-            # rows: the rows of shell d - 1's block, where its entries lie
-            G = blocks[-1][:, local[shell]]
-            if M is not None:  # then lo = 0, so rows index this block too
-                block[rows] += B[slot[shell]] * G
-            for k in range(n):
-                t = dst[k, rows]
-                # consecutive target rows are added to in place through a
-                # slice, without a fancy-index round trip
-                if t[-1] - t[0] == len(t) - 1:
-                    t = slice(t[0], t[-1] + 1)
-                block[t] += (w[k, rows][:, None] * coef[k, shell]) * G
-            block.real /= div[shell]
-            block.imag /= div[shell]
-        blocks.append(block)
-        rows = slice(lo, shell.stop)
+            block.fill(0.0)
+        # the rows of shell d - 1's block, where its entries lie
+        rows = slice(shells[d - 1].stop - len(prev), shells[d - 1].stop)
+        x = X[: len(prev) * block.shape[1]].reshape(len(prev), -1)
+        if M is not None:  # then the rows start at 0 and index this block too
+            for j, kids, m in plan.slots[d]:
+                np.multiply(B[j], prev[:, :m], out=x[:, kids])
+            block[rows] += x
+        for k, t in enumerate(targets[d]):
+            c = coef[k, rows]
+            for j, kids, m in plan.slots[d]:
+                np.multiply(c[:, j, None], prev[:, :m], out=x[:, kids])
+            block[t] += x
+        parts = block.view(float)
+        parts /= div[2 * shell.start - 2 : 2 * shell.stop - 2]
     return blocks, M
 
 
@@ -565,18 +724,19 @@ def build_truncation(symbol, max_degree, exact=False):
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             blocks, matrix = _creation_shells(symbol, basis, _creation_weights(basis))
-    # the blocks hold every entry that can be nonzero
-    if not all(np.isfinite(m).all() for m in (blocks or (matrix,))):
-        raise SizeOverflowError(
-            f"a degree-{max_degree} truncation entry exceeds the double range"
-        )
-    return TruncatedOperator(
+    op = TruncatedOperator(
         basis=basis,
         symbol=symbol,
         blocks=None if matrix is not None else tuple(blocks),
         dense=matrix,
         exact_columns=exact_cols,
     )
+    # in block form the buffer holds every entry that can be nonzero
+    if not np.isfinite(op._buffer if matrix is None else matrix).all():
+        raise SizeOverflowError(
+            f"a degree-{max_degree} truncation entry exceeds the double range"
+        )
+    return op
 
 
 def exact_matrix_as_double(op):

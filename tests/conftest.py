@@ -9,7 +9,7 @@ A = 0 point evaluations.
 import numpy as np
 import pytest
 
-from fockop import AffineSymbol, dynamics
+from fockop import AffineSymbol, dynamics, truncation
 
 THETA = 0.7  # irrational-looking rotation angle reused by several tests
 
@@ -69,9 +69,10 @@ def clear_angle_searches():
 
 
 @pytest.fixture(autouse=True)
-def _fresh_angle_searches():
-    # no test sees a search that another test ran
+def _fresh_memos():
+    # no test sees a search that another test ran, or a basis that it built
     clear_angle_searches()
+    truncation._bases.clear()
 
 
 @pytest.fixture

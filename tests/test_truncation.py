@@ -33,11 +33,14 @@ from fockop import (
 from fockop.polynomials import graded_dim
 from fockop.spectrum import multiset_distance
 from fockop.symbol import sort_eigenvalues
+from fockop import truncation
 from fockop.truncation import (
+    _PRUNE_SLACK,
     _block_diagonal,
     _creation_maps,
     _creation_parents,
     _creation_shells,
+    _frobenius_bounds,
     dimension_cap,
 )
 from conftest import (
@@ -815,3 +818,89 @@ def test_eigenfunction_check_with_b_zero_counts_its_shell_blocks(monkeypatch):
     resid = verify_eigenfunction(spec)
     monkeypatch.setattr("fockop.truncation._physical_memory", lambda: 500)
     assert _same_bits(verify_eigenfunction(spec), resid)
+
+
+@pytest.mark.parametrize(
+    "A, B, N",
+    [
+        ([[1e103]], [0.0], 3),
+        ([[1e103]], [1.0], 3),
+        (np.diag([1e60, 0.5]), [0.0, 0.0], 6),
+    ],
+)
+def test_builds_refuse_entries_past_the_double_range(A, B, N):
+    # only shell N overflows, so a finiteness check that missed one block,
+    # or read blocks built separately from the one that is kept, would
+    # let the build through
+    s = AffineSymbol(np.array(A, dtype=complex), np.array(B, dtype=complex))
+    top = abs(A[0][0]) ** (N - 1)
+    assert build_truncation(s, N - 1).norm() == pytest.approx(top, rel=1e-12)
+    with pytest.raises(SizeOverflowError, match=f"degree-{N} truncation entry exceeds"):
+        build_truncation(s, N)
+
+
+def test_build_basis_shares_one_read_only_basis(monkeypatch):
+    basis = build_basis(2, 10)
+    assert build_basis(2, 10) is basis
+    for table in (basis.exponents, basis.norm_sq):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+    # the cap is read again on a call that finds its basis kept
+    build_truncation(make_corpus()["compact_2d"], 20)
+    monkeypatch.setenv("FOCKOP_DIM_CAP", "10")
+    with pytest.raises(SizeOverflowError, match="231 exceeds cap 10"):
+        build_basis(2, 20)
+
+
+def test_build_basis_keeps_a_bounded_number_of_bases():
+    kept = truncation._BASES_KEPT
+    assert not truncation._bases  # conftest empties it before every test
+    for N in range(3 * kept):
+        build_basis(1, N)
+        assert len(truncation._bases) <= kept
+    # the least recently used go first
+    last = build_basis(1, 3 * kept - 1)
+    assert build_basis(1, 3 * kept - 1) is last
+    assert (1, 0) not in truncation._bases
+
+
+def test_b_zero_blocks_are_views_into_one_buffer():
+    rng = np.random.default_rng(RNG_SEED + 16)
+    for n, N in [(1, 30), (2, 12), (3, 6), (4, 4)]:
+        op = build_truncation(AffineSymbol(random_contraction(rng, n), np.zeros(n)), N)
+        sizes = [math.comb(d + n - 1, d) for d in range(N + 1)]
+        buffer = op._buffer
+        # the bytes the memory check counts
+        assert buffer.nbytes == 16 * sum(m * m for m in sizes)
+        assert all(b.base is buffer for b in op.blocks)
+        assert [b.shape for b in op.blocks] == [(m, m) for m in sizes]
+
+
+# The per-block Frobenius norm that the B = 0 norm took before the bounds
+# were read from the blocks' one buffer: the reference for those bounds.
+
+
+def _frobenius(block):
+    parts = block.view(float)
+    return math.sqrt((parts * parts).sum(axis=0).sum())
+
+
+def test_frobenius_bounds_from_the_buffer_match_the_per_block_norms(monkeypatch):
+    rng = np.random.default_rng(RNG_SEED + 17)
+    for n, N in [(1, 60), (2, 30), (3, 12), (4, 8)]:
+        for kind, A in _b_zero_symbols(rng, n).items():
+            op = build_truncation(AffineSymbol(A, np.zeros(n)), N)
+            blocks = op.shell_blocks()
+            got = _frobenius_bounds(op.basis, op._buffer)
+            want = np.array([_frobenius(b) for b in blocks])
+            assert np.max(np.abs(got - want) / want) <= 1e-14, (n, kind)
+            # a bound certifies its block: a rank-one block's bound may
+            # round below its top singular value, by less than the slack
+            tops = np.array([np.linalg.svd(b, compute_uv=False)[0] for b in blocks])
+            assert np.all(got * (1.0 + _PRUNE_SLACK) >= tops), (n, kind)
+    # each row is summed whole, however the rows are cut into chunks, one
+    # shorter than a row included
+    for chunk in (1, 100):
+        monkeypatch.setattr(truncation, "_ROW_CHUNK", chunk)
+        truncation._bases.clear()
+        assert _same_bits(_frobenius_bounds(build_basis(n, N), op._buffer), got), chunk

@@ -34,6 +34,7 @@ from .truncation import (
     _block_diagonal,
     _creation_shells,
     _exact_columns,
+    _gaussian_column,
     _refuse_past_memory,
     build_basis,
     build_truncation,
@@ -444,7 +445,8 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     monomials of degree <= deg F, from the truncation's creation recursion
     with weights one; when psi has B = 0 only F's columns of C are read,
     from its shell blocks.  Exact-mode specs sum the exact columns of C
-    instead and return exactly 0.0 on success.
+    instead, only F's columns read as GaussianRational, and return exactly
+    0.0 on success.
 
     With symbol given, the Schur normalization psi is recomputed from it;
     otherwise the one stored on the spec is used.
@@ -469,10 +471,10 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
         lam = spec.eigenvalue_exact
         if lam is None:
             lam = GaussianRational.from_complex(spec.eigenvalue)
-        columns = _exact_columns(psi, basis)
+        s, columns = _exact_columns(psi, basis)
         resid = {p: -lam * c for p, c in zip(pos, terms.values())}
-        for p, c in zip(pos, terms.values()):
-            for i, v in columns[p].items():
+        for p, (g, c) in zip(pos, terms.items()):
+            for i, v in _gaussian_column(s, sum(g), columns[p]).items():
                 resid[i] = resid.get(i, 0) + c * v
         return max((abs(complex(v)) for v in resid.values()), default=0.0)
     _refuse_past_memory(basis, blocks=not np.any(psi.B))

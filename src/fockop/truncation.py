@@ -42,7 +42,12 @@ smaller and skipped (see _PRUNE_SLACK).  The bounds of all blocks come
 from one pass over the buffer.
 Exact mode and build_adjoint_truncation are the oracles for this
 recursion and share no code with it; they go through the norms, which fit
-a double only up to degree 150.
+a double only up to degree 150.  Exact mode keeps the coefficients as
+Gaussian integers scaled by a power of two and divides each once, where it
+is read: into the matrix, or into GaussianRational when exact_columns is
+read.  The adjoint route keeps each shell of C_{A* z} as a dense array of
+monomial coefficients and forms the shell's columns with one product by
+the cut kernel series.
 
 Before anything is allocated, the bytes it takes are checked against the
 machine's physical memory, since the dimension cap counts basis elements
@@ -56,10 +61,8 @@ exact mode; neither shares code with the MultiPolynomial arithmetic that
 constructs F.
 """
 
-import bisect
 import itertools
 import math
-import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -156,6 +159,17 @@ class GradedBasis:
     def position(self, gamma):
         return self._index_of[tuple(gamma)]
 
+    def positions(self, G):
+        """The positions of the multi-indices held as the rows of the int
+        array G (last axis n), each of which must lie in the basis.
+
+        Each index is keyed by its degree and then its entries, in radix
+        N + 1, so the keys ascend in graded-lex order and one searchsorted
+        finds them all.  The keys are Python ints where (N + 1)^(n + 1)
+        leaves int64.
+        """
+        return np.searchsorted(self._keys, self._key(G))
+
     def __contains__(self, gamma):
         return tuple(gamma) in self._index_of
 
@@ -193,6 +207,25 @@ class GradedBasis:
     @cached_property
     def _index_of(self):
         return {g: i for i, g in enumerate(self.indices)}
+
+    @cached_property
+    def _radix(self):
+        """(N + 1)^p for p = n down to 0: the place values of the keys."""
+        n, N = self.n, self.max_degree
+        dtype = np.int64 if (N + 1) ** (n + 1) <= 2**63 else object
+        return _read_only(np.array([(N + 1) ** p for p in range(n, -1, -1)], dtype=dtype))
+
+    @cached_property
+    def _keys(self):
+        """The ascending keys of positions(), one per basis element."""
+        return _read_only(self._key(self.exponents))
+
+    def _key(self, G):
+        """The key of each row of G: its degree, then its entries, in
+        radix N + 1."""
+        place = self._radix
+        G = np.asarray(G).astype(place.dtype, copy=False)
+        return G.sum(axis=-1) * place[0] + G @ place[1:]
 
     @cached_property
     def _block_layout(self):
@@ -272,16 +305,17 @@ class TruncatedOperator:
     shell blocks, and the dense matrix is assembled from them on the first
     read of matrix.  Every other build stores the dense matrix.  matrix is
     the normalized complex128 matrix either way.  When built in exact
-    mode, exact_columns[j] maps row index -> GaussianRational unnormalized
-    coefficient c_{alpha beta}; the float matrix is then
-    D^{1/2} C D^{-1/2} evaluated from those exact entries.
+    mode, scaled_columns holds the unnormalized coefficients c_{alpha beta}
+    as _exact_columns gives them, scaled Gaussian integers, and the float
+    matrix is D^{1/2} C D^{-1/2} evaluated from them.  exact_columns reads
+    them as one map row index -> GaussianRational per column.
     """
 
     basis: GradedBasis
     symbol: object
     blocks: tuple = None
     dense: np.ndarray = None
-    exact_columns: tuple = None
+    scaled_columns: tuple = None
 
     @property
     def dim(self):
@@ -302,6 +336,17 @@ class TruncatedOperator:
             return self.dense
         _refuse_past_memory(self.basis)
         return _block_diagonal(self.basis, self.blocks)
+
+    @cached_property
+    def exact_columns(self):
+        """In exact mode, exact_columns[j] maps row index -> GaussianRational
+        coefficient c_{alpha beta} of column j, built on the first read;
+        None otherwise."""
+        if self.scaled_columns is None:
+            return None
+        s, columns = self.scaled_columns
+        degrees = self.basis.degrees().tolist()
+        return tuple(_gaussian_column(s, d, c) for d, c in zip(degrees, columns))
 
     def shell_blocks(self):
         """The diagonal blocks of the degree shells 0..N."""
@@ -437,20 +482,11 @@ def _block_diagonal(basis, blocks, cols=None):
 
 def _creation_maps(basis):
     """dst[k, i] = position of g_i + e_k, for the basis elements g_i of
-    degree < N.
-
-    Each index is keyed by its degree and then its entries, in radix
-    N + 1, so the keys ascend in graded-lex order and one searchsorted
-    finds every g + e_k.  The keys are Python ints where (N + 1)^(n + 1)
-    leaves int64.
-    """
-    n, N = basis.n, basis.max_degree
-    rows = graded_dim(n, N - 1)
-    dtype = np.int64 if (N + 1) ** (n + 1) <= 2**63 else object
-    place = np.array([(N + 1) ** p for p in range(n, -1, -1)], dtype=dtype)
-    G = basis.exponents.astype(dtype, copy=False)
-    keys = G.sum(axis=1) * place[0] + G @ place[1:]
-    # g + e_k adds one to the degree and one to entry k
+    degree < N, found by one searchsorted on the keys of
+    GradedBasis.positions: a key is linear in the index, and e_k's is the
+    sum of the place values of the degree and of entry k."""
+    rows = graded_dim(basis.n, basis.max_degree - 1)
+    place, keys = basis._radix, basis._keys
     return np.searchsorted(keys, keys[:rows] + (place[0] + place[1:])[:, None])
 
 
@@ -623,8 +659,7 @@ def _creation_shells(symbol, basis, w):
 
 
 def _exact_columns(symbol, basis):
-    """Exact coefficients of (Az + B)^alpha, one {row: GaussianRational}
-    map per column.
+    """Exact coefficients of (Az + B)^alpha as scaled Gaussian integers.
 
     Every double is a dyadic rational, so 2^s A and 2^s B are Gaussian
     integers once 2^s is the largest denominator among the real and
@@ -632,7 +667,12 @@ def _exact_columns(symbol, basis):
     pairs of Python ints, so no operation pays a gcd: the polynomial for
     alpha is the polynomial for alpha - e_j times 2^s l_j, with j the first
     nonzero slot of alpha, and only the previous degree shell is kept
-    alive.  Each coefficient is divided by 2^{s|alpha|} once, at the end.
+    alive.
+
+    Returns (s, columns): columns[c] maps each row of a nonzero
+    coefficient to its pair, and c_{alpha beta} = (re + i im) / 2^{s|alpha|}
+    with alpha the index of column c.  The pairs are divided only where
+    they are read: _matrix_from_exact and _gaussian_column.
     """
     n, A, B = symbol.n, symbol.A, symbol.B
     s = max(
@@ -657,9 +697,8 @@ def _exact_columns(symbol, basis):
     pos = basis._index_of
     zero = (0,) * n
     prev_shell = {zero: {zero: (1, 0)}}
-    cols = [{0: GaussianRational(1)}]
+    cols = [{0: (1, 0)}]
     for d in range(1, basis.max_degree + 1):
-        den = 1 << (s * d)
         shell = {}
         for alpha in basis.indices[basis.shell(d)]:
             j = next(i for i, ai in enumerate(alpha) if ai > 0)
@@ -670,26 +709,58 @@ def _exact_columns(symbol, basis):
                     h = g if k is None else g[:k] + (g[k] + 1,) + g[k + 1 :]
                     qr, qi = poly.get(h, (0, 0))
                     poly[h] = (qr + cr * ar - ci * ai, qi + cr * ai + ci * ar)
-            poly = {h: c for h, c in poly.items() if c != (0, 0)}
-            shell[alpha] = poly
-            cols.append(
-                {
-                    pos[h]: GaussianRational(Fraction(re, den), Fraction(im, den))
-                    for h, (re, im) in poly.items()
-                }
-            )
+            poly = shell[alpha] = {h: c for h, c in poly.items() if c != (0, 0)}
+            cols.append({pos[h]: c for h, c in poly.items()})
         prev_shell = shell
-    return tuple(cols)
+    return s, tuple(cols)
 
 
-def _matrix_from_exact(sqrt_ns, columns):
-    """D^{1/2} C D^{-1/2} from the exact coefficient columns C, with
-    sqrt_ns the diagonal of D^{1/2}."""
+def _gaussian_column(s, degree, column):
+    """A column of _exact_columns, of the given degree, as a map row ->
+    GaussianRational coefficient c_{alpha beta}."""
+    den = 1 << (s * degree)
+    return {
+        i: GaussianRational(Fraction(re, den), Fraction(im, den))
+        for i, (re, im) in column.items()
+    }
+
+
+def _matrix_from_exact(basis, sqrt_ns, scaled):
+    """D^{1/2} C D^{-1/2} from the exact coefficient columns C, given as
+    _exact_columns returns them, with sqrt_ns the diagonal of D^{1/2}.
+
+    Each pair is divided by its 2^{s|alpha|} in Python ints, which rounds
+    correctly, as float() of the reduced fraction does.  The quotients
+    sqrt_ns[row] / sqrt_ns[col] are taken in one numpy pass, and each entry
+    is then one Python complex product: numpy's may fuse a multiply and an
+    add, which can flip the sign of an entry that underflows to zero.
+    Raises SizeOverflowError if a coefficient leaves the double range.
+    """
+    s, columns = scaled
+    counts = [len(c) for c in columns]
+    rows = np.fromiter(
+        itertools.chain.from_iterable(columns), dtype=np.intp, count=sum(counts)
+    )
+    cols = np.repeat(np.arange(len(columns)), counts)
+    ratio = iter((sqrt_ns[rows] / sqrt_ns[cols]).tolist())
+    dens = [1 << (s * d) for d in basis.degrees().tolist()]
+    try:
+        vals = [
+            complex(re / den, im / den) * next(ratio)
+            for den, column in zip(dens, columns)
+            for re, im in column.values()
+        ]
+    except OverflowError:
+        raise _entry_overflow(basis.max_degree) from None
     out = np.zeros((len(columns), len(columns)), dtype=complex)
-    for j, colmap in enumerate(columns):
-        for i, c in colmap.items():
-            out[i, j] = complex(c) * (sqrt_ns[i] / sqrt_ns[j])
+    out[rows, cols] = vals
     return out
+
+
+def _entry_overflow(max_degree):
+    return SizeOverflowError(
+        f"a degree-{max_degree} truncation entry exceeds the double range"
+    )
 
 
 def build_truncation(symbol, max_degree, exact=False):
@@ -702,9 +773,11 @@ def build_truncation(symbol, max_degree, exact=False):
     exact : bool
         Expand (Az + B)^alpha exactly, in Gaussian integers scaled by a
         power of two, instead of the creation recursion (input floats are
-        dyadic rationals, so the conversion is lossless), keep the
-        coefficients as GaussianRational, and evaluate the matrix from
-        them.  Limited to degree <= 150.
+        dyadic rationals, so the conversion is lossless).  The operator
+        keeps the coefficients as those scaled integers, and each entry of
+        the matrix is one correctly rounded quotient of them, scaled by
+        the norms.  exact_columns reads them as GaussianRational.
+        Limited to degree <= 150.
 
     With B = 0 and exact False only the shell blocks are built, and the
     operator is returned in block form.
@@ -716,11 +789,11 @@ def build_truncation(symbol, max_degree, exact=False):
     """
     basis = build_basis(symbol.n, max_degree)
     _refuse_past_memory(basis, blocks=not exact and not np.any(symbol.B))
-    exact_cols = blocks = None
+    scaled = blocks = None
     if exact:
         sqrt_ns = np.sqrt(basis.norm_sq)  # raises above degree 150
-        exact_cols = _exact_columns(symbol, basis)
-        matrix = _matrix_from_exact(sqrt_ns, exact_cols)
+        scaled = _exact_columns(symbol, basis)
+        matrix = _matrix_from_exact(basis, sqrt_ns, scaled)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             blocks, matrix = _creation_shells(symbol, basis, _creation_weights(basis))
@@ -729,13 +802,11 @@ def build_truncation(symbol, max_degree, exact=False):
         symbol=symbol,
         blocks=None if matrix is not None else tuple(blocks),
         dense=matrix,
-        exact_columns=exact_cols,
+        scaled_columns=scaled,
     )
     # in block form the buffer holds every entry that can be nonzero
     if not np.isfinite(op._buffer if matrix is None else matrix).all():
-        raise SizeOverflowError(
-            f"a degree-{max_degree} truncation entry exceeds the double range"
-        )
+        raise _entry_overflow(max_degree)
     return op
 
 
@@ -744,10 +815,11 @@ def exact_matrix_as_double(op):
     operator, C its exact coefficient matrix.
 
     build_truncation(..., exact=True) already converted the exact columns
-    into op.matrix, so the copy has the same bits.  The function stays
-    because perfbench's `exact` job calls it.
+    into op.matrix, so the copy has the same bits, and exact_columns is
+    not read.  The function stays because perfbench's `exact` job calls
+    it.
     """
-    if op.exact_columns is None:
+    if op.scaled_columns is None:
         raise ValueError("operator was not built in exact mode")
     return op.matrix.copy()
 
@@ -780,52 +852,66 @@ def build_adjoint_truncation(symbol, max_degree):
     annihilation operators d_k have adjoints d_k* = z_k / 2, so
     (C_{Az} exp(B . d))* = M_{K_B} C_{A* z} with K_B(z) = exp(<z, B>/2).
 
-    Column alpha is built shell by shell: the homogeneous C_tau z^alpha is
-    its parent C_tau z^{alpha - e_j} times tau_j(z) = (A* z)_j, with j the
-    first nonzero slot of alpha.  It is then multiplied by the kernel
-    series cut at degree N - |alpha|; the higher kernel terms land only in
-    rows of degree > N, so the cut is exact.  The result must equal the
-    conjugate transpose of build_truncation(symbol, N).matrix.  It shares
-    no code with the creation recursion there, and exact mode stays the
-    independent certificate in rational arithmetic: these two routes are
-    that recursion's oracles.  Limited to degree <= 150.
+    The matrix is built shell by shell, in the monomial coefficients.  Row
+    alpha of H_d, the s_d x s_d array of shell d, holds the homogeneous
+    C_tau z^alpha: its parent C_tau z^{alpha - e_j} times
+    tau_j(z) = (A* z)_j, with j the first nonzero slot of alpha.  So H_d
+    takes one scaled add per variable k of the parents' rows of H_{d-1},
+    moved to the columns gamma + e_k.  Each column is then multiplied by
+    the kernel series cut at degree N - d; the higher kernel terms land
+    only in rows of degree > N, so the cut is exact.  K_d places the cut
+    series at the rows g + gamma of each g in shell d, and the shell's
+    columns are K_d H_d^T.  The positions come from
+    GradedBasis.positions.  The result must equal the conjugate transpose
+    of build_truncation(symbol, N).matrix.  It shares no code with the
+    creation recursion there, and exact mode stays the independent
+    certificate in exact arithmetic: these two routes are that
+    recursion's oracles.  Limited to degree <= 150.
+
+    Raises SizeOverflowError if an entry leaves the range of a double.
     """
     basis = build_basis(symbol.n, max_degree)
     _refuse_past_memory(basis)
     sqrt_ns = np.sqrt(basis.norm_sq)
     n, N = symbol.n, max_degree
     tau, weight = adjoint_symbol(symbol)
-    forms = [[(k, complex(a)) for k, a in enumerate(row) if a != 0] for row in tau.A]
-    # the series lists its terms in graded order, so each cut is a prefix
-    kernel = list(kernel_series_polynomial(weight, N).terms.items())
-    kernel_degrees = [sum(g) for g, _ in kernel]
-    pos = basis._index_of
+    kernel = kernel_series_polynomial(weight, N)
+    # the series lists its terms in graded order, so each cut is a prefix:
+    # the first cuts[m] terms have degree <= m, and the key of g + gamma
+    # (see GradedBasis.positions) is the sum of their keys
+    powers = np.array(list(kernel.terms), dtype=np.int64).reshape(-1, n)
+    series = np.array(list(kernel.terms.values()), dtype=complex)
+    cuts = np.searchsorted(powers.sum(axis=1), np.arange(N + 1), side="right")
+    keys, series_keys = basis._keys, basis._key(powers)
+    G, eye = basis.exponents, np.eye(n, dtype=np.int64)
+    # slot[i - 1] is the first nonzero slot j of alpha_i, parent[i - 1] the
+    # position of alpha_i - e_j and coef[k, i - 1] = tau_jk; child[k, i] is
+    # the position of g_i + e_k
+    slot = np.argmax(G[1:] > 0, axis=1)
+    parent = basis.positions(G[1:] - eye[slot])
+    coef = tau.A[slot].T
+    child = basis.positions(G[: basis.shell(N).start] + eye[:, None])
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    # shell maps each alpha of degree d to C_tau z^alpha as {gamma: coefficient}
-    zero = (0,) * n
-    shell = {zero: {zero: 1.0}}
-    for d in range(N + 1):
-        if d:
-            prev_shell, shell = shell, {}
-            for alpha in basis.indices[basis.shell(d)]:
-                j = next(i for i, ai in enumerate(alpha) if ai > 0)
-                parent = prev_shell[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]
-                h = shell[alpha] = {}
-                for g, c in parent.items():
-                    for k, a in forms[j]:
-                        gk = g[:k] + (g[k] + 1,) + g[k + 1 :]
-                        h[gk] = h.get(gk, 0) + c * a
-        cut = kernel[: bisect.bisect_right(kernel_degrees, N - d)]
-        for alpha, h in shell.items():
-            q = {}
-            for g, c in h.items():
-                for gam, kc in cut:
-                    t = tuple(map(operator.add, g, gam))
-                    q[t] = q.get(t, 0) + c * kc
-            col = pos[alpha]
-            for t, c in q.items():
-                out[pos[t], col] = c
-    out *= sqrt_ns[:, None] / sqrt_ns[None, :]
+    H = np.ones((1, 1), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(N + 1):
+            shell = basis.shell(d)
+            lo, size = shell.start, shell.stop - shell.start
+            if d:
+                prev, kids = basis.shell(d - 1), slice(lo - 1, shell.stop - 1)
+                P = H[parent[kids] - prev.start]
+                H = np.zeros((size, size), dtype=complex)
+                for k in range(n):
+                    H[:, child[k, prev] - lo] += coef[k, kids, None] * P
+            # the first m kernel terms have degree <= N - d
+            m = cuts[N - d]
+            rows = np.searchsorted(keys, keys[shell, None] + series_keys[:m]) - lo
+            K = np.zeros((basis.dim - lo, size), dtype=complex)
+            K[rows, np.arange(size)[:, None]] = series[:m]
+            out[lo:, shell] = K @ H.T
+        out *= sqrt_ns[:, None] / sqrt_ns[None, :]
+    if not np.isfinite(out).all():
+        raise _entry_overflow(max_degree)
     return TruncatedOperator(basis=basis, symbol=symbol, dense=out)
 
 

@@ -1,10 +1,14 @@
 """Finite truncations on the graded monomial basis and their certificates."""
 
+import bisect
 import math
+import operator
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockop import (
     AdjointNotGradedError,
@@ -32,7 +36,7 @@ from fockop import (
 )
 from fockop.polynomials import graded_dim
 from fockop.spectrum import multiset_distance
-from fockop.symbol import sort_eigenvalues
+from fockop.symbol import adjoint_symbol, sort_eigenvalues
 from fockop import truncation
 from fockop.truncation import (
     _PRUNE_SLACK,
@@ -904,3 +908,203 @@ def test_frobenius_bounds_from_the_buffer_match_the_per_block_norms(monkeypatch)
         monkeypatch.setattr(truncation, "_ROW_CHUNK", chunk)
         truncation._bases.clear()
         assert _same_bits(_frobenius_bounds(build_basis(n, N), op._buffer), got), chunk
+
+
+# Exact mode and the adjoint route as they stood before exact mode kept its
+# coefficients as scaled Gaussian integers and the adjoint route built its
+# shells as arrays: exact columns as GaussianRational maps, the matrix
+# evaluated from them one entry at a time, and the adjoint's dict
+# convolutions.  The reference for the bits of exact mode and for the
+# adjoint route's values.
+
+
+def _reference_exact_columns(symbol, basis):
+    n, A, B = symbol.n, symbol.A, symbol.B
+    s = max(
+        float(x).as_integer_ratio()[1].bit_length() - 1
+        for z in (*A.ravel(), *B)
+        for x in (z.real, z.imag)
+    )
+
+    def scaled(z):
+        return tuple(
+            num << (s - den.bit_length() + 1)
+            for num, den in (float(x).as_integer_ratio() for x in (z.real, z.imag))
+        )
+
+    forms = []
+    for j in range(n):
+        row = [(k, *scaled(A[j, k])) for k in range(n)] + [(None, *scaled(B[j]))]
+        forms.append([t for t in row if t[1] or t[2]])
+    pos = {g: i for i, g in enumerate(basis.indices)}
+    zero = (0,) * n
+    prev_shell = {zero: {zero: (1, 0)}}
+    cols = [{0: GaussianRational(1)}]
+    for d in range(1, basis.max_degree + 1):
+        den = 1 << (s * d)
+        shell = {}
+        for alpha in basis.indices[basis.shell(d)]:
+            j = next(i for i, ai in enumerate(alpha) if ai > 0)
+            parent = prev_shell[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]
+            poly = {}
+            for g, (cr, ci) in parent.items():
+                for k, ar, ai in forms[j]:
+                    h = g if k is None else g[:k] + (g[k] + 1,) + g[k + 1 :]
+                    qr, qi = poly.get(h, (0, 0))
+                    poly[h] = (qr + cr * ar - ci * ai, qi + cr * ai + ci * ar)
+            poly = {h: c for h, c in poly.items() if c != (0, 0)}
+            shell[alpha] = poly
+            cols.append(
+                {
+                    pos[h]: GaussianRational(Fraction(re, den), Fraction(im, den))
+                    for h, (re, im) in poly.items()
+                }
+            )
+        prev_shell = shell
+    return tuple(cols)
+
+
+def _reference_matrix_from_exact(sqrt_ns, columns):
+    out = np.zeros((len(columns), len(columns)), dtype=complex)
+    for j, colmap in enumerate(columns):
+        for i, c in colmap.items():
+            out[i, j] = complex(c) * (sqrt_ns[i] / sqrt_ns[j])
+    return out
+
+
+def _reference_adjoint_truncation(symbol, max_degree):
+    basis = build_basis(symbol.n, max_degree)
+    sqrt_ns = np.sqrt(basis.norm_sq)
+    n, N = symbol.n, max_degree
+    tau, weight = adjoint_symbol(symbol)
+    forms = [[(k, complex(a)) for k, a in enumerate(row) if a != 0] for row in tau.A]
+    kernel = list(kernel_series_polynomial(weight, N).terms.items())
+    kernel_degrees = [sum(g) for g, _ in kernel]
+    pos = {g: i for i, g in enumerate(basis.indices)}
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    zero = (0,) * n
+    shell = {zero: {zero: 1.0}}
+    for d in range(N + 1):
+        if d:
+            prev_shell, shell = shell, {}
+            for alpha in basis.indices[basis.shell(d)]:
+                j = next(i for i, ai in enumerate(alpha) if ai > 0)
+                parent = prev_shell[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]]
+                h = shell[alpha] = {}
+                for g, c in parent.items():
+                    for k, a in forms[j]:
+                        gk = g[:k] + (g[k] + 1,) + g[k + 1 :]
+                        h[gk] = h.get(gk, 0) + c * a
+        cut = kernel[: bisect.bisect_right(kernel_degrees, N - d)]
+        for alpha, h in shell.items():
+            q = {}
+            for g, c in h.items():
+                for gam, kc in cut:
+                    t = tuple(map(operator.add, g, gam))
+                    q[t] = q.get(t, 0) + c * kc
+            col = pos[alpha]
+            for t, c in q.items():
+                out[pos[t], col] = c
+    out *= sqrt_ns[:, None] / sqrt_ns[None, :]
+    return out
+
+
+def _oracle_symbols(rng):
+    """(symbol, N): the mixed exponents, then seeded symbols for n = 1..4
+    with B != 0 and B = 0, dyadic or not, and with a zero, a negative zero
+    and a subnormal entry in A."""
+    for A, B, N in _MIXED_EXPONENTS:
+        yield AffineSymbol(np.array(A, dtype=complex), np.array(B, dtype=complex)), N
+    for s, N in _random_symbols(rng):
+        yield s, N
+        A = _dyadic(s.A)
+        if s.n > 1:
+            A[0, -1], A[-1, 0], A[-1, -1] = 0.0, -0.0, 5e-324 - 5e-324j
+        yield AffineSymbol(A, s.B), N
+
+
+def test_exact_mode_has_the_reference_bits():
+    rng = np.random.default_rng(RNG_SEED + 18)
+    for s, N in _oracle_symbols(rng):
+        op = build_truncation(s, N, exact=True)
+        columns = _reference_exact_columns(s, op.basis)
+        want = _reference_matrix_from_exact(np.sqrt(op.basis.norm_sq), columns)
+        assert _same_bits(op.matrix, want), (s.n, N)
+        assert _same_bits(exact_matrix_as_double(op), want), (s.n, N)
+        assert op.exact_columns == columns, (s.n, N)
+
+
+def test_exact_columns_are_converted_only_when_read():
+    s = make_corpus()["shear_compact_2d"]
+    op = build_truncation(s, 4, exact=True)
+    exact_matrix_as_double(op)
+    assert "exact_columns" not in vars(op)
+    columns = op.exact_columns
+    assert op.exact_columns is columns
+    assert all(type(c) is GaussianRational for col in columns for c in col.values())
+    assert build_truncation(s, 4).exact_columns is None
+
+
+def test_adjoint_route_matches_the_reference():
+    rng = np.random.default_rng(RNG_SEED + 19)
+    for s, N in _oracle_symbols(rng):
+        want = _reference_adjoint_truncation(s, N)
+        got = build_adjoint_truncation(s, N).matrix
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (s.n, N)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda s, N: build_truncation(s, N, exact=True),
+        build_adjoint_truncation,
+    ],
+    ids=["exact", "adjoint"],
+)
+def test_oracle_routes_refuse_entries_past_the_double_range(build):
+    # the degree-3 coefficient 1e600 leaves the double range, as it does
+    # for the creation recursion
+    s = AffineSymbol(np.array([[1e200]], dtype=complex), np.zeros(1, dtype=complex))
+    assert np.all(np.isfinite(build(s, 1).matrix))
+    message = "a degree-3 truncation entry exceeds the double range"
+    with pytest.raises(SizeOverflowError, match=message):
+        build_truncation(s, 3)
+    with pytest.raises(SizeOverflowError, match=message):
+        build(s, 3)
+
+
+_ENTRY = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _truncated_symbols(draw):
+    """(symbol, N) for n = 1..3, B zero or not, with a zero entry in A when
+    n > 1."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(0, {1: 10, 2: 5, 3: 3}[n]))
+    entries = st.lists(st.tuples(_ENTRY, _ENTRY), min_size=n * n, max_size=n * n)
+    A = np.array([complex(*z) for z in draw(entries)]).reshape(n, n)
+    if n > 1:
+        A.flat[draw(st.integers(0, n * n - 1))] = 0.0
+    B = np.zeros(n, dtype=complex)
+    if draw(st.booleans()):
+        B = np.array([complex(*z) for z in draw(entries)[:n]])
+    return AffineSymbol(A, B), N
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(_truncated_symbols())
+def test_forward_matrix_is_the_adjoint_routes_conjugate_transpose(case):
+    s, N = case
+    M = build_truncation(s, N).matrix
+    adjoint = build_adjoint_truncation(s, N).matrix
+    assert np.max(np.abs(M - adjoint.conj().T)) <= 1e-12 * np.max(np.abs(M))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(_truncated_symbols())
+def test_exact_mode_matrix_is_the_double_build(case):
+    s, N = case
+    M = build_truncation(s, N).matrix
+    exact = build_truncation(s, N, exact=True).matrix
+    assert np.max(np.abs(M - exact)) <= 1e-12 * np.max(np.abs(exact))

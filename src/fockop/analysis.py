@@ -7,7 +7,7 @@ test suite against the graded truncation oracle or direct quadrature.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,7 @@ from .errors import (
     QuadratureDivergenceError,
     SizeOverflowError,
 )
-from .symbol import DEFAULT_TOL_UNIT, hermitian_inner
+from .symbol import DEFAULT_TOL_UNIT, hermitian_inner, per_symbol
 from . import truncation as _trunc
 
 _IDENTITY_REL_TOL = 1e-9
@@ -61,7 +61,16 @@ def check_bounded(symbol, tol_unit=DEFAULT_TOL_UNIT):
     right singular vectors with sigma within tol_unit of 1, so the
     condition is that B has no component along the corresponding left
     singular vectors.
+
+    The verdict is computed once per symbol and tolerance (see
+    symbol.per_symbol): each call returns a new BoundednessVerdict around
+    the same read-only witness.
     """
+    return replace(_bounded_verdict(symbol, tol_unit))
+
+
+@per_symbol
+def _bounded_verdict(symbol, tol_unit):
     norm_a = symbol.norm_a
     if norm_a > 1.0 + tol_unit:
         return BoundednessVerdict(bounded=False, witness=None, norm_a=norm_a)
@@ -86,7 +95,7 @@ def check_bounded(symbol, tol_unit=DEFAULT_TOL_UNIT):
 def _require_bounded(symbol, tol_unit, message):
     """The guard of every closed form that holds only for bounded C_phi:
     raise NotBoundedError(message) unless check_bounded passes at tol_unit."""
-    if not check_bounded(symbol, tol_unit).bounded:
+    if not _bounded_verdict(symbol, tol_unit).bounded:
         raise NotBoundedError(message)
 
 
@@ -95,6 +104,7 @@ def check_compact(symbol, tol_unit=DEFAULT_TOL_UNIT):
     return symbol.norm_a < 1.0 - tol_unit
 
 
+@per_symbol
 def solve_z0(symbol, tol=DEFAULT_TOL_UNIT):
     """Minimum-norm solution of (I - A*A) z = A*B.
 
@@ -103,6 +113,10 @@ def solve_z0(symbol, tol=DEFAULT_TOL_UNIT):
     symbol on the unbounded side.  Singular values of I - A*A up to 2 tol
     count as zero: for a unitary A the matrix is rounding noise, and
     inverting that noise would return a huge z0.
+
+    z0 is computed once per symbol and tolerance (see symbol.per_symbol),
+    and every call returns the same read-only array; an inconsistent
+    system raises on every call.
 
     Raises
     ------
@@ -483,14 +497,15 @@ class ClassificationReport:
 def classify(symbol, tol_unit=DEFAULT_TOL_UNIT, exact_angles=None):
     """Run every closed-form verdict and collect them in one report.
 
-    Boundedness and z0 are computed once and the norms and normality
-    relatives are derived from them; cyclicity skips the boundedness
-    guard of check_cyclic, and the essential norm keeps the identity
-    checks of essential_norm.
+    Boundedness and z0 are read from what the symbol remembers (see
+    symbol.per_symbol), and the norms and normality relatives are derived
+    from them; cyclicity skips the boundedness guard of check_cyclic, and
+    the essential norm keeps the identity checks of essential_norm.  The
+    report holds the remembered verdict and z0, read-only.
     """
     from .dynamics import DEFAULT_MAX_COEFF, _cyclic_verdict
 
-    bv = check_bounded(symbol, tol_unit)
+    bv = _bounded_verdict(symbol, tol_unit)
     if not bv.bounded:
         return ClassificationReport(bounded=bv)
     compact = check_compact(symbol, tol_unit)

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import analysis, dynamics, spectrum as spectrum_mod, truncation
 from .errors import FockopError, NotBoundedError, ParseError
-from .symbol import AffineSymbol
+from .symbol import AffineSymbol, _eigenvalues_of
 
 _DEFAULT_DEGREE = {1: 20, 2: 10, 3: 6}
 
@@ -154,7 +154,7 @@ def parse_symbol_document(obj):
                     raise ParseError(
                         "anglesExact entries must be null or {num, den}"
                     ) from None
-        ev = spectrum_mod.eigenvalues(sym.A)
+        ev = _eigenvalues_of(sym)
         try:
             dynamics.AngleSet.build(np.angle(ev), exact_angles)
         except ValueError as exc:

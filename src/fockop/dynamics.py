@@ -33,7 +33,7 @@ from .errors import ForwardOrbitUnsupportedError, ShapeMismatchError
 from .symbol import (
     _ZERO_ANGLE_TOL,
     DEFAULT_TOL_UNIT,
-    eigenvalues,
+    _eigenvalues_of,
     hermitian_inner,
     iterate_symbol,
 )
@@ -376,7 +376,7 @@ def _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles):
             rationale="invertible non-unitary A in dimension >= 2: cyclicity "
             "is an open problem",
         )
-    iv, m = _angle_verdict(eigenvalues(A), tol_unit, exact_angles, max_coeff)
+    iv, m = _angle_verdict(_eigenvalues_of(symbol), tol_unit, exact_angles, max_coeff)
     if iv.independent == "no":
         return CyclicityVerdict(
             verdict="no",

@@ -24,18 +24,14 @@ from .dynamics import _angle_verdict
 from .errors import NotDiagonalizableError, ShapeMismatchError, SizeOverflowError
 from .exact import GaussianRational
 from .polynomials import MultiPolynomial
-from .symbol import (
-    AffineSymbol,
-    DEFAULT_TOL_UNIT,
-    block_schur_of_symbol,
-    eigenvalues,
-)
-from .truncation import (
+from .symbol import AffineSymbol, DEFAULT_TOL_UNIT, _block_schur, _eigenvalues_of
+from .truncation import (  # noqa: F401 _block_diagonal: the memory tests patch it here
     _block_diagonal,
     _creation_shells,
     _exact_columns,
     _gaussian_column,
     _refuse_past_memory,
+    _shell_columns,
     build_basis,
     build_truncation,
 )
@@ -100,6 +96,38 @@ def _products(eigvals, basis):
 def _dedup_mask(values):
     """Which values survive the sequential rule: keep v unless it lies
     within DEDUP_TOL of a value kept before it.
+
+    A value with no other value within DEDUP_TOL is always kept and never
+    drops another, so only the crowded values go through the rule, in
+    their order (_sequential_mask).  A value is taken as crowded when some
+    other value lies within 2 DEDUP_TOL of it in the real part and some
+    other value in the imaginary part.  The factor 2 absorbs the rounding
+    of the difference, so every pair the rule finds close is crowded, and
+    the mask is that of the rule on all the values.
+    """
+    keep = np.ones(len(values), dtype=bool)
+    crowded = _has_neighbour(values.real) & _has_neighbour(values.imag)
+    if crowded.any():
+        keep[crowded] = _sequential_mask(values[crowded])
+    return keep
+
+
+def _has_neighbour(x):
+    """Whether some other entry of the real array x lies within
+    2 DEDUP_TOL of each entry.  In sorted order the nearest entries are
+    adjacent, and a gap is rounded no larger than a wider difference."""
+    order = np.argsort(x)
+    # an overflowed gap is inf, so it never marks a neighbour
+    with np.errstate(over="ignore", invalid="ignore"):
+        close = np.diff(x[order]) <= 2 * DEDUP_TOL
+    near = np.zeros(len(x), dtype=bool)
+    near[order[:-1]] = close
+    near[order[1:]] |= close
+    return near
+
+
+def _sequential_mask(values):
+    """_dedup_mask's rule on every value, one after another.
 
     The rule is not transitive, so it runs in blocks of _DEDUP_BLOCK in
     order.  A block first drops every row close to a value kept in earlier
@@ -166,7 +194,9 @@ def enumerate_spectrum(
     (re = vr*pr - vi*pi, im = vr*pi + vi*pr), because numpy's vectorized
     complex * may round differently from the scalar product.  A value is
     kept unless it lies within DEDUP_TOL of a value kept before it in
-    graded order; the blocked comparison keeps exactly that set.
+    graded order; only values with a neighbour are compared (_dedup_mask),
+    which keeps exactly that set.  The eigenvalues are those the symbol
+    remembers, a read-only array.
 
     Raises SizeOverflowError as eigenvalue_products does.
 
@@ -174,7 +204,7 @@ def enumerate_spectrum(
     multiples of pi, aligned with the sorted eigenvalue order (None per
     untagged slot); tags flow into the independence verdict.
     """
-    ev = eigenvalues(symbol.A)
+    ev = _eigenvalues_of(symbol)
     basis = build_basis(symbol.n, max_degree)
     values = _products(ev, basis)
     keep = _dedup_mask(values)
@@ -286,7 +316,7 @@ def shell_spectrum_distance(symbol, max_degree):
     Raises SizeOverflowError as eigenvalue_products and build_truncation do.
     """
     op = build_truncation(symbol, max_degree)
-    values = _products(eigenvalues(symbol.A), op.basis)
+    values = _products(_eigenvalues_of(symbol), op.basis)
     return max(
         multiset_distance(values[op.basis.shell(d)], np.linalg.eigvals(block))
         for d, block in enumerate(op.shell_blocks())
@@ -368,7 +398,7 @@ def construct_eigenfunction(
     _require_bounded(
         symbol, tol_unit, "eigenfunctions are constructed for bounded symbols"
     )
-    form = block_schur_of_symbol(symbol, tol_unit)
+    form = _block_schur(symbol, tol_unit)
     n, s = symbol.n, form.s
     beta = tuple(int(b) for b in beta)
     gamma = tuple(int(g) for g in gamma)
@@ -444,12 +474,13 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     the coefficients of F and C the coefficient matrix of C_psi on the
     monomials of degree <= deg F, from the truncation's creation recursion
     with weights one; when psi has B = 0 only F's columns of C are read,
-    from its shell blocks.  Exact-mode specs sum the exact columns of C
-    instead, only F's columns read as GaussianRational, and return exactly
-    0.0 on success.
+    each from its shell block, one shell at a time.  Exact-mode specs sum
+    the exact columns of C instead, only F's columns read as
+    GaussianRational, and return exactly 0.0 on success.
 
-    With symbol given, the Schur normalization psi is recomputed from it;
-    otherwise the one stored on the spec is used.
+    With symbol given, the Schur normalization psi is taken from the block
+    Schur form the symbol remembers; otherwise the one stored on the spec
+    is used.
 
     Raises ShapeMismatchError if psi and F differ in dimension, and
     SizeOverflowError if C(deg F + n, n) exceeds the dimension cap or C
@@ -460,7 +491,7 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     poly = spec.polynomial
     psi = spec.normalized_symbol
     if symbol is not None:
-        psi = _normalized_symbol(block_schur_of_symbol(symbol, tol_unit))
+        psi = _normalized_symbol(_block_schur(symbol, tol_unit))
     if psi.n != poly.n:
         raise ShapeMismatchError("polynomial and symbol dimensions differ")
     terms = poly.terms
@@ -484,9 +515,16 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     # wake OpenBLAS's worker threads
     with np.errstate(over="ignore", invalid="ignore"):
         blocks, C = _creation_shells(psi, basis, ones)
-        cols = _block_diagonal(basis, blocks, pos) if C is None else C[:, pos]
-        cols *= f
-        resid = cols.sum(axis=1)
+        if C is None:
+            # only the shells where F has terms hold nonzero rows
+            resid = np.zeros(basis.dim, dtype=complex)
+            for rows, i, cols in _shell_columns(basis, blocks, pos):
+                cols *= f[i]
+                resid[rows] = cols.sum(axis=1)
+        else:
+            cols = C[:, pos]
+            cols *= f
+            resid = cols.sum(axis=1)
         resid[pos] -= spec.eigenvalue * f
     worst = float(np.max(np.abs(resid)))  # nan propagates
     if not np.isfinite(worst):

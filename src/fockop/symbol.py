@@ -6,8 +6,8 @@ fixed at 1/2 throughout the package; the reproducing kernel is
 K_w(z) = exp(<z, w>/2) with <u, v> = sum_i u_i conj(v_i).
 """
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -55,6 +55,44 @@ def operator_norm_of_matrix(A):
     if not np.isfinite(norm):
         raise SizeOverflowError(f"||A|| = {norm} exceeds the double range")
     return norm
+
+
+def per_symbol(fn):
+    """fn(symbol, *args, **kwargs), computed once per symbol and arguments.
+
+    The value is kept on the symbol instance, in its __dict__, as
+    cached_property keeps AffineSymbol.norm_a, so it lives and dies with
+    the symbol.  An entry is keyed by fn itself and the arguments, the
+    tolerance included, with each list argument turned into a tuple.  Each
+    array in the value, or in the fields of a dataclass value, is made
+    read-only, because every later call returns the same one.  A call that
+    raises stores nothing, so the next call raises again.
+    """
+
+    def part(a):
+        return tuple(a) if isinstance(a, list) else a
+
+    @wraps(fn)
+    def remembered(symbol, *args, **kwargs):
+        key = (fn, *map(part, args), *((k, part(v)) for k, v in sorted(kwargs.items())))
+        memo = symbol.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = _freeze(fn(symbol, *args, **kwargs))
+        return memo[key]
+
+    return remembered
+
+
+def _freeze(value):
+    """value, with each array in it or in its dataclass fields read-only."""
+    if is_dataclass(value):
+        parts = [getattr(value, f.name) for f in fields(value)]
+    else:
+        parts = [value]
+    for a in parts:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +149,13 @@ class AffineSymbol:
     def __hash__(self):
         # adding 0 turns -0.0 into 0.0, so equal symbols hash alike
         return hash((self.n, (self.A + 0).tobytes(), (self.B + 0).tobytes()))
+
+    def __getstate__(self):
+        # copies and pickles start without what per_symbol remembered: its
+        # keys are functions, which pickle cannot look up by name
+        state = self.__dict__.copy()
+        state.pop("_memo", None)
+        return state
 
     @cached_property
     def norm_a(self):
@@ -181,10 +226,17 @@ def eigenvalues(A):
     return sort_eigenvalues(np.linalg.eigvals(A))
 
 
+@per_symbol
+def _eigenvalues_of(symbol):
+    """eigenvalues(symbol.A), computed once per symbol (see per_symbol):
+    a read-only array."""
+    return eigenvalues(symbol.A)
+
+
 def _is_sorted_triangular(A):
-    n = A.shape[0]
-    if n > 1 and np.any(A[np.tril_indices(n, -1)] != 0):
+    if np.tril(A, -1).any():
         return False
+    n = A.shape[0]
     keys = [_eig_sort_key(A[i, i]) for i in range(n)]
     return all(keys[i] <= keys[i + 1] for i in range(n - 1))
 
@@ -259,10 +311,20 @@ def block_schur_form(A, tol_unit=DEFAULT_TOL_UNIT):
     return BlockSchurForm(U=U, s=s, D=D, A1=A1, Bprime=np.zeros(n, dtype=complex))
 
 
-def block_schur_of_symbol(symbol, tol_unit=DEFAULT_TOL_UNIT):
-    """block_schur_form of symbol.A with Bprime = U B attached."""
+@per_symbol
+def _block_schur(symbol, tol_unit):
     form = block_schur_form(symbol.A, tol_unit)
     return replace(form, Bprime=form.U @ symbol.B)
+
+
+def block_schur_of_symbol(symbol, tol_unit=DEFAULT_TOL_UNIT):
+    """block_schur_form of symbol.A with Bprime = U B attached.
+
+    The form is computed once per symbol and tolerance (see per_symbol):
+    each call returns a new BlockSchurForm around the same read-only
+    arrays.  Raises as block_schur_form does, on every call.
+    """
+    return replace(_block_schur(symbol, tol_unit))
 
 
 def adjoint_symbol(symbol):

@@ -470,14 +470,24 @@ def _block_diagonal(basis, blocks, cols=None):
             s = basis.shell(d)
             M[s, s] = block
         return M
+    M = np.zeros((basis.dim, len(cols)), dtype=complex, order="F")
+    for s, i, block in _shell_columns(basis, blocks, cols):
+        M[s, i] = block
+    return M
+
+
+def _shell_columns(basis, blocks, cols):
+    """Per degree d among the positions cols, (shell d's slice, the
+    indices i of the entries of cols of degree d, the columns cols[i] of
+    shell d's block): with B = 0 a column of degree d is zero outside
+    shell d.  The columns keep their order in cols and are laid out in
+    Fortran order, as numpy lays out the gather M[:, cols]."""
     cols = np.asarray(cols, dtype=np.intp)
     degree = basis.degrees()[cols]
-    M = np.zeros((basis.dim, len(cols)), dtype=complex, order="F")
-    for d in set(degree.tolist()):
+    for d in sorted(set(degree.tolist())):
         s = basis.shell(d)
         i = np.flatnonzero(degree == d)
-        M[s, i] = blocks[d][:, cols[i] - s.start]
-    return M
+        yield s, i, np.asfortranarray(blocks[d][:, cols[i] - s.start])
 
 
 def _creation_maps(basis):

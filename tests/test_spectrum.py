@@ -16,6 +16,8 @@ from fockop import (
     NotDiagonalizableError,
     ShapeMismatchError,
     SizeOverflowError,
+    block_schur_of_symbol,
+    build_basis,
     build_truncation,
     construct_eigenfunction,
     eigenvalue_products,
@@ -26,11 +28,13 @@ from fockop import (
     verify_eigenfunction,
 )
 from fockop.polynomials import graded_indices
+from fockop.truncation import _creation_shells
 from fockop.spectrum import (
     DEDUP_TOL,
     _COND_CAP,
     _dedup_mask,
     _matched_eig,
+    _normalized_symbol,
     _perfect_matching,
     shell_spectrum_distance,
 )
@@ -516,3 +520,116 @@ def test_truncation_spectrum_via_operator(corpus):
     direct = op.spectrum()
     expected = [v for _, v in eigenvalue_products(eigenvalues(s.A), 3)]
     assert multiset_distance(direct, expected) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The dedup on crowded values only, against the blocked rule on all values
+
+
+def _reference_dedup_mask(values):
+    """_dedup_mask as it was before it sent only the crowded values through
+    the rule: the blocked sequential rule on every value."""
+    keep = np.zeros(len(values), dtype=bool)
+    kept = np.empty(len(values), dtype=complex)
+    nkept = 0
+    block_size = 64
+    lower = np.tri(block_size, k=-1, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(values), block_size):
+            x = values[start : start + block_size]
+            m = len(x)
+            near_kept = np.abs(kept[None, :nkept] - x[:, None]) <= DEDUP_TOL
+            live = ~near_kept.any(axis=1)
+            close = np.abs(x[None, :] - x[:, None]) <= DEDUP_TOL
+            close &= lower[:m, :m] & live[:, None] & live[None, :]
+            has = close.any(axis=1)
+            first = close.argmax(axis=1)
+            block = live & ~has
+            for j in np.flatnonzero(has & ~block[first]):
+                block[j] = not (close[j] & block).any()
+            keep[start : start + m] = block
+            new = x[block]
+            kept[nkept : nkept + len(new)] = new
+            nkept += len(new)
+    return keep
+
+
+_SPACINGS = (0.0, 3e-11, 7e-11, 1e-10, 2e-10)
+
+
+@st.composite
+def _crowded_sets(draw):
+    # clusters of points a fixed spacing apart along one direction, some
+    # on the real axis, some mirrored into conjugate pairs, around centres
+    # of modulus up to 1 or near 1e7, in a shuffled order
+    scale = draw(st.sampled_from((1.0, 1e7)))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    values = []
+    for _ in range(draw(st.integers(1, 25))):
+        centre = scale * complex(draw(unit), draw(unit))
+        kind = draw(st.sampled_from(("plane", "real", "conjugate")))
+        if kind == "real":
+            centre = complex(centre.real, 0.0)
+        step = draw(st.sampled_from(_SPACINGS)) * cmath.exp(1j * draw(unit) * cmath.pi)
+        if kind == "real":
+            step = complex(abs(step), 0.0)
+        points = [centre + k * step for k in range(draw(st.integers(1, 10)))]
+        if kind == "conjugate":
+            points += [p.conjugate() for p in points]
+        values += points
+    values = draw(st.permutations(values))
+    return np.array(values, dtype=complex)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_crowded_sets())
+def test_dedup_on_crowded_values_keeps_the_blocked_rules_mask(values):
+    assert np.array_equal(_dedup_mask(values), _reference_dedup_mask(values))
+
+
+# ---------------------------------------------------------------------------
+# The B = 0 eigenfunction check reads the shells where F has terms
+
+
+def _reference_shell_residual(spec, psi):
+    """verify_eigenfunction's B = 0 route as it was: F's columns gathered
+    into a dim x terms array in Fortran order, zero outside their shells,
+    then summed across."""
+    poly = spec.polynomial
+    terms = poly.terms
+    d = max(sum(g) for g in terms)
+    basis = build_basis(poly.n, d)
+    pos = np.array([basis.position(g) for g in terms], dtype=np.intp)
+    f = np.array(list(terms.values()), dtype=complex)
+    blocks, C = _creation_shells(psi, basis, np.ones((poly.n, basis.shell(d).start)))
+    assert C is None
+    degree = basis.degrees()[pos]
+    cols = np.zeros((basis.dim, len(pos)), dtype=complex, order="F")
+    for e in set(degree.tolist()):
+        s = basis.shell(e)
+        i = np.flatnonzero(degree == e)
+        cols[s, i] = blocks[e][:, pos[i] - s.start]
+    cols *= f
+    resid = cols.sum(axis=1)
+    resid[pos] -= spec.eigenvalue * f
+    return float(np.max(np.abs(resid)))
+
+
+def test_eigenfunction_check_on_shells_has_the_reference_bits():
+    rng = np.random.default_rng(RNG_SEED + 40)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            s = AffineSymbol(random_contraction(rng, n), np.zeros(n))
+            gamma = tuple(int(x) for x in rng.integers(0, 4, size=n))
+            spec = construct_eigenfunction(s, (), gamma)
+            want = _reference_shell_residual(spec, spec.normalized_symbol)
+            assert verify_eigenfunction(spec).hex() == want.hex(), (n, gamma)
+            assert verify_eigenfunction(spec, s).hex() == want.hex(), (n, gamma)
+        # F from a symbol with B != 0 has terms of every degree up to
+        # |gamma|; checked against a B = 0 symbol, it reads several shells
+        other = AffineSymbol(random_contraction(rng, n), rng.standard_normal(n) + 0.5j)
+        spec = construct_eigenfunction(other, (), (2,) * n)
+        assert len({sum(g) for g in spec.polynomial.terms}) > 1
+        want = _reference_shell_residual(spec, _normalized_symbol(block_schur_of_symbol(s)))
+        assert want > 1e-3  # F is not an eigenfunction of s
+        assert verify_eigenfunction(spec, s).hex() == want.hex(), n

@@ -1,10 +1,19 @@
-"""Symbol validation, block Schur normal form, iterates, adjoints."""
+"""Symbol validation, block Schur normal form, iterates, adjoints, and
+what a symbol remembers of its normal form."""
+
+import copy
+import dataclasses
+import pathlib
+import pickle
+import runpy
 
 import numpy as np
 import pytest
 
 from fockop import (
     AffineSymbol,
+    FockopError,
+    InconsistentError,
     NonFiniteEntryError,
     NormExceedsOneError,
     ShapeMismatchError,
@@ -15,10 +24,27 @@ from fockop import (
     block_schur_of_symbol,
     build_adjoint_truncation,
     build_truncation,
+    check_bounded,
+    check_cyclic,
+    classify,
     compose_symbols,
+    construct_eigenfunction,
+    eigenvalues,
+    enumerate_spectrum,
+    essential_norm,
     iterate_symbol,
+    solve_z0,
+    verify_eigenfunction,
 )
-from fockop.symbol import _eig_sort_key, sort_eigenvalues
+from fockop.analysis import _bounded_verdict
+from fockop.symbol import (
+    DEFAULT_TOL_UNIT,
+    _block_schur,
+    _eig_sort_key,
+    _eigenvalues_of,
+    _is_sorted_triangular,
+    sort_eigenvalues,
+)
 from conftest import make_corpus, random_unitary
 
 RNG_SEED = 20240811
@@ -202,3 +228,170 @@ def test_adjoint_truncation_matches_conjugate_transpose():
         direct = build_truncation(s, N).matrix
         star = build_adjoint_truncation(s, N).matrix
         assert np.max(np.abs(star - direct.conj().T)) < 1e-10, name
+
+
+def test_sorted_triangular_fast_path_takes_negative_zeros_as_zero():
+    for low in (-0.0, complex(0.0, -0.0), complex(-0.0, -0.0)):
+        A = np.array([[1j, 0.0], [low, 0.5]])
+        assert _is_sorted_triangular(A)
+        assert np.array_equal(block_schur_form(A).U, np.eye(2))
+    assert not _is_sorted_triangular(np.array([[1j, 0.0], [5e-324, 0.5]]))
+    assert not _is_sorted_triangular(np.array([[0.5, 0.0], [0.0, 1j]]))
+
+
+# ---------------------------------------------------------------------------
+# What a symbol remembers (symbol.per_symbol)
+
+_BENCH_SYMBOLS = runpy.run_path(
+    str(pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "symbols.py")
+)
+_BENCH_CLASSES = (
+    "compact", "compact_b0", "hs_safe", "boundary", "unbounded", "normal",
+    "unitary", "rotation_tagged", "rotation_untagged", "nilpotent", "zero", "dyadic",
+)
+
+
+def _bench_symbols(seed):
+    rng = np.random.default_rng(seed)
+    for kind in _BENCH_CLASSES:
+        # a nilpotent 1 x 1 matrix is zero, and dyadic symbols stop at n = 2
+        for n in {"dyadic": (1, 2), "nilpotent": (2, 3, 4)}.get(kind, (1, 2, 3, 4)):
+            case = _BENCH_SYMBOLS["make"](kind, rng, n)
+            yield f"{kind}-n{n}", case.A, case.B
+
+
+def _same_bits(x, y):
+    if x is None or y is None:
+        return x is y
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type of the FockopError it raises."""
+    try:
+        return fn(*args)
+    except FockopError as exc:
+        return type(exc)
+
+
+def _fields(value):
+    if isinstance(value, type):
+        return value
+    if dataclasses.is_dataclass(value):
+        return [getattr(value, f.name) for f in dataclasses.fields(value)]
+    return [value]
+
+
+def _assert_same(got, want, label):
+    got, want = _fields(got), _fields(want)
+    if isinstance(want, type):
+        assert got is want, label
+        return
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray) or w is None:
+            assert _same_bits(g, w), label
+        else:
+            assert g == w and type(g) is type(w), label
+
+
+def test_remembered_values_have_the_bits_of_a_fresh_computation():
+    # each value is asked twice, so the second answer comes from the memo;
+    # the reference runs the undecorated function on an equal new symbol
+    computations = [
+        (check_bounded, _bounded_verdict.__wrapped__),
+        (solve_z0, solve_z0.__wrapped__),
+        (block_schur_of_symbol, lambda s, tol: _block_schur.__wrapped__(s, tol)),
+    ]
+    for label, A, B in _bench_symbols(RNG_SEED + 30):
+        s = AffineSymbol(A, B)
+        for tol in (DEFAULT_TOL_UNIT, 1e-6):
+            for public, fresh in computations:
+                want = _outcome(fresh, AffineSymbol(A, B), tol)
+                for _ in range(2):
+                    _assert_same(_outcome(public, s, tol), want, (label, public.__name__, tol))
+        want = eigenvalues(A)
+        for _ in range(2):
+            assert _same_bits(_eigenvalues_of(s), want), label
+            assert _same_bits(enumerate_spectrum(s, 2).eigenvalues, want), label
+
+
+def test_remembered_values_are_keyed_by_tolerance():
+    # B has a 1e-8 component along the unit singular direction e_1:
+    # unbounded at tolerance 1e-10, bounded at 1e-6
+    A, B = np.array([[1.0, 0.0], [0.0, 0.5]]), np.array([1e-8, 1.0])
+    for order in ((1e-10, 1e-6), (1e-6, 1e-10)):
+        s = AffineSymbol(A, B)
+        for _ in range(2):
+            for tol in order:
+                verdict = check_bounded(s, tol)
+                assert verdict.bounded == (tol == 1e-6), (order, tol)
+                if tol == 1e-6:
+                    assert np.allclose(solve_z0(s, tol), [0.0, 0.5 / 0.75])
+                else:
+                    assert verdict.witness is not None
+                    # an exception is not remembered: it is raised each time
+                    with pytest.raises(InconsistentError):
+                        solve_z0(s, tol)
+
+
+def test_one_symbol_runs_its_normal_form_once(monkeypatch):
+    import scipy.linalg
+
+    calls = {"schur": 0, "svd": 0}
+    schur, svd = scipy.linalg.schur, np.linalg.svd
+
+    def counted_schur(*args, **kwargs):
+        calls["schur"] += 1
+        return schur(*args, **kwargs)
+
+    def counted_svd(a, *args, **kwargs):
+        # the boundedness test takes the full SVD; the singular values
+        # alone (compute_uv=False) are another question
+        if kwargs.get("compute_uv", True):
+            calls["svd"] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    rng = np.random.default_rng(RNG_SEED + 31)
+    for n in (2, 3):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A *= 0.7 / np.linalg.norm(A, 2)
+        s = AffineSymbol(A, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        calls.update(schur=0, svd=0)
+        # the closed-form sweep's calls on one symbol
+        assert classify(s).bounded.bounded
+        essential_norm(s)
+        enumerate_spectrum(s, 4)
+        spec = construct_eigenfunction(s, (), (1,) * n)
+        assert verify_eigenfunction(spec, s) < 1e-10
+        check_cyclic(s)
+        assert calls == {"schur": 1, "svd": 1}, n
+
+
+def test_remembered_arrays_are_read_only():
+    unbounded = AffineSymbol([[1.0, 0.0], [0.0, 0.5]], [1.0, 0.0])
+    compact = AffineSymbol([[0.5, 0.1], [0.2, 0.25]], [1.0, 1j])
+    reads = [
+        lambda: check_bounded(unbounded).witness,
+        lambda: enumerate_spectrum(compact, 3).eigenvalues,
+        lambda: classify(compact).z0,
+        lambda: solve_z0(compact),
+        lambda: block_schur_of_symbol(compact).U,
+        lambda: block_schur_of_symbol(compact).A1,
+    ]
+    for read in reads:
+        before = read().copy()
+        with pytest.raises(ValueError):
+            read()[0] = 7.0
+        assert _same_bits(read(), before)
+
+
+def test_copies_and_pickles_start_without_the_memo():
+    s = AffineSymbol([[0.5, 0.1], [0.2, 0.25]], [1.0, 1j])
+    verdict = classify(s)
+    for t in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert t == s and "_memo" not in vars(t)
+        assert _same_bits(solve_z0(t), verdict.z0)
+    assert "_memo" in vars(s)

@@ -497,11 +497,12 @@ class ClassificationReport:
 def classify(symbol, tol_unit=DEFAULT_TOL_UNIT, exact_angles=None):
     """Run every closed-form verdict and collect them in one report.
 
-    Boundedness and z0 are read from what the symbol remembers (see
-    symbol.per_symbol), and the norms and normality relatives are derived
-    from them; cyclicity skips the boundedness guard of check_cyclic, and
-    the essential norm keeps the identity checks of essential_norm.  The
-    report holds the remembered verdict and z0, read-only.
+    Boundedness, z0 and the cyclicity verdict are read from what the
+    symbol remembers (see symbol.per_symbol), and the norms and normality
+    relatives are derived from them; cyclicity skips the boundedness guard
+    of check_cyclic, and the essential norm keeps the identity checks of
+    essential_norm.  The report holds the remembered verdicts and z0,
+    read-only.
     """
     from .dynamics import DEFAULT_MAX_COEFF, _cyclic_verdict
 

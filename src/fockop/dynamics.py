@@ -9,18 +9,16 @@ unitary A) one branch serves every n: the angles of the unimodular
 eigenvalues go through one integer-relation search with pi, and in one
 variable the continued-fraction walk for a root of unity is the fallback
 when that search is inconclusive.  _angle_verdict owns both steps, and
-spectrum.enumerate_spectrum reads its verdict too.  Each of the two
-searches remembers its last input and result: one symbol's verdicts
-(classify, enumerate_spectrum, check_cyclic, or the CLI's analyze) ask
-for the same angles back to back, so a one-entry memo runs each search
-once per symbol, and a hit returns what the same input computed.
+spectrum.enumerate_spectrum reads its verdict too.  A symbol remembers
+its angle and cyclicity verdicts (symbol.per_symbol), so classify,
+enumerate_spectrum and check_cyclic on one symbol run each search once;
+the module itself keeps no state.
 
 The independence test is three-valued on purpose: floating angles can
 certify a relation (hence "no") but never independence, so "yes" only
 comes from structural case analysis, never from numerics.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +34,7 @@ from .symbol import (
     _eigenvalues_of,
     hermitian_inner,
     iterate_symbol,
+    per_symbol,
 )
 from .truncation import build_truncation
 
@@ -154,8 +153,10 @@ def rational_independence(angles, max_coeff=DEFAULT_MAX_COEFF):
     digits, is below 1e-10, its coefficients stay within max_coeff, and
     ||k||_1 stays within _l1_guard, which holds false "no" verdicts from
     lattice noise to 1e-6 per search.  The reported residual is the double
-    one.  Exhausting the search returns "unknown", never "yes".
+    one.  Exhausting the search returns "unknown", never "yes".  Raises
+    ValueError unless max_coeff is an int >= 1.
     """
+    _require_max_coeff(max_coeff)
     thetas = angles.thetas
     k = len(thetas)
     if k == 0:
@@ -179,27 +180,6 @@ def rational_independence(angles, max_coeff=DEFAULT_MAX_COEFF):
                 rel[0] = -2
             return _relation_found(rel, thetas)
 
-    found = _pslq_relation(tuple(thetas), max_coeff)
-    if found is not None:
-        rel, resid = found
-        if (
-            resid < _RELATION_RESIDUAL_TOL
-            and max(abs(x) for x in rel) <= max_coeff
-            and sum(abs(x) for x in rel) <= _l1_guard(k)
-        ):
-            return _relation_found(rel, thetas)
-    return IndependenceVerdict(independent="unknown", relation=None, residual=None)
-
-
-# typed: a float max_coeff makes PSLQ raise and must not hit an int's entry
-@functools.lru_cache(maxsize=1, typed=True)
-def _pslq_relation(thetas, max_coeff):
-    """PSLQ's canonical relation among (pi, *thetas) and its residual at 40
-    digits, or None when the search finds none.
-
-    Remembered for its last input (see _angle_verdict); a hit returns the
-    immutable pair the same input computed.
-    """
     # Search depth 1e-13, not the 1e-10 reporting gate: double inputs only
     # certify a relation to ~|k|*1e-16, while unrelated angles admit lattice
     # noise at the 1e-11 level once three or more terms are in play (e.g.
@@ -217,12 +197,24 @@ def _pslq_relation(thetas, max_coeff):
                 values, tol=mp.mpf(10) ** -13, maxcoeff=max_coeff, maxsteps=20000
             )
         except ValueError:
-            return None
-        if found is None:
-            return None
-        rel = _canonical_relation(found)
-        # at 40 digits: in doubles the |k| 2pi terms round at ~1e-10
-        return rel, abs(mp.fdot(rel, values))
+            found = None
+        if found is not None:
+            rel = _canonical_relation(found)
+            # at 40 digits: in doubles the |k| 2pi terms round at ~1e-10
+            if (
+                abs(mp.fdot(rel, values)) < _RELATION_RESIDUAL_TOL
+                and max(abs(x) for x in rel) <= max_coeff
+                and sum(abs(x) for x in rel) <= _l1_guard(k)
+            ):
+                return _relation_found(rel, thetas)
+    return IndependenceVerdict(independent="unknown", relation=None, residual=None)
+
+
+def _require_max_coeff(max_coeff):
+    # a float bound makes PSLQ raise, and would share a memo key with the
+    # int it equals
+    if isinstance(max_coeff, bool) or not isinstance(max_coeff, int) or max_coeff < 1:
+        raise ValueError(f"max_coeff must be an int >= 1, got {max_coeff!r}")
 
 
 def _l1_guard(k):
@@ -252,7 +244,6 @@ class CyclicityVerdict:
     independence: Optional[IndependenceVerdict] = None
 
 
-@functools.lru_cache(maxsize=1)
 def _find_root_of_unity(a):
     """Smallest 1 < m <= _ROOT_BOUND with a^m = a for unimodular a, else None.
 
@@ -308,8 +299,11 @@ def check_cyclic(
 
     Raises
     ------
+    ValueError
+        If max_coeff is not an int >= 1.
     NotBoundedError
     """
+    _require_max_coeff(max_coeff)
     _require_bounded(symbol, tol_unit, "cyclicity is assessed for bounded symbols")
     return _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles)
 
@@ -327,20 +321,20 @@ _UNDECIDED = (
 )
 
 
-def _angle_verdict(ev, tol_unit, exact_angles, max_coeff=DEFAULT_MAX_COEFF):
+@per_symbol
+def _angle_verdict(symbol, tol_unit, max_coeff, exact_angles):
     """The independence verdict for the unimodular angles of the sorted
-    eigenvalues ev, and the m of a^m = a when the root-of-unity walk
-    decided it (else None).
+    eigenvalues of symbol.A, and the m of a^m = a when the root-of-unity
+    walk decided it (else None).
 
     The relation search runs for every n.  In one variable its "unknown"
     falls back to _find_root_of_unity on a / |a|: an m found there gives
     the verdict "no" with the relation (m - 1) theta = 2k pi and its double
     residual.  check_cyclic and spectrum.enumerate_spectrum both read this
-    verdict, so they agree on every symbol.  Both searches remember their
-    last input (_pslq_relation by angles and max_coeff, _find_root_of_unity
-    by a / |a|): the callers ask for one symbol's verdict back to back, so
-    one entry each spares every repeat.
+    verdict, so they agree on every symbol.  Every caller passes the four
+    arguments positionally, so that one verdict has one memo key.
     """
+    ev = _eigenvalues_of(symbol)
     angles = _unimodular_angles(ev, tol_unit, exact_angles)
     iv = rational_independence(angles, max_coeff)
     if iv.independent != "unknown" or len(ev) != 1:
@@ -353,10 +347,12 @@ def _angle_verdict(ev, tol_unit, exact_angles, max_coeff=DEFAULT_MAX_COEFF):
     return _relation_found([-2 * k, m - 1], angles.thetas), m
 
 
+@per_symbol
 def _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles):
-    """check_cyclic for a symbol already known to be bounded.  On the unit
-    circle the angle verdict decides (it cannot answer "yes": every
-    eigenvalue of a unitary A is on the circle, so there are angles)."""
+    """check_cyclic for a symbol already known to be bounded, remembered
+    as _angle_verdict is.  On the unit circle the angle verdict decides
+    (it cannot answer "yes": every eigenvalue of a unitary A is on the
+    circle, so there are angles)."""
     n, A = symbol.n, symbol.A
     if np.linalg.svd(A, compute_uv=False)[-1] <= _SINGULAR_TOL:
         return CyclicityVerdict(
@@ -376,7 +372,7 @@ def _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles):
             rationale="invertible non-unitary A in dimension >= 2: cyclicity "
             "is an open problem",
         )
-    iv, m = _angle_verdict(_eigenvalues_of(symbol), tol_unit, exact_angles, max_coeff)
+    iv, m = _angle_verdict(symbol, tol_unit, max_coeff, exact_angles)
     if iv.independent == "no":
         return CyclicityVerdict(
             verdict="no",

@@ -20,13 +20,12 @@ from typing import Optional
 import numpy as np
 
 from .analysis import _require_bounded
-from .dynamics import _angle_verdict
+from .dynamics import DEFAULT_MAX_COEFF, _angle_verdict
 from .errors import NotDiagonalizableError, ShapeMismatchError, SizeOverflowError
 from .exact import GaussianRational
 from .polynomials import MultiPolynomial
 from .symbol import AffineSymbol, DEFAULT_TOL_UNIT, _block_schur, _eigenvalues_of
-from .truncation import (  # noqa: F401 _block_diagonal: the memory tests patch it here
-    _block_diagonal,
+from .truncation import (
     _creation_shells,
     _exact_columns,
     _gaussian_column,
@@ -210,7 +209,7 @@ def enumerate_spectrum(
     keep = _dedup_mask(values)
     indices = [basis.indices[i] for i in np.flatnonzero(keep)]
     reps = list(zip(indices, values[keep].tolist()))
-    verdict, _ = _angle_verdict(ev, tol_unit, exact_angles)
+    verdict, _ = _angle_verdict(symbol, tol_unit, DEFAULT_MAX_COEFF, exact_angles)
     return SpectrumEnumeration(
         eigenvalues=ev,
         max_degree=max_degree,

@@ -63,14 +63,14 @@ def per_symbol(fn):
     The value is kept on the symbol instance, in its __dict__, as
     cached_property keeps AffineSymbol.norm_a, so it lives and dies with
     the symbol.  An entry is keyed by fn itself and the arguments, the
-    tolerance included, with each list argument turned into a tuple.  Each
-    array in the value, or in the fields of a dataclass value, is made
-    read-only, because every later call returns the same one.  A call that
-    raises stores nothing, so the next call raises again.
+    tolerance included, with each list or array argument turned into a
+    tuple.  Each array in the value, or in the fields of a dataclass value,
+    is made read-only, because every later call returns the same one.  A
+    call that raises stores nothing, so the next call raises again.
     """
 
     def part(a):
-        return tuple(a) if isinstance(a, list) else a
+        return tuple(a) if isinstance(a, (list, np.ndarray)) else a
 
     @wraps(fn)
     def remembered(symbol, *args, **kwargs):

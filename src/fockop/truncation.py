@@ -457,22 +457,12 @@ def _refuse_past_memory(basis, blocks=False):
         )
 
 
-def _block_diagonal(basis, blocks, cols=None):
-    """The dense matrix with the shell blocks on its diagonal, or, given
-    the positions cols, only its columns M[:, cols], read from the blocks.
-
-    The columns are laid out in Fortran order, as numpy lays out the
-    gather M[:, cols]: a sum across them rounds by that layout.
-    """
-    if cols is None:
-        M = np.zeros((basis.dim, basis.dim), dtype=complex)
-        for d, block in enumerate(blocks):
-            s = basis.shell(d)
-            M[s, s] = block
-        return M
-    M = np.zeros((basis.dim, len(cols)), dtype=complex, order="F")
-    for s, i, block in _shell_columns(basis, blocks, cols):
-        M[s, i] = block
+def _block_diagonal(basis, blocks):
+    """The dense matrix with the shell blocks on its diagonal."""
+    M = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for d, block in enumerate(blocks):
+        s = basis.shell(d)
+        M[s, s] = block
     return M
 
 
@@ -506,11 +496,10 @@ def _creation_weights(basis):
     return np.sqrt(2.0 * (basis.exponents[:rows].T + 1.0))
 
 
-def _creation_parents(basis, dst, w=None):
-    """slot[c], parent[c] and div[c] for each column c of degree >= 1:
-    the first nonzero slot j of alpha_c, the position of alpha_c - e_j,
-    and w[j, parent[c]].  Column 0 has no parent; it gets 0, 0 and 1.
-    Without w, div is None.
+def _creation_parents(basis, dst):
+    """slot[c] and parent[c] for each column c of degree >= 1: the first
+    nonzero slot j of alpha_c and the position of alpha_c - e_j.  Column 0
+    has no parent; it gets 0 and 0.
 
     Column dst[j, i] is g_i + e_j, so each j with alpha_j > 0 names a
     parent of alpha; writing j from n - 1 down to 0 leaves the first.
@@ -520,11 +509,7 @@ def _creation_parents(basis, dst, w=None):
     for j in reversed(range(basis.n)):
         slot[dst[j]] = j
         parent[dst[j]] = np.arange(dst.shape[1])
-    if w is None:
-        return slot, parent, None
-    div = np.ones(basis.dim)
-    div[1:] = w[slot[1:], parent[1:]]
-    return slot, parent, div
+    return slot, parent
 
 
 def _consecutive(t):
@@ -564,7 +549,7 @@ class _CreationPlan:
     def of(cls, basis):
         n = basis.n
         dst = _read_only(_creation_maps(basis))
-        slot, parent, _ = _creation_parents(basis, dst)
+        slot, parent = _creation_parents(basis, dst)
         starts = basis._block_layout[0]
         shells = tuple(slice(a, b) for a, b in zip(starts, starts[1:]))
         slots = [None]

@@ -9,7 +9,7 @@ A = 0 point evaluations.
 import numpy as np
 import pytest
 
-from fockop import AffineSymbol, dynamics, truncation
+from fockop import AffineSymbol, truncation
 
 THETA = 0.7  # irrational-looking rotation angle reused by several tests
 
@@ -62,16 +62,9 @@ BOUNDED = [
 UNBOUNDED = ["translation_1d", "unbounded_2d"]
 
 
-def clear_angle_searches():
-    """Empty the one-entry memos of the unit-circle angle searches."""
-    dynamics._pslq_relation.cache_clear()
-    dynamics._find_root_of_unity.cache_clear()
-
-
 @pytest.fixture(autouse=True)
-def _fresh_memos():
-    # no test sees a search that another test ran, or a basis that it built
-    clear_angle_searches()
+def _fresh_bases():
+    # no test sees a basis that another test built
     truncation._bases.clear()
 
 

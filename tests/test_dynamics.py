@@ -26,13 +26,14 @@ from fockop import (
 )
 from fockop import cli, dynamics
 from fockop.dynamics import (
+    DEFAULT_MAX_COEFF,
     _angle_verdict,
     _find_root_of_unity,
     _relation_residual,
     _unimodular_angles,
 )
-from fockop.symbol import DEFAULT_TOL_UNIT
-from conftest import BOUNDED, clear_angle_searches, random_unitary
+from fockop.symbol import DEFAULT_TOL_UNIT, _eig_sort_key, _eigenvalues_of
+from conftest import BOUNDED, random_contraction, random_unitary
 
 
 def test_angle_set_build_and_validation():
@@ -164,10 +165,15 @@ def test_every_found_relation_is_canonical_with_its_residual(case):
     thetas, tags = case
     angles = AngleSet.build(thetas, tags)
     _assert_found_relation(rational_independence(angles), angles.thetas)
-    # the unit-circle branch, which adds the walk in one variable
+    # the unit-circle branch, which adds the walk in one variable; the
+    # tags follow the symbol's sorted eigenvalues
     ev = np.exp(1j * np.array(thetas))
-    iv, _ = _angle_verdict(ev, DEFAULT_TOL_UNIT, tags)
-    _assert_found_relation(iv, _unimodular_angles(ev, DEFAULT_TOL_UNIT, tags).thetas)
+    sym = AffineSymbol(np.diag(ev), np.zeros(len(ev)))
+    if tags is not None:
+        tags = [tags[i] for i in sorted(range(len(ev)), key=lambda i: _eig_sort_key(ev[i]))]
+    iv, _ = _angle_verdict(sym, DEFAULT_TOL_UNIT, DEFAULT_MAX_COEFF, tags)
+    angles = _unimodular_angles(_eigenvalues_of(sym), DEFAULT_TOL_UNIT, tags)
+    _assert_found_relation(iv, angles.thetas)
 
 
 def test_generic_unitary_symbols_get_no_false_relation():
@@ -213,25 +219,38 @@ def pslq_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def root_walks(monkeypatch):
+    """The argument of every root-of-unity walk made during the test."""
+    calls = []
+    walk = dynamics._find_root_of_unity
+
+    def counted(a):
+        calls.append(a)
+        return walk(a)
+
+    monkeypatch.setattr(dynamics, "_find_root_of_unity", counted)
+    return calls
+
+
 def _verdicts(s, tags=None, fresh=False):
     """The three requests for one symbol's angle verdict, in the CLI's
-    order; fresh empties the memos before each request."""
+    order; fresh asks each of an equal new symbol, which remembers
+    nothing."""
     parts = []
-    for request, args in ((classify, (s,)), (enumerate_spectrum, (s, 2)), (check_cyclic, (s,))):
-        if fresh:
-            clear_angle_searches()
-        parts.append(request(*args, exact_angles=tags))
+    for request, args in ((classify, ()), (enumerate_spectrum, (2,)), (check_cyclic, ())):
+        sym = AffineSymbol(s.A, s.B) if fresh else s
+        parts.append(request(sym, *args, exact_angles=tags))
     return repr((parts[0].cyclic_detail, parts[1].unimodular_angles_independent, parts[2]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_one_angle_search_per_symbol(n, pslq_calls):
+def test_one_angle_search_per_symbol(n, pslq_calls, root_walks):
     rng = np.random.default_rng(2200 + n)
     _verdicts(AffineSymbol(random_unitary(rng, n), np.zeros(n)))
     assert len(pslq_calls) == 1
     # in one variable the inconclusive search falls back to the walk, once
-    walks = dynamics._find_root_of_unity.cache_info()
-    assert walks.misses == (n == 1) and walks.hits == 2 * (n == 1)
+    assert len(root_walks) == (n == 1)
 
 
 @pytest.mark.parametrize("name", ["unitary_2d", "rotation_irrational"])
@@ -257,18 +276,42 @@ def _unit_circle_cases():
     return cases
 
 
-def test_remembered_angle_verdicts_equal_fresh_ones():
+def test_remembered_angle_verdicts_equal_fresh_ones(pslq_calls, root_walks):
     fresh = [_verdicts(s, tags, fresh=True) for s, tags in _unit_circle_cases()]
-    clear_angle_searches()
+    searches, walks = len(pslq_calls), len(root_walks)
     remembered = [_verdicts(s, tags) for s, tags in _unit_circle_cases()]
     assert remembered == fresh
-    assert dynamics._pslq_relation.cache_info().hits > 0
-    assert dynamics._find_root_of_unity.cache_info().hits > 0
+    # a remembering symbol searches once where three fresh ones search thrice
+    assert 3 * (len(pslq_calls) - searches) == searches > 0
+    assert 3 * (len(root_walks) - walks) == walks > 0
 
 
-def test_angle_searches_remember_one_input():
-    for memo in (dynamics._pslq_relation, dynamics._find_root_of_unity):
-        assert memo.cache_parameters()["maxsize"] == 1
+def test_classify_then_check_cyclic_take_one_smallest_singular_value(monkeypatch):
+    rng = np.random.default_rng(2203)
+    s = AffineSymbol(random_contraction(rng, 2), rng.standard_normal(2))
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert classify(s).cyclic == check_cyclic(s).verdict == "unknown"
+    assert calls == [(2, 2)]
+
+
+@pytest.mark.parametrize("bad", [1e6, 10.0**6 + 0.5, 0, -5, True])
+def test_max_coeff_must_be_a_positive_int(corpus, bad):
+    # 1e6 equals the default 10**6, so a remembered verdict must not answer it
+    s = corpus["rotation_irrational"]
+    assert check_cyclic(s).verdict == "unknown"
+    with pytest.raises(ValueError, match="max_coeff must be an int >= 1"):
+        check_cyclic(s, max_coeff=bad)
+    for thetas in ([], [1.0]):
+        with pytest.raises(ValueError, match="max_coeff must be an int >= 1"):
+            rational_independence(AngleSet.build(thetas), max_coeff=bad)
 
 
 def test_supercyclic_always_false_on_bounded(corpus):
@@ -297,6 +340,16 @@ def test_cyclic_root_of_unity_exact(corpus):
     v = check_cyclic(corpus["rotation_i"], exact_angles=[Fraction(1, 2)])
     assert v.verdict == "no"
     assert v.relation == (-1, 2)
+
+
+def test_angle_tags_may_come_as_a_list_tuple_or_array():
+    # the memo key takes a tuple of the tags; an array of them is no key
+    A = np.diag(np.exp(1j * np.pi * np.array([0.5, 0.25])))
+    tags = [Fraction(1, 4), Fraction(1, 2)]
+    want = _verdicts(AffineSymbol(A, np.zeros(2)), tags)
+    assert "(-1, 4, 0)" in want
+    for given in (tuple(tags), np.array(tags, dtype=object), np.array([0.25, 0.5])):
+        assert _verdicts(AffineSymbol(A, np.zeros(2)), given) == want
 
 
 def test_cyclic_root_of_unity_float(corpus):

@@ -9,7 +9,8 @@ changing on the corpus, so the owners are checked on the source.
 
 The truncation's two oracles, exact mode and the adjoint route, are checked
 on the source too: they must reach none of the creation recursion that they
-certify.
+certify.  What one symbol's verdicts compute is remembered on the symbol
+(symbol.per_symbol) alone, never in a process-wide functools cache.
 """
 
 import ast
@@ -60,6 +61,22 @@ def test_found_relations_have_one_constructor():
         if not (isinstance(arg, ast.Constant) and arg.value in ("yes", "unknown")):
             owners.add((f, where))
     assert owners == {("dynamics.py", "_relation_found")}
+
+
+def test_no_function_keeps_a_process_wide_cache():
+    caches = {"lru_cache", "cache"}
+    used = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                used += [(path.name, a.name) for a in node.names if a.name in caches]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in caches
+                and getattr(node.value, "id", None) == "functools"
+            ):
+                used.append((path.name, node.attr))
+    assert used == []
 
 
 # the creation recursion and the tables it alone reads

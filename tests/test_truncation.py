@@ -45,6 +45,7 @@ from fockop.truncation import (
     _creation_parents,
     _creation_shells,
     _frobenius_bounds,
+    _shell_columns,
     dimension_cap,
 )
 from conftest import (
@@ -607,18 +608,12 @@ def test_creation_parents_match_the_dict_lookup():
     # at (40, 2) the creation maps' keys (N + 1)^(n + 1) = 3^41 leave int64
     for n, N in [(1, 0), (1, 150), (2, 40), (3, 16), (4, 10), (40, 2)]:
         basis = build_basis(n, N)
-        dst = _creation_maps(basis)
-        w = _reference_creation_weights(basis)
-        slot, parent, div = _creation_parents(basis, dst, w)
-        want = [(0, 0, 1.0)]
+        slot, parent = _creation_parents(basis, _creation_maps(basis))
+        want = [(0, 0)]
         for alpha in basis.indices[1:]:
             j = next(i for i, a in enumerate(alpha) if a > 0)
-            p = basis.position(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :])
-            # the creation weight w[j, p] = sqrt(2 alpha_j)
-            want.append((j, p, math.sqrt(2 * alpha[j])))
-        assert list(zip(slot.tolist(), parent.tolist(), div.tolist())) == want, (n, N)
-        ones = np.ones((n, basis.shell(N).start))
-        assert np.all(_creation_parents(basis, dst, ones)[2] == 1.0), (n, N)
+            want.append((j, basis.position(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :])))
+        assert list(zip(slot.tolist(), parent.tolist())) == want, (n, N)
 
 
 def test_creation_recursion_has_the_reference_bits_in_more_variables():
@@ -659,10 +654,17 @@ def test_eigenfunction_residual_reads_the_shell_blocks_with_the_dense_bits():
             blocks, _ = _creation_shells(psi, basis, np.ones((n, basis.shell(d).start)))
             C = _block_diagonal(basis, blocks)
             # F is homogeneous here; a shuffled half of all positions
-            # reads across the shells
-            for cols in (pos, rng.permutation(basis.dim)[: basis.dim // 2]):
-                got = _block_diagonal(basis, blocks, cols)
-                assert _same_bits(got, C[:, cols]) and got.flags.f_contiguous
+            # reads across the shells.  Each column is zero outside its
+            # shell, and each entry of cols is read once.
+            for cols in (np.array(pos), rng.permutation(basis.dim)[: basis.dim // 2]):
+                seen = []
+                for rows, i, got in _shell_columns(basis, blocks, cols):
+                    assert _same_bits(got, C[rows, cols[i]]) and got.flags.f_contiguous
+                    outside = np.ones(basis.dim, dtype=bool)
+                    outside[rows] = False
+                    assert not np.any(C[outside][:, cols[i]])
+                    seen += i.tolist()
+                assert sorted(seen) == list(range(len(cols)))
             f = np.array(list(terms.values()), dtype=complex)
             resid = (C[:, pos] * f).sum(axis=1)
             resid[pos] -= spec.eigenvalue * f
@@ -808,7 +810,7 @@ def test_eigenfunction_check_refuses_past_physical_memory(monkeypatch):
     def refuse(*args):
         raise AssertionError("allocated past physical memory")
 
-    for name in ("_creation_shells", "_block_diagonal"):
+    for name in ("_creation_shells", "_shell_columns"):
         monkeypatch.setattr(f"fockop.spectrum.{name}", refuse)
     monkeypatch.setattr("fockop.truncation._physical_memory", lambda: 200)
     with pytest.raises(SizeOverflowError, match="shell blocks would take 224 bytes"):

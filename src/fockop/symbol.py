@@ -198,24 +198,35 @@ class BlockSchurForm:
         return M
 
 
-def _eig_sort_key(lam):
-    # modulus descending, ties broken by argument ascending in [0, 2pi).
-    # Moduli inside the unimodular band collapse to exactly 1 so the
-    # argument tiebreak is not defeated by 1-ulp modulus noise, and an
-    # argument just below 2pi folds to 0 so the sign of a rounded
-    # imaginary part cannot send a real eigenvalue to the end.
-    m = abs(lam)
-    if m >= 1.0 - DEFAULT_TOL_UNIT:
-        m = 1.0
-    theta = float(np.angle(lam)) % (2.0 * np.pi)
-    if 2.0 * np.pi - theta < _ZERO_ANGLE_TOL:
-        theta = 0.0
-    return (-m, theta)
+def _eig_sort_keys(ev):
+    """The sort keys (-m, theta) of the values ev, as two arrays: modulus
+    descending, ties broken by argument ascending in [0, 2pi).
+
+    Moduli inside the unimodular band collapse to exactly 1 so the
+    argument tiebreak is not defeated by 1-ulp modulus noise, and an
+    argument just below 2pi folds to 0 so the sign of a rounded imaginary
+    part cannot send a real eigenvalue to the end.
+    """
+    ev = np.asarray(ev, dtype=complex)
+    # np.hypot, as abs() of one value takes it: np.abs of a complex array
+    # may round differently, and a modulus tie would then sort differently
+    m = np.hypot(ev.real, ev.imag)
+    m[m >= 1.0 - DEFAULT_TOL_UNIT] = 1.0
+    theta = np.angle(ev) % (2.0 * np.pi)
+    theta[2.0 * np.pi - theta < _ZERO_ANGLE_TOL] = 0.0
+    return -m, theta
+
+
+def _eig_order(ev):
+    """The stable permutation that sorts ev by _eig_sort_keys."""
+    neg_m, theta = _eig_sort_keys(ev)
+    return np.lexsort((theta, neg_m))
 
 
 def sort_eigenvalues(ev):
     """Eigenvalues sorted modulus-descending, ties argument-ascending."""
-    return np.array(sorted(ev, key=_eig_sort_key), dtype=complex)
+    ev = np.asarray(ev, dtype=complex)
+    return ev[_eig_order(ev)]
 
 
 def eigenvalues(A):
@@ -236,9 +247,8 @@ def _eigenvalues_of(symbol):
 def _is_sorted_triangular(A):
     if np.tril(A, -1).any():
         return False
-    n = A.shape[0]
-    keys = [_eig_sort_key(A[i, i]) for i in range(n)]
-    return all(keys[i] <= keys[i + 1] for i in range(n - 1))
+    order = _eig_order(np.diag(A))
+    return bool(np.all(order == np.arange(len(order))))
 
 
 def block_schur_form(A, tol_unit=DEFAULT_TOL_UNIT):
@@ -287,7 +297,7 @@ def block_schur_form(A, tol_unit=DEFAULT_TOL_UNIT):
         import scipy.linalg
 
         T, Z = scipy.linalg.schur(A, output="complex")
-        keys = [_eig_sort_key(t) for t in np.diag(T)]
+        keys = list(zip(*_eig_sort_keys(np.diag(T))))
         for i in range(n):
             j = min(range(i, n), key=keys.__getitem__)
             if j > i:

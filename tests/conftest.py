@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fockop import AffineSymbol, truncation
+from fockop.symbol import _ZERO_ANGLE_TOL, DEFAULT_TOL_UNIT
 
 THETA = 0.7  # irrational-looking rotation angle reused by several tests
 
@@ -126,3 +127,20 @@ def random_bounded_noncompact_symbol(rng, n):
     Uk = U[:, :k]
     B = g - Uk @ (Uk.conj().T @ g)  # project out span(U[:, :k])
     return AffineSymbol(A, B)
+
+
+def reference_eig_sort_key(lam):
+    """The scalar sort key that fockop.symbol took per value before its
+    array keys (_eig_sort_keys): the reference for their order."""
+    # modulus descending, ties broken by argument ascending in [0, 2pi).
+    # Moduli inside the unimodular band collapse to exactly 1 so the
+    # argument tiebreak is not defeated by 1-ulp modulus noise, and an
+    # argument just below 2pi folds to 0 so the sign of a rounded
+    # imaginary part cannot send a real eigenvalue to the end.
+    m = abs(lam)
+    if m >= 1.0 - DEFAULT_TOL_UNIT:
+        m = 1.0
+    theta = float(np.angle(lam)) % (2.0 * np.pi)
+    if 2.0 * np.pi - theta < _ZERO_ANGLE_TOL:
+        theta = 0.0
+    return (-m, theta)

@@ -253,6 +253,42 @@ def test_truncate_identity(tmp_path, capsys):
     assert t["topSingularValues"] == pytest.approx([1.0, 1.0, 1.0])
 
 
+def _seeded_compact_doc(seed, n):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A *= 0.8 / np.linalg.norm(A, 2)
+    B = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return doc_for(A.tolist(), B.tolist()), A, B
+
+
+def test_truncate_above_the_lanczos_crossover_reports_one_svd(tmp_path, capsys):
+    from fockop.truncation import _LANCZOS_MIN_DIM
+
+    doc, _, _ = _seeded_compact_doc(31, 2)
+    path = write_doc(tmp_path, "s.json", doc)
+    code, out, _ = run(["truncate", path, "--degree", "24"], capsys)
+    assert code == 0
+    t = json.loads(out)["truncation"]
+    assert t["dim"] == 325 >= _LANCZOS_MIN_DIM
+    assert t["norm"] == t["topSingularValues"][0]
+
+
+def test_analyze_above_the_lanczos_crossover_matches_the_dense_norm(tmp_path, capsys):
+    from fockop import AffineSymbol
+    from fockop.truncation import _LANCZOS_MIN_DIM, build_truncation
+
+    doc, A, B = _seeded_compact_doc(32, 6)
+    path = write_doc(tmp_path, "s.json", doc)
+    code, out, _ = run(["analyze", path], capsys)
+    assert code == 0
+    t = json.loads(out)["truncation"]
+    assert t["dim"] == 210 >= _LANCZOS_MIN_DIM  # degree 4 at n = 6
+    M = build_truncation(AffineSymbol(A, B), 4).matrix
+    dense = np.linalg.svd(M, compute_uv=False)[0]
+    assert abs(t["truncatedNorm"] - dense) <= 1e-13 * dense
+    assert t["truncatedNorm"] <= t["closedFormNorm"] * (1 + 1e-12)
+
+
 def test_truncate_dump_binary(tmp_path, capsys):
     from fockop.truncation import load_binary
 

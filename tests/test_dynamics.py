@@ -32,8 +32,8 @@ from fockop.dynamics import (
     _relation_residual,
     _unimodular_angles,
 )
-from fockop.symbol import DEFAULT_TOL_UNIT, _eig_sort_key, _eigenvalues_of
-from conftest import BOUNDED, random_contraction, random_unitary
+from fockop.symbol import DEFAULT_TOL_UNIT, _eigenvalues_of
+from conftest import BOUNDED, random_contraction, random_unitary, reference_eig_sort_key
 
 
 def test_angle_set_build_and_validation():
@@ -170,7 +170,7 @@ def test_every_found_relation_is_canonical_with_its_residual(case):
     ev = np.exp(1j * np.array(thetas))
     sym = AffineSymbol(np.diag(ev), np.zeros(len(ev)))
     if tags is not None:
-        tags = [tags[i] for i in sorted(range(len(ev)), key=lambda i: _eig_sort_key(ev[i]))]
+        tags = [tags[i] for i in sorted(range(len(ev)), key=lambda i: reference_eig_sort_key(ev[i]))]
     iv, _ = _angle_verdict(sym, DEFAULT_TOL_UNIT, DEFAULT_MAX_COEFF, tags)
     angles = _unimodular_angles(_eigenvalues_of(sym), DEFAULT_TOL_UNIT, tags)
     _assert_found_relation(iv, angles.thetas)

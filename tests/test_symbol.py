@@ -40,12 +40,19 @@ from fockop.analysis import _bounded_verdict
 from fockop.symbol import (
     DEFAULT_TOL_UNIT,
     _block_schur,
-    _eig_sort_key,
+    _eig_sort_keys,
     _eigenvalues_of,
     _is_sorted_triangular,
     sort_eigenvalues,
 )
-from conftest import make_corpus, random_unitary
+from conftest import (
+    make_corpus,
+    random_bounded_noncompact_symbol,
+    random_compact_symbol,
+    random_normal_matrix,
+    random_unitary,
+    reference_eig_sort_key,
+)
 
 RNG_SEED = 20240811
 
@@ -104,15 +111,71 @@ def test_call_evaluates_affine_map():
 def test_sort_eigenvalues_real_one_first_whatever_its_rounding(one):
     # an argument just below 2pi is the argument 0, not the largest one
     rot = np.exp(1j * np.pi / 4)
-    assert _eig_sort_key(one)[1] < 1e-12
+    assert reference_eig_sort_key(one)[1] < 1e-12
     assert list(sort_eigenvalues([one, rot])) == [one, rot]
     assert list(sort_eigenvalues([rot, one])) == [one, rot]
+
+
+def _reference_sort(ev):
+    return np.array(sorted(ev, key=reference_eig_sort_key), dtype=complex)
+
+
+def _edge_spectra(rng):
+    """Values on the edges of the sort key: the unimodular band's edge,
+    arguments just below 2pi, signed zeros, exact ties and repeats."""
+    band = 1.0 - DEFAULT_TOL_UNIT
+    edge = [
+        band, np.nextafter(band, 0.0), 1 + 1e-15, 1 - 1e-17j, 1 + 1e-17j,
+        1 - 1e-15j, -1.0, 1j, -1j, complex(0.0, -0.0), complex(-0.0, 0.0),
+        0.0, -0.0, 0.5, 0.5j, -0.5, np.exp(2j * np.pi * (1 - 1e-13)),
+    ]
+    yield np.array(edge, dtype=complex)
+    for _ in range(20):
+        yield rng.choice(np.array(edge, dtype=complex), size=12)
+    # moduli on both sides of the band, and the argument ties of roots of
+    # unity that rounding spreads over the band
+    for _ in range(20):
+        k = int(rng.integers(2, 9))
+        roots = np.exp(2j * np.pi * np.arange(k) / k)
+        yield rng.permutation(np.concatenate([roots, roots * (1 - 1e-11), roots * 0.9]))
+
+
+def _truncation_spectra(rng):
+    """Unsorted shell eigenvalues of seeded truncations of every class."""
+    for n, N in [(1, 30), (2, 10), (3, 6), (4, 4)]:
+        for _ in range(6):
+            symbols = [
+                random_compact_symbol(rng, n),
+                random_bounded_noncompact_symbol(rng, n),
+                AffineSymbol(random_unitary(rng, n), np.zeros(n)),
+                AffineSymbol(random_normal_matrix(rng, n), np.zeros(n)),
+            ]
+            for s in symbols:
+                blocks = build_truncation(s, N).shell_blocks()
+                yield np.concatenate([np.linalg.eigvals(b) for b in blocks])
+
+
+def test_array_sort_keys_give_the_reference_order_bit_for_bit():
+    rng = np.random.default_rng(RNG_SEED + 31)
+    count = 0
+    for ev in [*_edge_spectra(rng), *_truncation_spectra(rng)]:
+        got, want = sort_eigenvalues(ev), _reference_sort(ev)
+        assert got.tobytes() == want.tobytes()
+        # the sorted diagonal of a triangular matrix is recognized as
+        # sorted exactly when the reference keys are nondecreasing
+        keys = [reference_eig_sort_key(v) for v in ev[:8]]
+        assert _is_sorted_triangular(np.diag(ev[:8])) == (keys == sorted(keys))
+        assert _is_sorted_triangular(np.diag(want[:8]))
+        count += 1
+    assert count == 41 + 96
+    neg_m, theta = _eig_sort_keys([1 - 1e-17j, 1 + 1e-17j, 1 - 1e-15j])
+    assert np.all(neg_m == -1.0) and np.all(theta < 1e-12)
 
 
 def _assert_sorted_reconstruction(A, form):
     T = form.M
     assert np.linalg.norm(form.U @ A @ form.U.conj().T - T) < 1e-9
-    keys = [_eig_sort_key(t) for t in np.diag(T)]
+    keys = [reference_eig_sort_key(t) for t in np.diag(T)]
     assert keys == sorted(keys)
 
 

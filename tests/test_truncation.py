@@ -766,6 +766,96 @@ def test_pruned_norm_solves_only_the_blocks_that_can_hold_it(monkeypatch):
         assert len(calls) == N + 1, n
 
 
+def _b_nonzero_symbols(rng, n):
+    """Symbols with B != 0: compact, boundary (||A|| = 1 and bounded, where
+    the top singular values of the truncations cluster), unitary A and
+    ||A|| = 1 with a generic B (both unbounded), and nilpotent A."""
+    A = random_contraction(rng, n)
+    B = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    boundary = random_bounded_noncompact_symbol(rng, n)
+    while not np.any(boundary.B):  # a unitary A admits only B = 0
+        boundary = random_bounded_noncompact_symbol(rng, n)
+    return {
+        "compact": AffineSymbol(A, B),
+        "boundary": boundary,
+        "unitary": AffineSymbol(random_unitary(rng, n), B),
+        "unbounded": AffineSymbol(A / np.linalg.svd(A, compute_uv=False)[0], B),
+        "nilpotent": AffineSymbol(np.triu(A, 1), B),
+    }
+
+
+def test_lanczos_norm_agrees_with_the_dense_svd():
+    rng = np.random.default_rng(RNG_SEED + 31)
+    # dims 161 to 1001, from the crossover up
+    for n, N in [(1, 160), (1, 300), (2, 17), (2, 24), (2, 30), (3, 9), (3, 12), (4, 6), (4, 7), (4, 10)]:
+        symbols = _b_nonzero_symbols(rng, n)
+        if N == 10:  # dim 1001: two classes keep the dense SVDs few
+            symbols = {k: symbols[k] for k in ("compact", "boundary")}
+        for kind, s in symbols.items():
+            op = build_truncation(s, N)
+            assert op.dim >= truncation._LANCZOS_MIN_DIM
+            dense = np.linalg.svd(op.matrix, compute_uv=False)[0]
+            norm = op.norm()
+            assert abs(norm - dense) <= 1e-13 * dense, (n, N, kind)
+            lanczos = truncation._lanczos_norm(op.matrix, op.dim // truncation._DIM_PER_LANCZOS_STEP)
+            if lanczos is not None:
+                assert norm == lanczos
+            else:
+                # the boundary symbols' clusters (and, at n = 1, their B of
+                # rounding size) and the rank-one M of A = 0 fall back
+                assert kind == "boundary" or (kind, n) == ("nilpotent", 1), (n, N, kind)
+                assert _same_bits(norm, op.singular_values()[0])
+    # below the crossover the norm keeps the dense SVD's bits
+    for n, N in [(1, 158), (2, 16), (3, 7), (4, 5)]:
+        for kind, s in _b_nonzero_symbols(rng, n).items():
+            op = build_truncation(s, N)
+            assert op.dim < truncation._LANCZOS_MIN_DIM
+            assert _same_bits(op.norm(), op.singular_values()[0]), (n, N, kind)
+
+
+def test_lanczos_norm_takes_no_dense_svd(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(RNG_SEED + 32)
+    for n, N in [(2, 24), (3, 10)]:  # dims 325 and 286
+        s = random_compact_symbol(rng, n)
+        op = build_truncation(s, N)
+        shapes.clear()
+        norm = op.norm()
+        assert shapes and (op.dim, op.dim) not in shapes
+        assert norm <= operator_norm(s) * (1 + 1e-12)
+
+
+def test_lanczos_norm_falls_back_to_the_dense_bits(monkeypatch):
+    rng = np.random.default_rng(RNG_SEED + 33)
+    s = random_compact_symbol(rng, 2)
+    op = build_truncation(s, 24)
+    dense = op.singular_values()[0]
+    # one step does not converge
+    monkeypatch.setattr(truncation, "_DIM_PER_LANCZOS_STEP", op.dim)
+    assert truncation._lanczos_norm(op.matrix, 1) is None
+    assert _same_bits(op.norm(), dense)
+    monkeypatch.undo()
+    cases = [
+        # A = 0: M is rank one, and the recursion breaks down at step 2
+        (AffineSymbol(np.zeros((2, 2)), [0.5, 1j]), 20),
+        (AffineSymbol(np.zeros((3, 3)), [1.0, -0.5, 0.25j]), 9),
+        # entries near 1e170, whose squares leave the double range
+        (AffineSymbol([[10.0]], [1.0]), 170),
+    ]
+    for s, N in cases:
+        op = build_truncation(s, N)
+        assert op.dim >= truncation._LANCZOS_MIN_DIM
+        assert truncation._lanczos_norm(op.matrix, op.dim // truncation._DIM_PER_LANCZOS_STEP) is None
+        assert _same_bits(op.norm(), op.singular_values()[0])
+
+
 def test_builds_refuse_what_physical_memory_cannot_hold(monkeypatch):
     def refuse(*args):
         raise AssertionError("allocated past physical memory")

@@ -11,6 +11,8 @@ be cross-checked against exact finite truncations from
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AdjointNotGradedError,
     FockopError,
@@ -96,81 +98,10 @@ from .truncation import (
     truncated_spectrum,
 )
 
-__all__ = [
-    "__version__",
-    "AffineSymbol",
-    "AngleSet",
-    "BlockSchurForm",
-    "BoundednessVerdict",
-    "ClassificationReport",
-    "CyclicityVerdict",
-    "EigenfunctionSpec",
-    "GaussianRational",
-    "GradedBasis",
-    "IndependenceVerdict",
-    "MultiPolynomial",
-    "SpectrumEnumeration",
-    "TruncatedOperator",
-    "adjoint_symbol",
-    "berezin_transform",
-    "berezin_transform_quadrature",
-    "block_schur_form",
-    "block_schur_of_symbol",
-    "build_adjoint_truncation",
-    "build_basis",
-    "build_truncation",
-    "check_bounded",
-    "check_compact",
-    "check_cyclic",
-    "check_essentially_normal",
-    "check_hyponormal",
-    "check_normal",
-    "check_supercyclic",
-    "classify",
-    "compose_symbols",
-    "construct_eigenfunction",
-    "dump_binary",
-    "dump_csv",
-    "eigenvalue_products",
-    "eigenvalues",
-    "enumerate_spectrum",
-    "essential_norm",
-    "exact_matrix_as_double",
-    "graded_dim",
-    "graded_indices",
-    "hilbert_schmidt_norm_sq",
-    "hilbert_schmidt_norm_sq_closed_form",
-    "iterate_symbol",
-    "kernel_orbit",
-    "kernel_series_polynomial",
-    "load_binary",
-    "multiset_distance",
-    "operator_norm",
-    "orbit_density_experiment",
-    "rational_independence",
-    "schatten_integrals",
-    "schatten_integrals_quadrature",
-    "schatten_membership",
-    "solve_z0",
-    "truncated_commutator_norm",
-    "truncated_norm",
-    "truncated_spectrum",
-    "verify_eigenfunction",
-    # errors
-    "AdjointNotGradedError",
-    "FockopError",
-    "ForwardOrbitUnsupportedError",
-    "IdentityViolationError",
-    "InconsistentError",
-    "NonFiniteEntryError",
-    "NonSquareError",
-    "NormExceedsOneError",
-    "NotBoundedError",
-    "NotCompactError",
-    "NotDiagonalizableError",
-    "ParseError",
-    "QuadratureDivergenceError",
-    "ShapeMismatchError",
-    "SizeOverflowError",
-    "StructureViolationError",
+# the public names are those imported above, with the package's version;
+# a submodule is bound here by its own import and is not one of them
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

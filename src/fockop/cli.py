@@ -225,6 +225,18 @@ def _verdict_doc(v):
     }
 
 
+def _spectrum_doc(spec, with_degree):
+    """The spectrum section of a document.  analyze's carries maxDegree
+    after the eigenvalues; spectrum's has it in its parameters."""
+    doc = {"eigenvalues": _cvec(spec.eigenvalues)}
+    if with_degree:
+        doc["maxDegree"] = spec.max_degree
+    doc["products"] = [{"gamma": list(g), "value": _cnum(v)} for g, v in spec.products]
+    doc["closureContainsZero"] = spec.closure_contains_zero
+    doc["unimodularAnglesIndependent"] = spec.unimodular_angles_independent
+    return doc
+
+
 def analyze_document(sym, exact_angles, degree, tol):
     report = analysis.classify(sym, tol_unit=tol, exact_angles=exact_angles)
     spec = spectrum_mod.enumerate_spectrum(
@@ -254,15 +266,7 @@ def analyze_document(sym, exact_angles, degree, tol):
             "supercyclic": report.supercyclic,
             "cyclic": _verdict_doc(report.cyclic_detail),
         },
-        "spectrum": {
-            "eigenvalues": _cvec(spec.eigenvalues),
-            "maxDegree": spec.max_degree,
-            "products": [
-                {"gamma": list(g), "value": _cnum(v)} for g, v in spec.products
-            ],
-            "closureContainsZero": spec.closure_contains_zero,
-            "unimodularAnglesIndependent": spec.unimodular_angles_independent,
-        },
+        "spectrum": _spectrum_doc(spec, with_degree=True),
         "truncation": {
             "degree": degree,
             "dim": op.dim,
@@ -312,14 +316,7 @@ def spectrum_document(sym, exact_angles, max_degree, verify):
         "tool": _tool_header(),
         "symbol": symbol_document(sym, exact_angles),
         "parameters": {"maxDegree": max_degree},
-        "spectrum": {
-            "eigenvalues": _cvec(spec.eigenvalues),
-            "products": [
-                {"gamma": list(g), "value": _cnum(v)} for g, v in spec.products
-            ],
-            "closureContainsZero": spec.closure_contains_zero,
-            "unimodularAnglesIndependent": spec.unimodular_angles_independent,
-        },
+        "spectrum": _spectrum_doc(spec, with_degree=False),
         "verification": None,
     }
     if verify:

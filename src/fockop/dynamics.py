@@ -32,6 +32,7 @@ from .symbol import (
     _ZERO_ANGLE_TOL,
     DEFAULT_TOL_UNIT,
     _eigenvalues_of,
+    _unimodular,
     hermitian_inner,
     iterate_symbol,
     per_symbol,
@@ -94,7 +95,7 @@ def _unimodular_angles(ev, tol_unit, exact_angles):
 
     Raises ShapeMismatchError if exact_angles does not align with ev.
     """
-    unim = [i for i in range(len(ev)) if abs(ev[i]) >= 1.0 - tol_unit]
+    unim = np.flatnonzero(_unimodular(ev, tol_unit)[1]).tolist()
     tags = None
     if exact_angles is not None:
         if len(exact_angles) != len(ev):

@@ -24,7 +24,13 @@ from .dynamics import DEFAULT_MAX_COEFF, _angle_verdict
 from .errors import NotDiagonalizableError, ShapeMismatchError, SizeOverflowError
 from .exact import GaussianRational
 from .polynomials import MultiPolynomial
-from .symbol import AffineSymbol, DEFAULT_TOL_UNIT, _block_schur, _eigenvalues_of
+from .symbol import (
+    AffineSymbol,
+    DEFAULT_TOL_UNIT,
+    _block_schur,
+    _eigenvalues_of,
+    _unimodular,
+)
 from .truncation import (
     _creation_shells,
     _exact_columns,
@@ -214,7 +220,7 @@ def enumerate_spectrum(
         eigenvalues=ev,
         max_degree=max_degree,
         products=tuple(reps),
-        closure_contains_zero=bool(np.any(np.abs(ev) < 1.0 - tol_unit)),
+        closure_contains_zero=not _unimodular(ev, tol_unit)[1].all(),
         unimodular_angles_independent=verdict.independent,
     )
 

@@ -198,6 +198,20 @@ class BlockSchurForm:
         return M
 
 
+def _unimodular(ev, tol_unit):
+    """(m, band): the moduli of the values ev, and which of them lie in the
+    unimodular band m >= 1 - tol_unit.
+
+    Every module decides "this eigenvalue is unimodular" here.  The moduli
+    are np.hypot's, as abs() of one value takes them: np.abs of a complex
+    array may round differently, and a value at the band edge would then be
+    unimodular to one reader and not to another.
+    """
+    ev = np.asarray(ev, dtype=complex)
+    m = np.hypot(ev.real, ev.imag)
+    return m, m >= 1.0 - tol_unit
+
+
 def _eig_sort_keys(ev):
     """The sort keys (-m, theta) of the values ev, as two arrays: modulus
     descending, ties broken by argument ascending in [0, 2pi).
@@ -207,11 +221,8 @@ def _eig_sort_keys(ev):
     argument just below 2pi folds to 0 so the sign of a rounded imaginary
     part cannot send a real eigenvalue to the end.
     """
-    ev = np.asarray(ev, dtype=complex)
-    # np.hypot, as abs() of one value takes it: np.abs of a complex array
-    # may round differently, and a modulus tie would then sort differently
-    m = np.hypot(ev.real, ev.imag)
-    m[m >= 1.0 - DEFAULT_TOL_UNIT] = 1.0
+    m, band = _unimodular(ev, DEFAULT_TOL_UNIT)
+    m[band] = 1.0
     theta = np.angle(ev) % (2.0 * np.pi)
     theta[2.0 * np.pi - theta < _ZERO_ANGLE_TOL] = 0.0
     return -m, theta
@@ -308,7 +319,7 @@ def block_schur_form(A, tol_unit=DEFAULT_TOL_UNIT):
         U = Z.conj().T
 
     diag = np.diag(T).copy()
-    s = int(np.sum(np.abs(diag) >= 1.0 - tol_unit))
+    s = int(np.sum(_unimodular(diag, tol_unit)[1]))
     for i in range(s):
         row = T[i, i + 1 :]
         if row.size and np.max(np.abs(row)) > tol_unit:

@@ -47,12 +47,12 @@ ulps of the value; a breakdown, or no convergence within dim // 8 steps,
 falls back to the dense SVD and its bits (see _lanczos_norm).
 Exact mode and build_adjoint_truncation are the oracles for this
 recursion and share no code with it; they go through the norms, which fit
-a double only up to degree 150.  Exact mode keeps the coefficients as
-Gaussian integers scaled by a power of two and divides each once, where it
-is read: into the matrix, or into GaussianRational when exact_columns is
-read.  The adjoint route keeps each shell of C_{A* z} as a dense array of
-monomial coefficients and forms the shell's columns with one product by
-the cut kernel series.
+a double only up to degree 150.  Exact mode expands the coefficients as
+Gaussian integers scaled by a power of two and divides each once, into
+the matrix; exact_columns expands them again, into GaussianRational, on
+its first read.  The adjoint route keeps each shell of C_{A* z} as a
+dense array of monomial coefficients and forms the shell's columns with
+one product by the cut kernel series.
 
 Before anything is allocated, the bytes it takes are checked against the
 machine's physical memory, since the dimension cap counts basis elements
@@ -329,17 +329,18 @@ class TruncatedOperator:
     shell blocks, and the dense matrix is assembled from them on the first
     read of matrix.  Every other build stores the dense matrix.  matrix is
     the normalized complex128 matrix either way.  When built in exact
-    mode, scaled_columns holds the unnormalized coefficients c_{alpha beta}
-    as _exact_columns gives them, scaled Gaussian integers, and the float
-    matrix is D^{1/2} C D^{-1/2} evaluated from them.  exact_columns reads
-    them as one map row index -> GaussianRational per column.
+    mode (exact is True), the float matrix is D^{1/2} C D^{-1/2} evaluated
+    from the unnormalized coefficients c_{alpha beta} as _exact_columns
+    gives them, scaled Gaussian integers, which are then dropped.
+    exact_columns expands them again on its first read, as one map row
+    index -> GaussianRational per column.
     """
 
     basis: GradedBasis
     symbol: object
     blocks: tuple = None
     dense: np.ndarray = None
-    scaled_columns: tuple = None
+    exact: bool = False
 
     @property
     def dim(self):
@@ -366,9 +367,9 @@ class TruncatedOperator:
         """In exact mode, exact_columns[j] maps row index -> GaussianRational
         coefficient c_{alpha beta} of column j, built on the first read;
         None otherwise."""
-        if self.scaled_columns is None:
+        if not self.exact:
             return None
-        s, columns = self.scaled_columns
+        s, columns = _exact_columns(self.symbol, self.basis)
         degrees = self.basis.degrees().tolist()
         return tuple(_gaussian_column(s, d, c) for d, c in zip(degrees, columns))
 
@@ -889,11 +890,11 @@ def build_truncation(symbol, max_degree, exact=False):
     exact : bool
         Expand (Az + B)^alpha exactly, in Gaussian integers scaled by a
         power of two, instead of the creation recursion (input floats are
-        dyadic rationals, so the conversion is lossless).  The operator
-        keeps the coefficients as those scaled integers, and each entry of
-        the matrix is one correctly rounded quotient of them, scaled by
-        the norms.  exact_columns reads them as GaussianRational.
-        Limited to degree <= 150.
+        dyadic rationals, so the conversion is lossless).  Each entry of
+        the matrix is one correctly rounded quotient of those scaled
+        integers, scaled by the norms.  The operator keeps only the
+        matrix; exact_columns expands the coefficients again, as
+        GaussianRational, on its first read.  Limited to degree <= 150.
 
     With B = 0 and exact False only the shell blocks are built, and the
     operator is returned in block form.
@@ -905,11 +906,10 @@ def build_truncation(symbol, max_degree, exact=False):
     """
     basis = build_basis(symbol.n, max_degree)
     _refuse_past_memory(basis, blocks=not exact and not np.any(symbol.B))
-    scaled = blocks = None
+    blocks = None
     if exact:
         sqrt_ns = np.sqrt(basis.norm_sq)  # raises above degree 150
-        scaled = _exact_columns(symbol, basis)
-        matrix = _matrix_from_exact(basis, sqrt_ns, scaled)
+        matrix = _matrix_from_exact(basis, sqrt_ns, _exact_columns(symbol, basis))
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             blocks, matrix = _creation_shells(symbol, basis, _creation_weights(basis))
@@ -918,7 +918,7 @@ def build_truncation(symbol, max_degree, exact=False):
         symbol=symbol,
         blocks=None if matrix is not None else tuple(blocks),
         dense=matrix,
-        scaled_columns=scaled,
+        exact=exact,
     )
     # in block form the buffer holds every entry that can be nonzero
     if not np.isfinite(op._buffer if matrix is None else matrix).all():
@@ -935,7 +935,7 @@ def exact_matrix_as_double(op):
     not read.  The function stays because perfbench's `exact` job calls
     it.
     """
-    if op.scaled_columns is None:
+    if not op.exact:
         raise ValueError("operator was not built in exact mode")
     return op.matrix.copy()
 

@@ -11,6 +11,7 @@ import importlib
 import pathlib
 import re
 import runpy
+import types
 
 import numpy as np
 
@@ -53,6 +54,17 @@ def test_public_surface():
     names = set(re.findall(r"\bF\.(\w+)", (PERFBENCH / "workloads.py").read_text()))
     assert "exact_matrix_as_double" in names
     assert sorted(name for name in names if not hasattr(fockop, name)) == []
+
+
+def test_star_import_binds_exactly_the_export_list():
+    namespace = {}
+    exec("from fockop import *", namespace)
+    bound = set(namespace) - {"__builtins__"}
+    assert bound == set(fockop.__all__)
+    private = [name for name in bound - {"__version__"} if name.startswith("_")]
+    assert private == []
+    modules = [name for name in bound if isinstance(namespace[name], types.ModuleType)]
+    assert modules == []
 
 
 def test_results_holding_arrays_compare_by_identity():

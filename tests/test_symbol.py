@@ -232,6 +232,18 @@ def test_block_schur_fast_path_identity_u():
     assert form.s == 1
 
 
+def test_one_modulus_rule_decides_the_unimodular_band():
+    # |z| = 1 - 1e-10 exactly as np.hypot and abs() round it, while np.abs
+    # of an array may round it one ulp lower, out of the band: the sort
+    # keys, the Schur split and the spectrum's closure must all agree
+    z = 0.6170707524218286 + 0.7869076733045359j
+    assert abs(z) == 1.0 - DEFAULT_TOL_UNIT
+    assert _eig_sort_keys([z])[0][0] == -1.0
+    assert block_schur_form(np.diag([z, 0.5])).s == 1
+    spec = enumerate_spectrum(AffineSymbol([[z]], [0]), 3)
+    assert spec.closure_contains_zero is False
+
+
 def test_block_schur_rejects_expansive():
     with pytest.raises(NormExceedsOneError):
         block_schur_form(np.array([[1.5]]))

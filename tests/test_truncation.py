@@ -1,6 +1,7 @@
 """Finite truncations on the graded monomial basis and their certificates."""
 
 import bisect
+import gc
 import math
 import operator
 import tracemalloc
@@ -1135,6 +1136,25 @@ def test_exact_columns_are_converted_only_when_read():
     assert op.exact_columns is columns
     assert all(type(c) is GaussianRational for col in columns for c in col.values())
     assert build_truncation(s, 4).exact_columns is None
+
+
+def test_exact_mode_holds_only_the_matrix():
+    # the scaled Gaussian integers that the matrix is built from are
+    # dropped; exact_columns expands them again when it is read
+    rng = np.random.default_rng(RNG_SEED + 40)
+    s = AffineSymbol(random_contraction(rng, 2, top=0.9), [0.5, -0.25j])
+    build_basis(2, 16)  # cached and shared between operators: not counted
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = build_truncation(s, 16, exact=True)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert op.dim == 153
+    assert held <= 2 * 16 * op.dim**2
 
 
 def test_adjoint_route_matches_the_reference():

@@ -271,7 +271,8 @@ def _tensor_gauss_hermite(exponent_fn, m, scale, order):
     from under/overflowing separately.  The order^m grid points are
     visited in blocks of at most _GH_BLOCK.
 
-    exponent_fn maps an (P, m) real array to a (P,) real array.
+    exponent_fn maps an (P, m) real array to a (P,) real array.  Raises
+    SizeOverflowError where the sum is inf, or nan from inf - inf.
     """
     from numpy.polynomial.hermite import hermgauss
 
@@ -280,11 +281,14 @@ def _tensor_gauss_hermite(exponent_fn, m, scale, order):
     logw = np.log(w) + x * x - 0.5 * math.log(scale)
     size = order**m
     total = 0.0
-    for start in range(0, size, _GH_BLOCK):
-        flat = np.arange(start, min(start + _GH_BLOCK, size))
-        idx = np.unravel_index(flat, (order,) * m)
-        pts = np.stack([nodes[i] for i in idx], axis=-1)
-        total += float(np.sum(np.exp(exponent_fn(pts) + sum(logw[i] for i in idx))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, size, _GH_BLOCK):
+            flat = np.arange(start, min(start + _GH_BLOCK, size))
+            idx = np.unravel_index(flat, (order,) * m)
+            pts = np.stack([nodes[i] for i in idx], axis=-1)
+            total += float(np.sum(np.exp(exponent_fn(pts) + sum(logw[i] for i in idx))))
+    if not math.isfinite(total):
+        raise SizeOverflowError(f"a Gauss-Hermite sum is {total}, out of the double range")
     return total
 
 

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import _require_bounded
-from .errors import ForwardOrbitUnsupportedError, ShapeMismatchError
+from .errors import ForwardOrbitUnsupportedError, ShapeMismatchError, SizeOverflowError
 from .symbol import (
     _ZERO_ANGLE_TOL,
     DEFAULT_TOL_UNIT,
@@ -355,7 +355,7 @@ def _cyclic_verdict(symbol, tol_unit, max_coeff, exact_angles):
     (it cannot answer "yes": every eigenvalue of a unitary A is on the
     circle, so there are angles)."""
     n, A = symbol.n, symbol.A
-    if np.linalg.svd(A, compute_uv=False)[-1] <= _SINGULAR_TOL:
+    if symbol._singular_values[-1] <= _SINGULAR_TOL:
         return CyclicityVerdict(
             verdict="no",
             rationale="A is not invertible; the range of C_phi is not dense",
@@ -409,6 +409,8 @@ def kernel_orbit(symbol, z, m, mode="adjoint", tol_unit=DEFAULT_TOL_UNIT):
     NotBoundedError
     ForwardOrbitUnsupportedError
         mode="forward" with n >= 2.
+    SizeOverflowError
+        mode="forward" where c_m leaves the double range.
     """
     _require_bounded(symbol, tol_unit, "kernel orbits are computed for bounded symbols")
     z = np.asarray(z, dtype=complex).reshape(-1)
@@ -429,9 +431,13 @@ def kernel_orbit(symbol, z, m, mode="adjoint", tol_unit=DEFAULT_TOL_UNIT):
         for _ in range(m):
             s += term
             term *= a
-        scale = np.exp(0.5 * hermitian_inner([s * b], z))
+        x = 0.5 * hermitian_inner([s * b], z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = complex(np.exp(x))
+        if not np.isfinite(scale):
+            raise SizeOverflowError(f"orbit scale = exp({x}) exceeds the double range")
         center = np.conj(a) ** m * z
-        return KernelOrbitResult(center=center, scale=complex(scale))
+        return KernelOrbitResult(center=center, scale=scale)
     raise ValueError(f"unknown orbit mode {mode!r}")
 
 

@@ -478,8 +478,8 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     """Residual max|C f - eigenvalue f| of F o psi = eigenvalue F, with f
     the coefficients of F and C the coefficient matrix of C_psi on the
     monomials of degree <= deg F, from the truncation's creation recursion
-    with weights one; when psi has B = 0 only F's columns of C are read,
-    each from its shell block, one shell at a time.  Exact-mode specs sum
+    with weights one.  Only F's columns of C are read, from the column
+    blocks of the recursion, one shell at a time.  Exact-mode specs sum
     the exact columns of C instead, only F's columns read as
     GaussianRational, and return exactly 0.0 on success.
 
@@ -519,17 +519,11 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     # elementwise, in place on the gathered columns: a BLAS product would
     # wake OpenBLAS's worker threads
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks, C = _creation_shells(psi, basis, ones)
-        if C is None:
-            # only the shells where F has terms hold nonzero rows
-            resid = np.zeros(basis.dim, dtype=complex)
-            for rows, i, cols in _shell_columns(basis, blocks, pos):
-                cols *= f[i]
-                resid[rows] = cols.sum(axis=1)
-        else:
-            cols = C[:, pos]
-            cols *= f
-            resid = cols.sum(axis=1)
+        blocks, _ = _creation_shells(psi, basis, ones)
+        resid = np.zeros(basis.dim, dtype=complex)
+        for rows, i, cols in _shell_columns(basis, blocks, pos):
+            cols *= f[i]
+            resid[rows] += cols.sum(axis=1)
         resid[pos] -= spec.eigenvalue * f
     worst = float(np.max(np.abs(resid)))  # nan propagates
     if not np.isfinite(worst):

@@ -50,8 +50,7 @@ def operator_norm_of_matrix(A):
         raise NonSquareError(f"expected square matrix, got shape {A.shape}")
     if A.shape[0] == 0:
         return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(A, 2))
+    norm = float(np.linalg.norm(A, 2))  # numpy's SVD sets its own errstate
     if not np.isfinite(norm):
         raise SizeOverflowError(f"||A|| = {norm} exceeds the double range")
     return norm
@@ -160,7 +159,17 @@ class AffineSymbol:
     @cached_property
     def norm_a(self):
         """||A||; a non-finite norm raises SizeOverflowError on every access."""
-        return operator_norm_of_matrix(self.A)
+        norm = float(self._singular_values[0])
+        if not np.isfinite(norm):
+            raise SizeOverflowError(f"||A|| = {norm} exceeds the double range")
+        return norm
+
+    @cached_property
+    def _singular_values(self):
+        """A's singular values, descending and read-only: one SVD per symbol."""
+        sv = np.linalg.svd(self.A, compute_uv=False)
+        sv.flags.writeable = False
+        return sv
 
     def __repr__(self):
         return f"AffineSymbol(n={self.n}, ||A||={self.norm_a:.6g}, |B|={np.linalg.norm(self.B):.6g})"

@@ -223,8 +223,8 @@ class GradedBasis:
             raise SizeOverflowError(
                 f"degree {self.max_degree} is too high for the monomial norms: "
                 f"||z^gamma||^2 = gamma! 2^|gamma| overflows a double; the exact "
-                f"and adjoint routes and the orbit experiment stop at degree "
-                f"{_MAX_FLOAT_DEGREE}"
+                f"and adjoint routes, the kernel series and the orbit experiment "
+                f"stop at degree {_MAX_FLOAT_DEGREE}"
             )
         return _read_only(np.array([float(monomial_norm_sq_exact(g)) for g in self.indices]))
 
@@ -566,11 +566,9 @@ def _refuse_past_memory(basis, blocks=False):
     complex matrix on basis (16 dim^2 bytes) or, with blocks, its shell
     blocks (16 sum_d s_d^2 bytes, s_d the size of shell d) would take more
     than the machine's physical memory."""
+    nbytes, what = 16 * basis.dim**2, "dense matrix"
     if blocks:
-        sizes = (math.comb(d + basis.n - 1, d) for d in range(basis.max_degree + 1))
-        nbytes, what = 16 * sum(m * m for m in sizes), "shell blocks"
-    else:
-        nbytes, what = 16 * basis.dim**2, "dense matrix"
+        nbytes, what = 16 * basis._block_layout[1][-1], "shell blocks"
     memory = _physical_memory()
     if memory is not None and nbytes > memory:
         raise SizeOverflowError(
@@ -589,49 +587,38 @@ def _block_diagonal(basis, blocks):
 
 
 def _shell_columns(basis, blocks, cols):
-    """Per degree d among the positions cols, (shell d's slice, the
-    indices i of the entries of cols of degree d, the columns cols[i] of
-    shell d's block): with B = 0 a column of degree d is zero outside
-    shell d.  The columns keep their order in cols and are laid out in
-    Fortran order, as numpy lays out the gather M[:, cols]."""
+    """Per degree d among the positions cols, (the rows of shell d's
+    column block, the indices i of the entries of cols of degree d, the
+    columns cols[i] of that block), blocks as _creation_shells gives them:
+    a column is zero outside its block's rows.  The columns keep their
+    order in cols, in Fortran order, as numpy lays out the gather M[:, cols]."""
     cols = np.asarray(cols, dtype=np.intp)
     degree = basis.degrees()[cols]
     for d in sorted(set(degree.tolist())):
-        s = basis.shell(d)
+        s, block = basis.shell(d), blocks[d]
         i = np.flatnonzero(degree == d)
-        yield s, i, np.asfortranarray(blocks[d][:, cols[i] - s.start])
+        yield slice(s.stop - len(block), s.stop), i, np.asfortranarray(block[:, cols[i] - s.start])
 
 
 def _creation_maps(basis):
-    """dst[k, i] = position of g_i + e_k, for the basis elements g_i of
-    degree < N, found by one searchsorted on the keys of
-    GradedBasis.positions: a key is linear in the index, and e_k's is the
-    sum of the place values of the degree and of entry k."""
-    rows = graded_dim(basis.n, basis.max_degree - 1)
-    place, keys = basis._radix, basis._keys
-    return np.searchsorted(keys, keys[:rows] + (place[0] + place[1:])[:, None])
+    """dst[k, i] = position of g_i + e_k, for the g_i of degree < N."""
+    G = basis.exponents[: basis.shell(basis.max_degree).start]
+    return basis.positions(G + np.eye(basis.n, dtype=np.int64)[:, None])
 
 
 def _creation_weights(basis):
     """w[k, i] = sqrt(2 (g_k + 1)), for the basis elements g_i of degree < N."""
-    rows = graded_dim(basis.n, basis.max_degree - 1)
-    return np.sqrt(2.0 * (basis.exponents[:rows].T + 1.0))
+    return np.sqrt(2.0 * (basis.exponents[: basis.shell(basis.max_degree).start].T + 1.0))
 
 
-def _creation_parents(basis, dst):
+def _creation_parents(basis):
     """slot[c] and parent[c] for each column c of degree >= 1: the first
     nonzero slot j of alpha_c and the position of alpha_c - e_j.  Column 0
-    has no parent; it gets 0 and 0.
-
-    Column dst[j, i] is g_i + e_j, so each j with alpha_j > 0 names a
-    parent of alpha; writing j from n - 1 down to 0 leaves the first.
-    """
-    slot = np.zeros(basis.dim, dtype=np.intp)
-    parent = np.zeros(basis.dim, dtype=np.intp)
-    for j in reversed(range(basis.n)):
-        slot[dst[j]] = j
-        parent[dst[j]] = np.arange(dst.shape[1])
-    return slot, parent
+    has no parent; it gets 0 and 0."""
+    G = basis.exponents
+    slot = np.argmax(G > 0, axis=1)
+    parent = basis.positions(G[1:] - np.eye(basis.n, dtype=np.int64)[slot[1:]])
+    return slot, np.concatenate(([0], parent))
 
 
 def _consecutive(t):
@@ -671,7 +658,7 @@ class _CreationPlan:
     def of(cls, basis):
         n = basis.n
         dst = _read_only(_creation_maps(basis))
-        slot, parent = _creation_parents(basis, dst)
+        slot, parent = _creation_parents(basis)
         starts = basis._block_layout[0]
         shells = tuple(slice(a, b) for a, b in zip(starts, starts[1:]))
         slots = [None]
@@ -874,10 +861,8 @@ def _matrix_from_exact(basis, sqrt_ns, scaled):
     return out
 
 
-def _entry_overflow(max_degree):
-    return SizeOverflowError(
-        f"a degree-{max_degree} truncation entry exceeds the double range"
-    )
+def _entry_overflow(max_degree, what="truncation entry"):
+    return SizeOverflowError(f"a degree-{max_degree} {what} exceeds the double range")
 
 
 def build_truncation(symbol, max_degree, exact=False):
@@ -940,24 +925,29 @@ def exact_matrix_as_double(op):
     return op.matrix.copy()
 
 
+def _kernel_series(w, basis):
+    """conj(w)^gamma / (2^{|gamma|} gamma!) per basis element: the Taylor
+    series of K_w(z) = exp(<z, w>/2) in graded order, so its terms of degree
+    <= m are the first basis.shell(m).stop.  SizeOverflowError above degree
+    150 and where a coefficient or a power of w leaves the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = np.prod(np.conj(w) ** basis.exponents, axis=1) / basis.norm_sq
+    if not np.isfinite(series).all():
+        raise _entry_overflow(basis.max_degree, "kernel series coefficient")
+    return series
+
+
 def kernel_series_polynomial(w, max_degree):
     """Degree <= N Taylor polynomial of K_w(z) = exp(<z, w>/2).
 
     The coefficient of z^gamma is conj(w)^gamma / (2^{|gamma|} gamma!).
     Its terms run over build_basis(n, N), in graded order, so the series
-    obeys the dimension cap: SizeOverflowError when C(N + n, n) exceeds it.
+    obeys the dimension cap.  SizeOverflowError when C(N + n, n) exceeds
+    it, above degree 150, and where a coefficient leaves the double range.
     """
     w = np.asarray(w, dtype=complex).reshape(-1)
-    n = w.shape[0]
-    wbar = np.conj(w)
-    terms = {}
-    for g in build_basis(n, max_degree).indices:
-        c = 1.0 + 0.0j
-        for wi, gi in zip(wbar, g):
-            if gi:
-                c = c * wi**gi
-        terms[g] = c / monomial_norm_sq_exact(g)  # gamma! 2^{|gamma|}
-    return MultiPolynomial(n, terms)
+    basis = build_basis(w.shape[0], max_degree)
+    return MultiPolynomial(basis.n, dict(zip(basis.indices, _kernel_series(w, basis).tolist())))
 
 
 def build_adjoint_truncation(symbol, max_degree):
@@ -991,14 +981,9 @@ def build_adjoint_truncation(symbol, max_degree):
     sqrt_ns = np.sqrt(basis.norm_sq)
     n, N = symbol.n, max_degree
     tau, weight = adjoint_symbol(symbol)
-    kernel = kernel_series_polynomial(weight, N)
-    # the series lists its terms in graded order, so each cut is a prefix:
-    # the first cuts[m] terms have degree <= m, and the key of g + gamma
-    # (see GradedBasis.positions) is the sum of their keys
-    powers = np.array(list(kernel.terms), dtype=np.int64).reshape(-1, n)
-    series = np.array(list(kernel.terms.values()), dtype=complex)
-    cuts = np.searchsorted(powers.sum(axis=1), np.arange(N + 1), side="right")
-    keys, series_keys = basis._keys, basis._key(powers)
+    # the series is in graded order, so each cut is a prefix, and the key
+    # of g + gamma (see GradedBasis.positions) is the sum of their keys
+    series, keys = _kernel_series(weight, basis), basis._keys
     G, eye = basis.exponents, np.eye(n, dtype=np.int64)
     # slot[i - 1] is the first nonzero slot j of alpha_i, parent[i - 1] the
     # position of alpha_i - e_j and coef[k, i - 1] = tau_jk; child[k, i] is
@@ -1020,8 +1005,8 @@ def build_adjoint_truncation(symbol, max_degree):
                 for k in range(n):
                     H[:, child[k, prev] - lo] += coef[k, kids, None] * P
             # the first m kernel terms have degree <= N - d
-            m = cuts[N - d]
-            rows = np.searchsorted(keys, keys[shell, None] + series_keys[:m]) - lo
+            m = basis.shell(N - d).stop
+            rows = np.searchsorted(keys, keys[shell, None] + keys[:m]) - lo
             K = np.zeros((basis.dim - lo, size), dtype=complex)
             K[rows, np.arange(size)[:, None]] = series[:m]
             out[lo:, shell] = K @ H.T

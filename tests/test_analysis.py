@@ -11,6 +11,7 @@ from fockop import (
     NotBoundedError,
     NotCompactError,
     QuadratureDivergenceError,
+    SizeOverflowError,
     berezin_transform,
     berezin_transform_quadrature,
     check_bounded,
@@ -253,6 +254,20 @@ def test_berezin_quadrature_matches_closed_form():
             ref = berezin_transform(s, z)
             quad = berezin_transform_quadrature(s, z, order=24)
             assert quad == pytest.approx(ref, rel=1e-12)
+
+
+def test_quadratures_fail_closed_past_the_double_range():
+    # phi(u) = u/2 + 1e200: the closed forms give 1.0 and refuse the
+    # integrals; the rules' |phi(u)|^2 overflows, to inf - inf = nan in
+    # the Berezin exponent and to an infinite Schatten sum
+    s = AffineSymbol(np.array([[0.5]]), np.array([1e200]))
+    assert berezin_transform(s, np.zeros(1)) == 1.0
+    with pytest.raises(SizeOverflowError, match="Gauss-Hermite sum is nan"):
+        berezin_transform_quadrature(s, np.zeros(1))
+    with pytest.raises(SizeOverflowError):
+        schatten_integrals(s, 2)
+    with pytest.raises(SizeOverflowError, match="Gauss-Hermite sum is inf"):
+        schatten_integrals_quadrature(s, 2)
 
 
 def test_schatten_integrals_zero_symbol():

@@ -15,6 +15,7 @@ from fockop import (
     ForwardOrbitUnsupportedError,
     NotBoundedError,
     ShapeMismatchError,
+    SizeOverflowError,
     check_cyclic,
     check_supercyclic,
     classify,
@@ -458,6 +459,13 @@ def test_forward_kernel_orbit_scalar(corpus):
 def test_forward_kernel_orbit_needs_dimension_one(corpus):
     with pytest.raises(ForwardOrbitUnsupportedError):
         kernel_orbit(corpus["compact_2d"], np.zeros(2), 3, mode="forward")
+
+
+def test_forward_kernel_orbit_scale_fails_closed():
+    # <s_m b, z> / 2 is about 1e310, past the double range
+    s = AffineSymbol(np.array([[0.5]]), np.array([1e300]))
+    with pytest.raises(SizeOverflowError, match="orbit scale"):
+        kernel_orbit(s, np.array([1e10]), 3, mode="forward")
 
 
 def test_adjoint_kernel_orbit_approaches_fixed_point(corpus):

@@ -41,6 +41,7 @@ from fockop.spectrum import (
 from conftest import (
     THETA,
     random_bounded_noncompact_symbol,
+    random_compact_symbol,
     random_contraction,
     random_normal_matrix,
     random_unitary,
@@ -633,3 +634,44 @@ def test_eigenfunction_check_on_shells_has_the_reference_bits():
         want = _reference_shell_residual(spec, _normalized_symbol(block_schur_of_symbol(s)))
         assert want > 1e-3  # F is not an eigenfunction of s
         assert verify_eigenfunction(spec, s).hex() == want.hex(), n
+
+
+# ---------------------------------------------------------------------------
+# The B != 0 eigenfunction check reads the column blocks too
+
+
+def _reference_dense_residual(spec, psi):
+    """verify_eigenfunction's B != 0 route as it was: F's columns gathered
+    from the dense coefficient matrix C, scaled in place and summed
+    across."""
+    poly = spec.polynomial
+    terms = poly.terms
+    d = max(sum(g) for g in terms)
+    basis = build_basis(poly.n, d)
+    pos = [basis.position(g) for g in terms]
+    f = np.array(list(terms.values()), dtype=complex)
+    _, C = _creation_shells(psi, basis, np.ones((poly.n, basis.shell(d).start)))
+    assert C is not None
+    cols = C[:, pos]
+    cols *= f
+    resid = cols.sum(axis=1)
+    resid[pos] -= spec.eigenvalue * f
+    return float(np.max(np.abs(resid)))
+
+
+def test_eigenfunction_check_on_column_blocks_matches_the_dense_gather():
+    rng = np.random.default_rng(RNG_SEED + 41)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            s = random_compact_symbol(rng, n)
+            gamma = tuple(int(x) for x in rng.integers(0, 4, size=n))
+            spec = construct_eigenfunction(s, (), gamma)
+            assert np.any(spec.normalized_symbol.B)
+            scale = max(1.0, spec.polynomial.max_abs_coefficient())
+            # a true eigenvalue leaves rounding; a wrong one a residual of
+            # about 0.1 |f|
+            for lam in (spec.eigenvalue, spec.eigenvalue + 0.1):
+                check = dataclasses.replace(spec, eigenvalue=lam)
+                want = _reference_dense_residual(check, check.normalized_symbol)
+                assert abs(verify_eigenfunction(check) - want) <= 1e-14 * scale, (n, gamma)
+                assert abs(verify_eigenfunction(check, s) - want) <= 1e-14 * scale, (n, gamma)

@@ -445,6 +445,28 @@ def test_one_symbol_runs_its_normal_form_once(monkeypatch):
         assert calls == {"schur": 1, "svd": 1}, n
 
 
+def test_norm_and_cyclicity_read_one_singular_value_decomposition(monkeypatch):
+    # norm_a is the first of the read-only singular values the symbol
+    # keeps, with the bits of np.linalg.norm(A, 2); the cyclicity check
+    # reads the last of them and takes no SVD of its own
+    rng = np.random.default_rng(RNG_SEED + 32)
+    for n in (1, 2, 3, 4):
+        for _ in range(25):
+            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            s = AffineSymbol(A, np.zeros(n))
+            assert s.norm_a.hex() == float(np.linalg.norm(A, 2)).hex(), n
+            assert not s._singular_values.flags.writeable
+    s = AffineSymbol(0.5 * random_unitary(rng, 2), [1.0, 1j])
+    assert s.norm_a == pytest.approx(0.5)
+    assert check_bounded(s).bounded  # takes the full SVD, with vectors
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second SVD of A")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert check_cyclic(s).verdict == "unknown"
+
+
 def test_remembered_arrays_are_read_only():
     unbounded = AffineSymbol([[1.0, 0.0], [0.0, 0.5]], [1.0, 0.0])
     compact = AffineSymbol([[0.5, 0.1], [0.2, 0.25]], [1.0, 1j])

@@ -5,6 +5,7 @@ import gc
 import math
 import operator
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -334,6 +335,24 @@ def test_kernel_series_obeys_the_dimension_cap(monkeypatch):
         kernel_series_polynomial(np.array([0.4 - 0.3j, 0.2j]), 20)
 
 
+def test_kernel_series_fails_closed():
+    # 151! 2^151 leaves the double range, and so does 1e200^2
+    with pytest.raises(SizeOverflowError, match="the kernel series"):
+        kernel_series_polynomial([0.5], 151)
+    with pytest.raises(SizeOverflowError, match="degree-3 kernel series coefficient"):
+        kernel_series_polynomial([1e200], 3)
+
+
+def test_adjoint_route_refuses_an_overflowing_kernel_series():
+    # the adjoint's kernel is K_B: its degree-2 term B^2 / 8 overflows
+    # before any product is formed, so no numpy warning is emitted
+    s = AffineSymbol(np.array([[0.5]]), np.array([1e200]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SizeOverflowError, match="kernel series coefficient"):
+            build_adjoint_truncation(s, 3)
+
+
 def test_basis_position_and_contains():
     basis = build_basis(3, 4)
     for k, g in enumerate(basis.indices):
@@ -609,7 +628,7 @@ def test_creation_parents_match_the_dict_lookup():
     # at (40, 2) the creation maps' keys (N + 1)^(n + 1) = 3^41 leave int64
     for n, N in [(1, 0), (1, 150), (2, 40), (3, 16), (4, 10), (40, 2)]:
         basis = build_basis(n, N)
-        slot, parent = _creation_parents(basis, _creation_maps(basis))
+        slot, parent = _creation_parents(basis)
         want = [(0, 0)]
         for alpha in basis.indices[1:]:
             j = next(i for i, a in enumerate(alpha) if a > 0)

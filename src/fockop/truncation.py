@@ -40,11 +40,13 @@ whose Frobenius norm, an upper bound on its 2-norm taken from its own
 entries, lies below a top singular value already computed is certified
 smaller and skipped (see _PRUNE_SLACK).  The bounds of all blocks come
 from one pass over the buffer.
-With B != 0 the norm is one dense SVD below _LANCZOS_MIN_DIM, and from
-there on the top singular value of a Golub-Kahan-Lanczos
+With B != 0 the norm is one dense SVD below _LANCZOS_MIN_DIM (85), and
+from there on the top singular value of a Golub-Kahan-Lanczos
 bidiagonalization of the dense matrix, stopped when its residual is a few
-ulps of the value; a breakdown, or no convergence within dim // 8 steps,
-falls back to the dense SVD and its bits (see _lanczos_norm).
+ulps of the value.  A breakdown, a residual that falls too slowly to get
+there within dim // 5 + 4 steps (about what the dense SVD costs), or no
+convergence within them falls back to the dense SVD and its bits (see
+_lanczos_norm, _lanczos_steps and _stalled).
 Exact mode and build_adjoint_truncation are the oracles for this
 recursion and share no code with it; they go through the norms, which fit
 a double only up to degree 150.  Exact mode expands the coefficients as
@@ -121,24 +123,44 @@ _bases = {}
 # of scratch, which stays in cache where a buffer-sized one would not
 _ROW_CHUNK = 1 << 15
 # From this dim on, a B != 0 norm() comes from _lanczos_norm and not from
-# the dense SVD.  Measured on a 2-CPU Xeon with numpy 2.4 and OpenBLAS, on
-# three compact, three boundary (||A|| = 1, bounded) and three unbounded
-# seeded symbols per dim, fallbacks included: the Lanczos route took 0.57
-# to 0.80 of the dense SVD's time at dims 120 to 153, and 0.23 to 0.63 at
-# dims 165 to 286 (0.08 to 0.3 on a compact symbol; up to 1.65 on a
-# boundary symbol that falls back).  The n = 1, N = 120 truncations stay
-# dense.
-_LANCZOS_MIN_DIM = 160
-# _lanczos_norm takes at most dim // _DIM_PER_LANCZOS_STEP steps.  On the
-# same host it stays cheaper than the dense SVD up to about dim / 6 steps
-# (its small bidiagonal SVD grows with the step).  On seeded symbols at
-# dims 171 to 1001 it took at most 12 steps on compact ones, 26 on
-# unbounded ones and 9 on nilpotent ones; on boundary symbols, whose top
-# singular values cluster, it took a median 61 and up to 247, and past the
-# cap the dense SVD gives the norm.
-_DIM_PER_LANCZOS_STEP = 8
+# the dense SVD: the smallest dim above every truncation in the golden
+# files (84).  Measured on a 2-CPU Xeon with numpy 2.4 and OpenBLAS, in a
+# warm process, on four seeded symbols of each B != 0 class at each of 18
+# dims from 85 to 1001, fallbacks included, the route took this multiple
+# of the dense SVD's time: at dims 85 to 165, 0.08 to 0.84 on compact
+# symbols, 0.18 to 1.2 with a unitary A, 0.16 to 1.07 with ||A|| = 1 and
+# a generic B, 0.09 to 0.4 with a nilpotent A (n >= 2) and 0.5 to 1.13 on
+# boundary (||A|| = 1, bounded) symbols, whose top singular values
+# cluster; from dim 210 to 1001, 0.01 to 0.26 on the first four and 0.06
+# to 1.1 on boundary ones.  The rank-one M of A = 0 breaks down at the
+# second step, which adds 0.07 to 0.09 ms to a dense SVD of 0.09 to 0.2 ms
+# up to dim 126, and at most 13% from dim 136 on.
+_LANCZOS_MIN_DIM = 85
+# _lanczos_norm takes at most _lanczos_steps(dim) = dim // 5 + 4 steps,
+# about what the dense SVD costs up to dim 500 or so.  On the same host a
+# step costs 50 to 80 us below dim 300, mostly numpy call overhead, plus
+# the SVD of the k x k bidiagonal, which grows as k^3 (35 us at k = 16,
+# about 200 us at k = 28).  21 steps took 1.0 times the dense SVD's time
+# at dim 85, 28 steps 0.8 times at dim 121, 70 steps 1.3 times at dim 330
+# and 103 steps 1.2 times at dim 496.  Seeded symbols of the converging
+# classes took 4 to 40 steps.
+_DIM_PER_LANCZOS_STEP = 5
+_LANCZOS_EXTRA_STEPS = 4
 # _lanczos_norm's residual bound, in ulps of the value it returns
 _LANCZOS_ULPS = 4
+# _lanczos_norm gives up from step _LANCZOS_STALL_FROM on once the
+# geometric rate at which its residual fell over the last
+# _LANCZOS_STALL_STEPS steps, kept up, would not bring it to
+# _LANCZOS_ULPS ulps within _LANCZOS_STALL_SLACK times its step budget
+# (see _stalled).  The slack allows for the rate of a converging
+# recursion, which grows as it goes.  On 336 seeded boundary symbols at
+# dims 85 to 1001 the residual stalled near 1e-2 on 120, and the
+# recursion gave up on them after a median 8 steps and at most 15; on
+# 1317 seeded symbols of the converging classes it gave up on 23 that
+# would have converged, all at dims 85 to 201 and at step 6 to 15.
+_LANCZOS_STALL_FROM = 6
+_LANCZOS_STALL_STEPS = 4
+_LANCZOS_STALL_SLACK = 2
 
 
 def dimension_cap():
@@ -219,13 +241,7 @@ class GradedBasis:
         Raises SizeOverflowError above degree 150, where the norms leave
         the double range.
         """
-        if self.max_degree > _MAX_FLOAT_DEGREE:
-            raise SizeOverflowError(
-                f"degree {self.max_degree} is too high for the monomial norms: "
-                f"||z^gamma||^2 = gamma! 2^|gamma| overflows a double; the exact "
-                f"and adjoint routes, the kernel series and the orbit experiment "
-                f"stop at degree {_MAX_FLOAT_DEGREE}"
-            )
+        _refuse_past_float_degree(self.max_degree)
         return _read_only(np.array([float(monomial_norm_sq_exact(g)) for g in self.indices]))
 
     @cached_property
@@ -285,6 +301,16 @@ class GradedBasis:
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+def _refuse_past_float_degree(max_degree):
+    if max_degree > _MAX_FLOAT_DEGREE:
+        raise SizeOverflowError(
+            f"degree {max_degree} is too high for the monomial norms: "
+            f"||z^gamma||^2 = gamma! 2^|gamma| overflows a double; the exact "
+            f"and adjoint routes, the kernel series and the orbit experiment "
+            f"stop at degree {_MAX_FLOAT_DEGREE}"
+        )
 
 
 def build_basis(n, max_degree):
@@ -389,19 +415,21 @@ class TruncatedOperator:
         block whose Frobenius norm, widened by _PRUNE_SLACK, is below the
         largest top singular value found so far.
 
-        With B != 0 and dim below _LANCZOS_MIN_DIM it is
+        With B != 0 and dim below _LANCZOS_MIN_DIM (85) it is
         singular_values()[0], one dense SVD.  From that dim on it is the
         top singular value of a Golub-Kahan-Lanczos bidiagonalization of
         the matrix (_lanczos_norm), which takes no dim x dim SVD and lies
         within a few ulps of the dense SVD's value (at most 2e-15 apart,
-        relative, on every seeded symbol measured).  Where that recursion
-        breaks down or does not converge within its step cap, the dense
-        value is returned, with its bits.
+        relative, on every seeded symbol measured).  The recursion takes
+        at most dim // 5 + 4 steps (_lanczos_steps), and gives up early
+        once its residual falls too slowly to converge within them
+        (_stalled).  Where it breaks down, gives up or does not converge,
+        the dense value is returned, with its bits.
         """
         if np.any(self.symbol.B):
             top = None
             if self.dim >= _LANCZOS_MIN_DIM:
-                top = _lanczos_norm(self.matrix, self.dim // _DIM_PER_LANCZOS_STEP)
+                top = _lanczos_norm(self.matrix, _lanczos_steps(self.dim))
             return float(self.singular_values()[0]) if top is None else top
         blocks = self.shell_blocks()
         if self.blocks is not None:
@@ -420,7 +448,8 @@ class TruncatedOperator:
         """Descending; from every shell block when B = 0, where M is block
         diagonal, and from one dense SVD of the whole matrix otherwise.
         norm() needs only the first: it solves fewer blocks when B = 0,
-        and from _LANCZOS_MIN_DIM on with B != 0 it takes no dense SVD."""
+        and from _LANCZOS_MIN_DIM on with B != 0 it takes no dense SVD
+        unless its Lanczos recursion falls back."""
         if np.any(self.symbol.B):
             return np.linalg.svd(self.matrix, compute_uv=False)
         blocks = [np.linalg.svd(b, compute_uv=False) for b in self.shell_blocks()]
@@ -468,6 +497,11 @@ def _frobenius_bounds(basis, entries):
     return np.sqrt(np.add.reduceat(rows, starts[:-1]))
 
 
+def _lanczos_steps(dim):
+    """_lanczos_norm's step budget at this dim."""
+    return dim // _DIM_PER_LANCZOS_STEP + _LANCZOS_EXTRA_STEPS
+
+
 def _lanczos_norm(M, steps):
     """The largest singular value of the square matrix M from at most
     steps steps of Golub-Kahan-Lanczos bidiagonalization (Golub and Kahan
@@ -488,47 +522,70 @@ def _lanczos_norm(M, steps):
     None is returned on a breakdown, an alpha or beta at most dim * eps
     times the largest so far (M then has an invariant subspace that v_1
     need not reach past: the rank-one M of A = 0 breaks down at the second
-    alpha), on a non-finite alpha or beta, and when the residual is still
+    alpha), on a non-finite alpha or beta, when the residual falls too
+    slowly to get there within the steps (_stalled), and when it is still
     larger after the last step.
     """
     dim = M.shape[0]
     eps = np.finfo(float).eps
     tiny = dim * eps
-    U = np.empty((steps, dim), dtype=complex)
-    V = np.empty((steps + 1, dim), dtype=complex)
-    alpha, beta = np.zeros(steps), np.zeros(steps)
+    # U and V with their conjugates, so that no projection conjugates a
+    # vector: conj(Q @ conj(x)) is Qc @ x, bit for bit
+    U, Uc = np.empty((2, steps, dim), dtype=complex)
+    V, Vc = np.empty((2, steps + 1, dim), dtype=complex)
+    # B_k is Bk[: k + 1, : k + 1]; its last beta is written after the step
+    Bk = np.zeros((steps, steps + 1))
+    residual = np.empty(steps)
     V[0] = _start_vector(dim)
+    Vc[0] = V[0].conj()
     p = M @ V[0]
     scale = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             if k:
-                p -= beta[k - 1] * U[k - 1]
-                _orthogonalize(p, U[:k])
-            alpha[k] = a = np.linalg.norm(p)
+                p -= Bk[k - 1, k] * U[k - 1]
+                _orthogonalize(p, U[:k], Uc[:k])
+            Bk[k, k] = a = np.linalg.norm(p)
             scale = max(scale, a)
-            if not np.isfinite(a) or a <= tiny * scale:
+            if not math.isfinite(a) or a <= tiny * scale:
                 return None
             U[k] = p / a
+            np.conj(U[k], out=Uc[k])
             # M* u = conj(conj(u) M), without a transposed copy of M
-            r = np.conj(U[k].conj() @ M) - a * V[k]
-            _orthogonalize(r, V[: k + 1])
-            beta[k] = b = np.linalg.norm(r)
+            r = np.conj(Uc[k] @ M) - a * V[k]
+            _orthogonalize(r, V[: k + 1], Vc[: k + 1])
+            b = np.linalg.norm(r)
             scale = max(scale, b)
-            if not np.isfinite(b):
+            if not math.isfinite(b):
                 return None
-            Bk = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1)
-            X, s, _ = np.linalg.svd(Bk)
-            if b * abs(X[k, 0]) <= _LANCZOS_ULPS * eps * s[0]:
+            X, s, _ = np.linalg.svd(Bk[: k + 1, : k + 1])
+            res = b * abs(X[k, 0])
+            if res <= _LANCZOS_ULPS * eps * s[0]:
                 # without vectors LAPACK takes B_k's singular values to high
                 # relative accuracy (dqds); with them its value can lie a
                 # few ulps higher
-                return float(np.linalg.svd(Bk, compute_uv=False)[0])
-            if b <= tiny * scale:
+                return float(np.linalg.svd(Bk[: k + 1, : k + 1], compute_uv=False)[0])
+            residual[k] = res / s[0]
+            if b <= tiny * scale or _stalled(residual[: k + 1], steps):
                 return None
+            Bk[k, k + 1] = b
             V[k + 1] = r / b
+            np.conj(V[k + 1], out=Vc[k + 1])
             p = M @ V[k + 1]
     return None
+
+
+def _stalled(residual, steps):
+    """Whether the relative residuals so far fall too slowly: from step
+    _LANCZOS_STALL_FROM on, the geometric rate of their fall over the last
+    _LANCZOS_STALL_STEPS steps, kept up, would not bring the last one down
+    to _LANCZOS_ULPS ulps within _LANCZOS_STALL_SLACK times steps."""
+    k = len(residual)
+    if k < _LANCZOS_STALL_FROM:
+        return False
+    fall = math.log(residual[-1 - _LANCZOS_STALL_STEPS] / residual[-1]) / _LANCZOS_STALL_STEPS
+    need = math.log(residual[-1] / (_LANCZOS_ULPS * np.finfo(float).eps))
+    return fall * (_LANCZOS_STALL_SLACK * steps - k) < need
 
 
 def _start_vector(dim):
@@ -545,11 +602,11 @@ def _start_vector(dim):
     return v / np.linalg.norm(v)
 
 
-def _orthogonalize(x, Q):
+def _orthogonalize(x, Q, Qc):
     """Take from x, in place, its projection on the orthonormal rows of
-    Q, twice over."""
+    Q, twice over; Qc holds their conjugates."""
     for _ in range(2):
-        x -= np.conj(Q @ x.conj()) @ Q
+        x -= (Qc @ x) @ Q
 
 
 def _physical_memory():
@@ -928,10 +985,22 @@ def exact_matrix_as_double(op):
 def _kernel_series(w, basis):
     """conj(w)^gamma / (2^{|gamma|} gamma!) per basis element: the Taylor
     series of K_w(z) = exp(<z, w>/2) in graded order, so its terms of degree
-    <= m are the first basis.shell(m).stop.  SizeOverflowError above degree
-    150 and where a coefficient or a power of w leaves the double range."""
+    <= m are the first basis.shell(m).stop.
+
+    The coefficient is the product over j of t_j[gamma_j], with
+    t_j[k] = t_j[k - 1] conj(w_j) / (2k) one running product per variable.
+    No power of w is formed, so SizeOverflowError is raised only where a
+    coefficient itself leaves the double range, and above degree 150.
+    """
+    _refuse_past_float_degree(basis.max_degree)
+    n, N = basis.n, basis.max_degree
+    tables = np.empty((n, N + 1), dtype=complex)
+    tables[:, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        series = np.prod(np.conj(w) ** basis.exponents, axis=1) / basis.norm_sq
+        np.divide(np.conj(w)[:, None], np.arange(2, 2 * N + 1, 2), out=tables[:, 1:])
+        np.cumprod(tables, axis=1, out=tables)
+        # t_j[k] is the flat entry j (N + 1) + k
+        series = tables.take(basis.exponents + np.arange(0, n * (N + 1), N + 1)).prod(axis=1)
     if not np.isfinite(series).all():
         raise _entry_overflow(basis.max_degree, "kernel series coefficient")
     return series

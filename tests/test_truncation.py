@@ -343,6 +343,16 @@ def test_kernel_series_fails_closed():
         kernel_series_polynomial([1e200], 3)
 
 
+def test_kernel_series_keeps_every_coefficient_that_fits_a_double():
+    # 200^150 leaves the double range, but the degree-150 coefficient
+    # 200^150 / (2^150 150!) = 100^150 / 150! is about 1.75e37
+    p = kernel_series_polynomial([200.0], 150)
+    assert len(p.terms) == 151
+    for (k,), c in p.terms.items():
+        want = float(Fraction(100**k, math.factorial(k)))
+        assert abs(c - want) <= 1e-13 * want, k
+
+
 def test_adjoint_route_refuses_an_overflowing_kernel_series():
     # the adjoint's kernel is K_B: its degree-2 term B^2 / 8 overflows
     # before any product is formed, so no numpy warning is emitted
@@ -806,8 +816,11 @@ def _b_nonzero_symbols(rng, n):
 
 def test_lanczos_norm_agrees_with_the_dense_svd():
     rng = np.random.default_rng(RNG_SEED + 31)
-    # dims 161 to 1001, from the crossover up
-    for n, N in [(1, 160), (1, 300), (2, 17), (2, 24), (2, 30), (3, 9), (3, 12), (4, 6), (4, 7), (4, 10)]:
+    # dims 85 to 1001, from the crossover up
+    for n, N in [
+        (1, 84), (2, 12), (3, 7), (1, 120), (4, 5), (2, 15),
+        (1, 160), (1, 300), (2, 17), (2, 24), (2, 30), (3, 9), (3, 12), (4, 6), (4, 7), (4, 10),
+    ]:
         symbols = _b_nonzero_symbols(rng, n)
         if N == 10:  # dim 1001: two classes keep the dense SVDs few
             symbols = {k: symbols[k] for k in ("compact", "boundary")}
@@ -817,7 +830,7 @@ def test_lanczos_norm_agrees_with_the_dense_svd():
             dense = np.linalg.svd(op.matrix, compute_uv=False)[0]
             norm = op.norm()
             assert abs(norm - dense) <= 1e-13 * dense, (n, N, kind)
-            lanczos = truncation._lanczos_norm(op.matrix, op.dim // truncation._DIM_PER_LANCZOS_STEP)
+            lanczos = truncation._lanczos_norm(op.matrix, truncation._lanczos_steps(op.dim))
             if lanczos is not None:
                 assert norm == lanczos
             else:
@@ -826,7 +839,7 @@ def test_lanczos_norm_agrees_with_the_dense_svd():
                 assert kind == "boundary" or (kind, n) == ("nilpotent", 1), (n, N, kind)
                 assert _same_bits(norm, op.singular_values()[0])
     # below the crossover the norm keeps the dense SVD's bits
-    for n, N in [(1, 158), (2, 16), (3, 7), (4, 5)]:
+    for n, N in [(1, 83), (2, 11), (3, 6), (4, 4)]:
         for kind, s in _b_nonzero_symbols(rng, n).items():
             op = build_truncation(s, N)
             assert op.dim < truncation._LANCZOS_MIN_DIM
@@ -850,6 +863,40 @@ def test_lanczos_norm_takes_no_dense_svd(monkeypatch):
         norm = op.norm()
         assert shapes and (op.dim, op.dim) not in shapes
         assert norm <= operator_norm(s) * (1 + 1e-12)
+
+
+class _CountedProducts(np.ndarray):
+    """A matrix that counts the products taken with it, from either side."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedProducts.products += 1
+        return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        _CountedProducts.products += 1
+        return other @ np.asarray(self)
+
+
+def test_lanczos_norm_gives_up_once_its_residual_stalls(monkeypatch):
+    rng = np.random.default_rng(RNG_SEED + 34)
+    s = random_bounded_noncompact_symbol(rng, 2)
+    op = build_truncation(s, 24)
+    assert op.dim == 325 and np.any(s.B)
+    M = op.matrix.view(_CountedProducts)
+    # each step takes two products, after the first one with v_1
+    _CountedProducts.products = 0
+    assert truncation._lanczos_norm(M, truncation._lanczos_steps(op.dim)) is None
+    assert _CountedProducts.products <= 2 * 12 + 1
+    # without the stall exit the clustered top singular values run the
+    # recursion out of dim // 8 = 40 steps
+    monkeypatch.setattr(truncation, "_stalled", lambda residual, steps: False)
+    _CountedProducts.products = 0
+    assert truncation._lanczos_norm(M, op.dim // 8) is None
+    assert _CountedProducts.products == 2 * 40 + 1
+    monkeypatch.undo()
+    assert _same_bits(op.norm(), op.singular_values()[0])
 
 
 def test_lanczos_norm_falls_back_to_the_dense_bits(monkeypatch):

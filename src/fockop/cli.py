@@ -13,8 +13,10 @@ arguments that are exact rational multiples of pi.
 
 All output is deterministic: fixed key order, floats printed with 17
 significant digits, so identical inputs produce byte-identical bytes.
-Exit codes: 0 success, 2 bounded-ness failure (the report is still
-emitted, with the witness), 1 I/O or parse errors.
+A command writes stdout once, after it has finished.  Exit codes: 0
+success, 2 bounded-ness failure (the report is still emitted, with the
+witness), 1 any FockopError (I/O, parse, or a result past a limit), with
+nothing on stdout and one "fockop:" line on stderr.
 """
 
 import argparse
@@ -28,7 +30,7 @@ import numpy as np
 from . import __version__
 from . import analysis, dynamics, spectrum as spectrum_mod, truncation
 from .errors import FockopError, NotBoundedError, ParseError
-from .symbol import AffineSymbol, _eigenvalues_of
+from .symbol import DEFAULT_TOL_UNIT, AffineSymbol, _eigenvalues_of
 
 _DEFAULT_DEGREE = {1: 20, 2: 10, 3: 6}
 
@@ -56,17 +58,7 @@ def canonical_json(obj):
 
 
 def _emit(obj, parts):
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
+    if isinstance(obj, float):
         parts.append(_format_float(obj))
     elif isinstance(obj, dict):
         parts.append("{")
@@ -84,6 +76,8 @@ def _emit(obj, parts):
                 parts.append(",")
             _emit(v, parts)
         parts.append("]")
+    elif obj is None or isinstance(obj, (bool, int, str)):
+        parts.append(json.dumps(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -95,11 +89,6 @@ def _cnum(z):
 
 def _cvec(v):
     return [_cnum(z) for z in np.asarray(v).reshape(-1)]
-
-
-def _cmat(M):
-    M = np.asarray(M)
-    return [[_cnum(z) for z in row] for row in M]
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +131,13 @@ def parse_symbol_document(obj):
     if tags is not None:
         if not isinstance(tags, list) or len(tags) != n:
             raise ParseError("anglesExact must be a list of length n")
-        exact_angles = []
-        for t in tags:
-            if t is None:
-                exact_angles.append(None)
-            else:
-                try:
-                    num, den = _json_int(t["num"]), _json_int(t["den"])
-                    exact_angles.append(Fraction(num, den))
-                except (KeyError, TypeError, ValueError, ZeroDivisionError):
-                    raise ParseError(
-                        "anglesExact entries must be null or {num, den}"
-                    ) from None
+        try:
+            exact_angles = [
+                None if t is None else Fraction(_json_int(t["num"]), _json_int(t["den"]))
+                for t in tags
+            ]
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            raise ParseError("anglesExact entries must be null or {num, den}") from None
         ev = _eigenvalues_of(sym)
         try:
             dynamics.AngleSet.build(np.angle(ev), exact_angles)
@@ -182,7 +166,7 @@ def _parse_cnum(e):
 
 def symbol_document(sym, exact_angles=None):
     """Canonical document for a symbol; parse o serialize is idempotent."""
-    doc = {"n": sym.n, "A": _cmat(sym.A), "B": _cvec(sym.B)}
+    doc = {"n": sym.n, "A": [_cvec(row) for row in sym.A], "B": _cvec(sym.B)}
     if exact_angles is not None:
         doc["anglesExact"] = [
             None if t is None else {"num": t.numerator, "den": t.denominator}
@@ -211,8 +195,13 @@ def _load_document(path):
 # documents for each command
 
 
-def _tool_header():
-    return {"name": "fockop", "version": __version__}
+def _document(sym, tags, **sections):
+    """A command's document: the tool and the symbol, then its sections."""
+    return {
+        "tool": {"name": "fockop", "version": __version__},
+        "symbol": symbol_document(sym, tags),
+        **sections,
+    }
 
 
 def _verdict_doc(v):
@@ -245,11 +234,10 @@ def analyze_document(sym, exact_angles, degree, tol):
     op = truncation.build_truncation(sym, degree)
     tnorm = op.norm()
     closed = report.norm
-    doc = {
-        "tool": _tool_header(),
-        "symbol": symbol_document(sym, exact_angles),
-        "parameters": {"degree": degree, "tolerance": tol},
-        "report": {
+    doc = _document(
+        sym, exact_angles,
+        parameters={"degree": degree, "tolerance": tol},
+        report={
             "bounded": report.bounded.bounded,
             "normA": report.bounded.norm_a,
             "witness": _cvec(report.bounded.witness)
@@ -266,15 +254,15 @@ def analyze_document(sym, exact_angles, degree, tol):
             "supercyclic": report.supercyclic,
             "cyclic": _verdict_doc(report.cyclic_detail),
         },
-        "spectrum": _spectrum_doc(spec, with_degree=True),
-        "truncation": {
+        spectrum=_spectrum_doc(spec, with_degree=True),
+        truncation={
             "degree": degree,
             "dim": op.dim,
             "truncatedNorm": tnorm,
             "closedFormNorm": closed,
             "gap": closed - tnorm if closed is not None else None,
         },
-    }
+    )
     return doc, report
 
 
@@ -312,13 +300,12 @@ def analyze_text(doc):
 
 def spectrum_document(sym, exact_angles, max_degree, verify):
     spec = spectrum_mod.enumerate_spectrum(sym, max_degree, exact_angles=exact_angles)
-    doc = {
-        "tool": _tool_header(),
-        "symbol": symbol_document(sym, exact_angles),
-        "parameters": {"maxDegree": max_degree},
-        "spectrum": _spectrum_doc(spec, with_degree=False),
-        "verification": None,
-    }
+    doc = _document(
+        sym, exact_angles,
+        parameters={"maxDegree": max_degree},
+        spectrum=_spectrum_doc(spec, with_degree=False),
+        verification=None,
+    )
     if verify:
         dist = spectrum_mod.shell_spectrum_distance(sym, max_degree)
         doc["verification"] = {"degree": max_degree, "multisetDistance": dist}
@@ -334,30 +321,28 @@ def truncate_document(sym, degree, dump, fmt):
         except OSError as exc:
             raise ParseError(f"cannot write {dump}: {exc}") from None
     sv = op.singular_values()
-    return {
-        "tool": _tool_header(),
-        "symbol": symbol_document(sym),
-        "parameters": {
+    return _document(
+        sym, None,
+        parameters={
             "degree": degree,
             "dump": dump,
             "format": fmt if dump is not None else None,
         },
-        "truncation": {
+        truncation={
             "dim": op.dim,
             "norm": float(sv[0]),
             "topSingularValues": [float(s) for s in sv[:5]],
         },
-    }
+    )
 
 
 def cyclic_document(sym, exact_angles, max_coeff):
     verdict = dynamics.check_cyclic(sym, max_coeff=max_coeff, exact_angles=exact_angles)
     ind = verdict.independence
-    return {
-        "tool": _tool_header(),
-        "symbol": symbol_document(sym, exact_angles),
-        "parameters": {"maxCoeff": max_coeff},
-        "cyclic": {
+    return _document(
+        sym, exact_angles,
+        parameters={"maxCoeff": max_coeff},
+        cyclic={
             **_verdict_doc(verdict),
             "independence": None
             if ind is None
@@ -368,59 +353,37 @@ def cyclic_document(sym, exact_angles, max_coeff):
             },
         },
         # check_cyclic passed the boundedness guard, so never supercyclic
-        "supercyclic": False,
-    }
+        supercyclic=False,
+    )
 
 
 # ---------------------------------------------------------------------------
-# entry points
+# entry points: each command takes the parsed options and the loaded symbol
+# and returns (stdout text, exit code); main writes the text once it is done
 
 
-def _cmd_analyze(args, out):
-    sym, tags = _load_document(args.input)
-    degree = args.degree if args.degree is not None else default_degree(sym.n)
-    doc, report = analyze_document(sym, tags, degree, args.tolerance)
-    if args.text:
-        out.write(analyze_text(doc) + "\n")
-    else:
-        out.write(canonical_json(doc) + "\n")
-    return 0 if report.bounded.bounded else 2
+def _cmd_analyze(args, sym, tags):
+    doc, report = analyze_document(sym, tags, args.degree, args.tolerance)
+    text = analyze_text(doc) if args.text else canonical_json(doc)
+    return text, 0 if report.bounded.bounded else 2
 
 
-def _cmd_spectrum(args, out):
-    sym, tags = _load_document(args.input)
-    max_degree = (
-        args.max_degree if args.max_degree is not None else default_degree(sym.n)
-    )
-    doc = spectrum_document(sym, tags, max_degree, args.verify)
-    out.write(canonical_json(doc) + "\n")
+def _cmd_spectrum(args, sym, tags):
+    doc = spectrum_document(sym, tags, args.max_degree, args.verify)
     # the enumeration is formal data about A, so it is emitted either way
-    return 0 if analysis.check_bounded(sym).bounded else 2
+    return canonical_json(doc), 0 if analysis.check_bounded(sym).bounded else 2
 
 
-def _cmd_truncate(args, out):
-    sym, _ = _load_document(args.input)
-    degree = args.degree if args.degree is not None else default_degree(sym.n)
-    doc = truncate_document(sym, degree, args.dump, args.format)
-    out.write(canonical_json(doc) + "\n")
-    return 0
+def _cmd_truncate(args, sym, tags):
+    return canonical_json(truncate_document(sym, args.degree, args.dump, args.format)), 0
 
 
-def _cmd_cyclic(args, out):
-    sym, tags = _load_document(args.input)
+def _cmd_cyclic(args, sym, tags):
     try:
-        doc = cyclic_document(sym, tags, args.max_coeff)
+        return canonical_json(cyclic_document(sym, tags, args.max_coeff)), 0
     except NotBoundedError as exc:
         # unbounded symbols have no cyclicity notion; report and exit 2
-        err = {
-            "tool": _tool_header(),
-            "symbol": symbol_document(sym, tags),
-            "error": str(exc),
-        }
-        out.write(canonical_json(err) + "\n")
-        return 2
-    out.write(canonical_json(doc) + "\n")
-    return 0
+        return canonical_json(_document(sym, tags, error=str(exc))), 2
 
 
 def build_parser():
@@ -434,7 +397,7 @@ def build_parser():
     pa = sub.add_parser("analyze", help="full classification report")
     pa.add_argument("input", help="symbol document path, or - for stdin")
     pa.add_argument("--degree", type=int, default=None, help="truncation degree")
-    pa.add_argument("--tolerance", type=float, default=1e-10)
+    pa.add_argument("--tolerance", type=float, default=DEFAULT_TOL_UNIT)
     pa.add_argument(
         "--text", action="store_true", help="human-readable output instead of JSON"
     )
@@ -479,14 +442,19 @@ def _check_options(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_options(args)
-        return args.func(args, sys.stdout)
+        sym, tags = _load_document(args.input)
+        for name in ("degree", "max_degree"):
+            if getattr(args, name, 0) is None:
+                setattr(args, name, default_degree(sym.n))
+        text, code = args.func(args, sym, tags)
     except FockopError as exc:
         print(f"fockop: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -250,11 +250,18 @@ def sort_eigenvalues(ev):
 
 
 def eigenvalues(A):
-    """Eigenvalues sorted modulus-descending, ties argument-ascending."""
+    """Eigenvalues sorted modulus-descending, ties argument-ascending.
+
+    Raises SizeOverflowError if one leaves the double range (eigvals
+    returns it as inf or NaN).
+    """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonSquareError(f"expected square matrix, got shape {A.shape}")
-    return sort_eigenvalues(np.linalg.eigvals(A))
+    ev = np.linalg.eigvals(A)
+    if not np.isfinite(ev).all():
+        raise SizeOverflowError("an eigenvalue of A exceeds the double range")
+    return sort_eigenvalues(ev)
 
 
 @per_symbol

@@ -424,13 +424,14 @@ class TruncatedOperator:
         at most dim // 5 + 4 steps (_lanczos_steps), and gives up early
         once its residual falls too slowly to converge within them
         (_stalled).  Where it breaks down, gives up or does not converge,
-        the dense value is returned, with its bits.
+        the dense value is returned, with its bits.  A norm past the double
+        range raises SizeOverflowError.
         """
         if np.any(self.symbol.B):
             top = None
             if self.dim >= _LANCZOS_MIN_DIM:
                 top = _lanczos_norm(self.matrix, _lanczos_steps(self.dim))
-            return float(self.singular_values()[0]) if top is None else top
+            return float(self.singular_values()[0]) if top is None else _finite_top(top)
         blocks = self.shell_blocks()
         if self.blocks is not None:
             entries = self._buffer
@@ -441,7 +442,7 @@ class TruncatedOperator:
         for d in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
             if bounds[d] * (1.0 + _PRUNE_SLACK) < best:
                 break
-            best = max(best, np.linalg.svd(blocks[d], compute_uv=False)[0])
+            best = max(best, _finite_top(np.linalg.svd(blocks[d], compute_uv=False)[0]))
         return float(best)
 
     def singular_values(self):
@@ -449,11 +450,15 @@ class TruncatedOperator:
         diagonal, and from one dense SVD of the whole matrix otherwise.
         norm() needs only the first: it solves fewer blocks when B = 0,
         and from _LANCZOS_MIN_DIM on with B != 0 it takes no dense SVD
-        unless its Lanczos recursion falls back."""
+        unless its Lanczos recursion falls back.  SizeOverflowError if the
+        largest leaves the double range."""
         if np.any(self.symbol.B):
-            return np.linalg.svd(self.matrix, compute_uv=False)
-        blocks = [np.linalg.svd(b, compute_uv=False) for b in self.shell_blocks()]
-        return np.sort(np.concatenate(blocks))[::-1]
+            sv = np.linalg.svd(self.matrix, compute_uv=False)
+        else:
+            blocks = [np.linalg.svd(b, compute_uv=False) for b in self.shell_blocks()]
+            sv = np.sort(np.concatenate(blocks))[::-1]  # a NaN sorts first
+        _finite_top(sv[0])
+        return sv
 
     def spectrum(self):
         """Eigenvalues of the shell blocks, sorted modulus-descending,
@@ -478,6 +483,14 @@ class TruncatedOperator:
         out = np.zeros(self.basis.max_degree + 1)
         np.add.at(out, degs, col_sq)
         return out
+
+
+def _finite_top(sigma):
+    """sigma, a top singular value; SizeOverflowError if the SVD or the
+    Lanczos recursion left the double range (inf or NaN)."""
+    if not np.isfinite(sigma):
+        raise SizeOverflowError(f"the truncated norm {sigma} exceeds the double range")
+    return sigma
 
 
 def _frobenius_bounds(basis, entries):
@@ -1078,8 +1091,8 @@ def build_adjoint_truncation(symbol, max_degree):
             rows = np.searchsorted(keys, keys[shell, None] + keys[:m]) - lo
             K = np.zeros((basis.dim - lo, size), dtype=complex)
             K[rows, np.arange(size)[:, None]] = series[:m]
-            out[lo:, shell] = K @ H.T
-        out *= sqrt_ns[:, None] / sqrt_ns[None, :]
+            # to the orthonormal basis: entry (i, j) times sqrt_ns[i] / sqrt_ns[j]
+            out[lo:, shell] = (K @ H.T) * (sqrt_ns[lo:, None] / sqrt_ns[None, shell])
     if not np.isfinite(out).all():
         raise _entry_overflow(max_degree)
     return TruncatedOperator(basis=basis, symbol=symbol, dense=out)

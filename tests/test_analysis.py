@@ -7,6 +7,7 @@ import pytest
 
 from fockop import (
     AffineSymbol,
+    IdentityViolationError,
     InconsistentError,
     NotBoundedError,
     NotCompactError,
@@ -34,6 +35,7 @@ from fockop import (
     solve_z0,
     truncated_norm,
 )
+from fockop.analysis import _essential_norm_from_z0
 from conftest import (
     BOUNDED,
     UNBOUNDED,
@@ -393,3 +395,27 @@ def test_classify_truncation_consistency(corpus):
         s = corpus[name]
         closed = operator_norm(s)
         assert truncated_norm(s, 8) <= closed + 1e-10
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        # <phi(z0'), B> = 0.333i at z0' = i z0 + 1/2, which no real norm has
+        (
+            lambda s: _essential_norm_from_z0(s, 1j * solve_z0(s) + 0.5, operator_norm(s)),
+            IdentityViolationError,
+            "imaginary part",
+        ),
+        (
+            lambda s: _essential_norm_from_z0(s, solve_z0(s), operator_norm(s) * (1 + 1e-6)),
+            IdentityViolationError,
+            "identity mismatch",
+        ),
+        (lambda s: schatten_integrals(s, 0), ValueError, "p must be positive"),
+    ],
+    ids=["essential-norm-imaginary", "essential-norm-mismatch", "schatten-p-zero"],
+)
+def test_fail_closed_paths_raise_their_type(corpus, call, error, match):
+    with pytest.raises(error, match=match) as info:
+        call(corpus["mixed_2d"])
+    assert type(info.value) is error

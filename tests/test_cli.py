@@ -705,6 +705,32 @@ def test_results_beyond_double_range_exit_1(tmp_path, capsys, entry, args):
     assert "double range" in err and "Traceback" not in err
 
 
+# the first A has norm inf but finite eigenvalues, so spectrum's whole
+# document is built before check_bounded fails; the second has the
+# eigenvalue 2e308, and so has the top singular value of its degree-1
+# section, which eigvals and the SVD return as inf
+_NORM_PAST_RANGE = '{"n":2,"A":[[1e308,1e308],[-1e308,-1e308]],"B":[0,0]}'
+_EIGENVALUE_PAST_RANGE = '{"n":2,"A":[[1e308,1e308],[1e308,1e308]],"B":[0,0]}'
+
+
+@pytest.mark.parametrize(
+    "doc, args",
+    [
+        (_NORM_PAST_RANGE, ["spectrum", "-", "--max-degree", "0"]),
+        (_EIGENVALUE_PAST_RANGE, ["spectrum", "-", "--max-degree", "0"]),
+        (_EIGENVALUE_PAST_RANGE, ["truncate", "-", "--degree", "1"]),
+    ],
+    ids=["spectrum-norm", "spectrum-eigenvalue", "truncate-singular-value"],
+)
+def test_a_failed_command_writes_no_stdout(capsys, monkeypatch, doc, args):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code, out, err = run(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("fockop: ") and err.count("\n") == 1
+    assert "double range" in err
+
+
 @pytest.mark.parametrize(
     "doc, args",
     [

@@ -508,3 +508,26 @@ def test_orbit_experiment_input_validation(corpus):
 def test_cyclic_requires_bounded(corpus):
     with pytest.raises(NotBoundedError):
         check_cyclic(corpus["unbounded_2d"])
+
+
+_ROTATION = AffineSymbol([[1j]], [0.0])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: AngleSet.build([0.0, 1.0], [None]), ShapeMismatchError, "align"),
+        (
+            lambda: _unimodular_angles(np.array([1j, 0.5]), DEFAULT_TOL_UNIT, [None]),
+            ShapeMismatchError,
+            "align",
+        ),
+        (lambda: kernel_orbit(_ROTATION, [1.0, 2.0], 1), ShapeMismatchError, "dimension"),
+        (lambda: kernel_orbit(_ROTATION, [1.0], 1, mode="sideways"), ValueError, "mode"),
+    ],
+    ids=["angle-tags", "eigenvalue-tags", "orbit-point-length", "orbit-mode"],
+)
+def test_fail_closed_paths_raise_their_type(call, error, match):
+    with pytest.raises(error, match=match) as info:
+        call()
+    assert type(info.value) is error

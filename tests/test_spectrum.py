@@ -675,3 +675,43 @@ def test_eigenfunction_check_on_column_blocks_matches_the_dense_gather():
                 want = _reference_dense_residual(check, check.normalized_symbol)
                 assert abs(verify_eigenfunction(check) - want) <= 1e-14 * scale, (n, gamma)
                 assert abs(verify_eigenfunction(check, s) - want) <= 1e-14 * scale, (n, gamma)
+
+
+_COMPACT_TRIANGULAR = AffineSymbol([[0.5, 0.1], [0.0, 0.25]], [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: multiset_distance([np.nan], [0.0]), ValueError, "nan"),
+        # a compact symbol has s = 0 unimodular eigenvalues, so beta is ()
+        (
+            lambda: construct_eigenfunction(_COMPACT_TRIANGULAR, (1,), (1, 1)),
+            ShapeMismatchError,
+            "beta must have length",
+        ),
+        (
+            lambda: construct_eigenfunction(_COMPACT_TRIANGULAR, (), (1,)),
+            ShapeMismatchError,
+            "gamma must have length",
+        ),
+        # moduli out of order: the Schur form permutes, so U != I
+        (
+            lambda: construct_eigenfunction(
+                AffineSymbol(np.diag([0.25, 0.5]), [0.0, 0.0]), (), (1, 0), exact=True
+            ),
+            ValueError,
+            "U = I",
+        ),
+        (
+            lambda: construct_eigenfunction(_COMPACT_TRIANGULAR, (), (1, 0), exact=True),
+            ValueError,
+            "exactly diagonal",
+        ),
+    ],
+    ids=["distance-nan", "beta-length", "gamma-length", "exact-not-schur", "exact-not-diagonal"],
+)
+def test_fail_closed_paths_raise_their_type(call, error, match):
+    with pytest.raises(error, match=match) as info:
+        call()
+    assert type(info.value) is error

@@ -492,3 +492,31 @@ def test_copies_and_pickles_start_without_the_memo():
         assert t == s and "_memo" not in vars(t)
         assert _same_bits(solve_z0(t), verdict.z0)
     assert "_memo" in vars(s)
+
+
+def test_eigenvalues_past_the_double_range_raise():
+    # eigvals returns the eigenvalue 2e308 as inf
+    with pytest.raises(SizeOverflowError, match="double range"):
+        eigenvalues([[1e308, 1e308], [1e308, 1e308]])
+
+
+_PHI_1D = AffineSymbol([[0.5]], [1.0])
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: iterate_symbol(_PHI_1D, -1), ValueError, "nonnegative"),
+        (lambda: iterate_symbol(_PHI_1D, 1.5), ValueError, "nonnegative"),
+        (
+            lambda: compose_symbols(_PHI_1D, AffineSymbol(np.eye(2), [0.0, 0.0])),
+            ShapeMismatchError,
+            "different dimension",
+        ),
+    ],
+    ids=["iterate-negative", "iterate-fraction", "compose-dimensions"],
+)
+def test_fail_closed_paths_raise_their_type(call, error, match):
+    with pytest.raises(error, match=match) as info:
+        call()
+    assert type(info.value) is error

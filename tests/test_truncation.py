@@ -1286,3 +1286,51 @@ def test_exact_mode_matrix_is_the_double_build(case):
     M = build_truncation(s, N).matrix
     exact = build_truncation(s, N, exact=True).matrix
     assert np.max(np.abs(M - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("B", [[0.0, 0.0], [1.0, 0.0]], ids=["b-zero", "b-nonzero"])
+def test_top_singular_value_past_the_double_range_raises(B):
+    # every entry is finite, but the top singular value is 2e308
+    op = build_truncation(AffineSymbol([[1e308, 1e308], [1e308, 1e308]], B), 1)
+    with pytest.raises(SizeOverflowError, match="double range"):
+        op.singular_values()
+    with pytest.raises(SizeOverflowError, match="double range"):
+        op.norm()
+
+
+def test_lanczos_norm_past_the_double_range_raises(monkeypatch):
+    monkeypatch.setattr(truncation, "_lanczos_norm", lambda M, steps: math.inf)
+    op = build_truncation(AffineSymbol([[0.5]], [1.0]), truncation._LANCZOS_MIN_DIM)
+    with pytest.raises(SizeOverflowError, match="double range"):
+        op.norm()
+
+
+def test_adjoint_route_peaks_near_its_counted_bytes():
+    # each shell's columns are scaled as they are written, so no dim x dim
+    # quotient is formed beside the 16 dim^2 bytes that the memory check counts
+    s = AffineSymbol(np.diag([0.5, 0.4]) + 0.1, [0.3, 0.2])
+    dim = build_basis(2, 40).dim  # built first: the basis is not the route's
+    tracemalloc.start()
+    try:
+        build_adjoint_truncation(s, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 16 * dim**2
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: build_basis(1, -1), "max_degree"),
+        (
+            lambda: exact_matrix_as_double(build_truncation(AffineSymbol([[0.5]], [0.0]), 2)),
+            "exact mode",
+        ),
+    ],
+    ids=["basis-negative-degree", "exact-matrix-of-double-operator"],
+)
+def test_fail_closed_paths_raise_their_type(call, match):
+    with pytest.raises(ValueError, match=match) as info:
+        call()
+    assert type(info.value) is ValueError

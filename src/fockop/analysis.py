@@ -164,6 +164,13 @@ def operator_norm(symbol, tol_unit=DEFAULT_TOL_UNIT):
     NotBoundedError
     """
     _require_bounded(symbol, tol_unit, "operator norm requires a bounded symbol")
+    return _operator_norm(symbol, tol_unit)
+
+
+@per_symbol
+def _operator_norm(symbol, tol_unit):
+    """||C_phi|| from the remembered z0, computed once per symbol and
+    tolerance (see symbol.per_symbol)."""
     return _norm_from_z0(symbol, solve_z0(symbol, tol_unit))
 
 
@@ -197,10 +204,18 @@ def essential_norm(symbol, tol_unit=DEFAULT_TOL_UNIT):
         If the two closed forms disagree.
     """
     _require_bounded(symbol, tol_unit, "essential norm requires a bounded symbol")
+    return _essential_norm(symbol, tol_unit)
+
+
+@per_symbol
+def _essential_norm(symbol, tol_unit):
+    """essential_norm without its boundedness guard, computed once per
+    symbol and tolerance (see symbol.per_symbol) from the remembered z0 and
+    operator norm; a failed identity check raises on every call."""
     if check_compact(symbol, tol_unit):
         return 0.0
     z0 = solve_z0(symbol, tol_unit)
-    return _essential_norm_from_z0(symbol, z0, _norm_from_z0(symbol, z0))
+    return _essential_norm_from_z0(symbol, z0, _operator_norm(symbol, tol_unit))
 
 
 def _is_normal(symbol, tol):
@@ -501,8 +516,8 @@ class ClassificationReport:
 def classify(symbol, tol_unit=DEFAULT_TOL_UNIT, exact_angles=None):
     """Run every closed-form verdict and collect them in one report.
 
-    Boundedness, z0 and the cyclicity verdict are read from what the
-    symbol remembers (see symbol.per_symbol), and the norms and normality
+    Boundedness, z0, the two norms and the cyclicity verdict are read from
+    what the symbol remembers (see symbol.per_symbol), and the normality
     relatives are derived from them; cyclicity skips the boundedness guard
     of check_cyclic, and the essential norm keeps the identity checks of
     essential_norm.  The report holds the remembered verdicts and z0,
@@ -515,15 +530,13 @@ def classify(symbol, tol_unit=DEFAULT_TOL_UNIT, exact_angles=None):
         return ClassificationReport(bounded=bv)
     compact = check_compact(symbol, tol_unit)
     cyc = _cyclic_verdict(symbol, tol_unit, DEFAULT_MAX_COEFF, exact_angles)
-    z0 = solve_z0(symbol, tol_unit)
-    norm = _norm_from_z0(symbol, z0)
     normal = _is_normal(symbol, tol_unit)
     return ClassificationReport(
         bounded=bv,
         compact=compact,
-        norm=norm,
-        essential_norm=0.0 if compact else _essential_norm_from_z0(symbol, z0, norm),
-        z0=z0,
+        norm=_operator_norm(symbol, tol_unit),
+        essential_norm=_essential_norm(symbol, tol_unit),
+        z0=solve_z0(symbol, tol_unit),
         normal=normal,
         hyponormal=normal,
         essentially_normal=compact or normal,

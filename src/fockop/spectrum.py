@@ -30,6 +30,7 @@ from .symbol import (
     _block_schur,
     _eigenvalues_of,
     _unimodular,
+    per_symbol,
 )
 from .truncation import (
     _creation_shells,
@@ -337,6 +338,10 @@ class EigenfunctionSpec:
     eigenvalue * polynomial, which verify_eigenfunction checks from
     polynomial.terms alone.  In exact mode polynomial carries Gaussian
     rational coefficients and eigenvalue_exact the exact eigenvalue.
+
+    C and normalized_symbol are what the symbol remembers (see
+    symbol.per_symbol): every spec of one symbol and tolerance shares them,
+    and their arrays are read-only.
     """
 
     beta: tuple
@@ -369,11 +374,33 @@ def _matched_eig(A1):
     return lam[order], V[:, order]
 
 
+@per_symbol
+def _contractive_frame(symbol, tol_unit):
+    """(C, lam, V) of the contractive block, computed once per symbol and
+    tolerance (see per_symbol): C = (I - A1)^{-1} B1 and the eigenpairs of
+    A1^T from _matched_eig, as read-only arrays.  A defective A1 raises
+    NotDiagonalizableError on every call."""
+    form = _block_schur(symbol, tol_unit)
+    m = symbol.n - form.s
+    if not m:
+        empty = np.zeros(0, dtype=complex)
+        return empty, empty, empty.reshape(0, 0)
+    C = np.linalg.solve(np.eye(m) - form.A1, form.Bprime[form.s :])
+    return (C, *_matched_eig(form.A1))
+
+
 def _normalized_symbol(form):
     """psi(w, v) = (Dw, A1 v + B1): the symbol in Schur coordinates, with
     the unimodular part of Bprime dropped."""
     B = np.concatenate([np.zeros(form.s), form.Bprime[form.s :]])
     return AffineSymbol(form.M, B)
+
+
+@per_symbol
+def _psi(symbol, tol_unit):
+    """_normalized_symbol of the block Schur form the symbol remembers,
+    built once per symbol and tolerance (see per_symbol)."""
+    return _normalized_symbol(_block_schur(symbol, tol_unit))
 
 
 def construct_eigenfunction(
@@ -432,13 +459,7 @@ def construct_eigenfunction(
     else:
         one = 1.0 + 0.0j
         D = form.D
-        if m:
-            C = np.linalg.solve(np.eye(m) - A1, B1)
-            lam, V = _matched_eig(A1)
-        else:
-            C = np.zeros(0, dtype=complex)
-            lam = np.zeros(0, dtype=complex)
-            V = np.zeros((0, 0), dtype=complex)
+        C, lam, V = _contractive_frame(symbol, tol_unit)
 
     poly = MultiPolynomial.constant(n, one, exact=exact)
     for j in range(s):
@@ -469,7 +490,7 @@ def construct_eigenfunction(
         C=np.array([complex(c) for c in C]) if exact else C,
         polynomial=poly,
         eigenvalue=complex(eig),
-        normalized_symbol=_normalized_symbol(form),
+        normalized_symbol=_psi(symbol, tol_unit),
         eigenvalue_exact=eig if exact else None,
     )
 
@@ -483,9 +504,8 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     the exact columns of C instead, only F's columns read as
     GaussianRational, and return exactly 0.0 on success.
 
-    With symbol given, the Schur normalization psi is taken from the block
-    Schur form the symbol remembers; otherwise the one stored on the spec
-    is used.
+    With symbol given, the Schur normalization psi is the one the symbol
+    remembers for tol_unit; otherwise the one stored on the spec is used.
 
     Raises ShapeMismatchError if psi and F differ in dimension, and
     SizeOverflowError if C(deg F + n, n) exceeds the dimension cap or C
@@ -496,7 +516,7 @@ def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     poly = spec.polynomial
     psi = spec.normalized_symbol
     if symbol is not None:
-        psi = _normalized_symbol(_block_schur(symbol, tol_unit))
+        psi = _psi(symbol, tol_unit)
     if psi.n != poly.n:
         raise ShapeMismatchError("polynomial and symbol dimensions differ")
     terms = poly.terms

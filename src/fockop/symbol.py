@@ -63,9 +63,10 @@ def per_symbol(fn):
     cached_property keeps AffineSymbol.norm_a, so it lives and dies with
     the symbol.  An entry is keyed by fn itself and the arguments, the
     tolerance included, with each list or array argument turned into a
-    tuple.  Each array in the value, or in the fields of a dataclass value,
-    is made read-only, because every later call returns the same one.  A
-    call that raises stores nothing, so the next call raises again.
+    tuple.  Each array in the value, in the items of a tuple value or in
+    the fields of a dataclass value, is made read-only, because every later
+    call returns the same one.  A call that raises stores nothing, so the
+    next call raises again.
     """
 
     def part(a):
@@ -83,9 +84,12 @@ def per_symbol(fn):
 
 
 def _freeze(value):
-    """value, with each array in it or in its dataclass fields read-only."""
+    """value, with each array in it, in its tuple items or in its dataclass
+    fields read-only."""
     if is_dataclass(value):
         parts = [getattr(value, f.name) for f in fields(value)]
+    elif isinstance(value, tuple):
+        parts = value
     else:
         parts = [value]
     for a in parts:
@@ -252,14 +256,17 @@ def sort_eigenvalues(ev):
 def eigenvalues(A):
     """Eigenvalues sorted modulus-descending, ties argument-ascending.
 
-    Raises SizeOverflowError if one leaves the double range (eigvals
-    returns it as inf or NaN).
+    Raises SizeOverflowError if the modulus of one leaves the double range:
+    eigvals returns such an eigenvalue as inf or NaN, or with finite parts
+    whose modulus overflows.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonSquareError(f"expected square matrix, got shape {A.shape}")
     ev = np.linalg.eigvals(A)
-    if not np.isfinite(ev).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(np.hypot(ev.real, ev.imag)).all()
+    if not finite:
         raise SizeOverflowError("an eigenvalue of A exceeds the double range")
     return sort_eigenvalues(ev)
 

@@ -117,7 +117,7 @@ _MAX_FLOAT_DEGREE = 150
 # block hold on machines below a terabyte.  Equal values are never skipped.
 _PRUNE_SLACK = 1e-10
 # build_basis keeps the bases it built last, most recently used last
-_BASES_KEPT = 16
+_BASES_KEPT = 32
 _bases = {}
 # Doubles squared at a time by the B = 0 norm's Frobenius bounds: 256 kB
 # of scratch, which stays in cache where a buffer-sized one would not

@@ -464,6 +464,12 @@ _NUMBER = st.one_of(
 )
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2))
 _GOOD_ENTRY = _FINITE | st.fixed_dictionaries({"re": _FINITE, "im": _FINITE})
+# valid entries of every magnitude a double holds, from the least subnormal up
+_MAGNITUDE = st.sampled_from(
+    [sign * m for m in (0.0, 5e-324, 1e-300, 1e-10, 0.5, 1.0, 1e10, 1e150, 1e300, 1e308, 1.7e308)
+     for sign in (1.0, -1.0)]
+)
+_WIDE_ENTRY = _GOOD_ENTRY | _MAGNITUDE | st.fixed_dictionaries({"re": _MAGNITUDE, "im": _MAGNITUDE})
 _ANY_ENTRY = st.one_of(
     _GOOD_ENTRY,
     _NUMBER,
@@ -489,12 +495,13 @@ def _arbitrary_documents(draw):
     junk entries or tags, shapes of their own, a key missing or junk, or
     none.  Half the flawless ones have a diagonal A on the unit circle,
     whose angles may carry their tags, in an order that need not be the
-    sorted eigenvalues' (a misplaced tag exits 1)."""
+    sorted eigenvalues' (a misplaced tag exits 1); the other half draw
+    entries of any magnitude up to 1.7e308."""
     flaw = draw(st.sampled_from(["none"] * 8 + ["entries", "shapes", "keys", "document"]))
     if flaw == "document":
         return draw(_JUNK | _NUMBER)
     k = draw(st.integers(1, 3))
-    entry = _ANY_ENTRY if flaw == "entries" else _GOOD_ENTRY
+    entry = {"entries": _ANY_ENTRY, "none": _WIDE_ENTRY}.get(flaw, _GOOD_ENTRY)
     tags = st.lists(_ANY_TAG if flaw == "entries" else _GOOD_TAG, min_size=k, max_size=k)
     if flaw == "shapes":
         cols = draw(st.lists(st.integers(0, 3), max_size=3))
@@ -649,6 +656,23 @@ def test_product_differences_overflow_without_warning(args, code, lines):
     assert proc.returncode == code
     assert proc.stderr.count("\n") == lines
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [["spectrum", "-"], ["spectrum", "-", "--verify"]])
+def test_an_eigenvalue_modulus_past_the_double_range_exits_1_without_warning(args):
+    # eigvals returns finite parts of modulus about 1.8e308, whose hypot
+    # overflows; capsys does not see numpy's warnings, so run a process
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockop.cli", *args],
+        input='{"n":2,"A":[[{"re":1,"im":-1e308},{"re":1e308,"im":1e300}],'
+        '[{"re":1e154,"im":1.7e308},{"re":-1e308,"im":-1}]],"B":[0,0]}',
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "fockop: an eigenvalue of A exceeds the double range\n"
 
 
 def test_norm_beyond_double_range_exit_1(capsys, monkeypatch):

@@ -499,6 +499,18 @@ def test_eigenfunction_defective_block_rejected(corpus):
         construct_eigenfunction(corpus["nilpotent_2d"], beta=(), gamma=(1, 0))
 
 
+def test_eigenfunction_check_on_a_defective_block_answers(corpus):
+    # psi is remembered apart from the eigenpairs, so a check against a
+    # symbol whose A1^T has no eigenbasis never asks for one; a construction
+    # on it raises on every call, as a call that raises stores nothing
+    s = corpus["nilpotent_2d"]
+    spec = construct_eigenfunction(corpus["shear_compact_2d"], beta=(), gamma=(1, 1))
+    for _ in range(2):
+        assert 1e-3 < verify_eigenfunction(spec, s) < np.inf
+        with pytest.raises(NotDiagonalizableError):
+            construct_eigenfunction(s, beta=(), gamma=(1, 0))
+
+
 def test_eigenfunction_round_trip_small_degrees(corpus):
     s = corpus["shear_compact_2d"]
     for b1 in range(3):

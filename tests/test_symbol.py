@@ -33,10 +33,11 @@ from fockop import (
     enumerate_spectrum,
     essential_norm,
     iterate_symbol,
+    operator_norm,
     solve_z0,
     verify_eigenfunction,
 )
-from fockop.analysis import _bounded_verdict
+from fockop.analysis import _bounded_verdict, _essential_norm, _operator_norm, _require_bounded
 from fockop.symbol import (
     DEFAULT_TOL_UNIT,
     _block_schur,
@@ -351,7 +352,7 @@ def _outcome(fn, *args):
 
 
 def _fields(value):
-    if isinstance(value, type):
+    if isinstance(value, (type, list)):
         return value
     if dataclasses.is_dataclass(value):
         return [getattr(value, f.name) for f in dataclasses.fields(value)]
@@ -370,13 +371,46 @@ def _assert_same(got, want, label):
             assert g == w and type(g) is type(w), label
 
 
+def _guarded(memo):
+    """The undecorated memo behind a public norm, with its boundedness guard."""
+
+    def fresh(s, tol):
+        _require_bounded(s, tol, "")
+        return memo.__wrapped__(s, tol)
+
+    return fresh
+
+
+def _eigenfunction_bits(s, tol):
+    """Every field of an eigenfunction of s and its two residuals, as bits,
+    or the type of the FockopError that construct_eigenfunction raises."""
+    form = _outcome(block_schur_of_symbol, s, tol)
+    unimodular = 0 if isinstance(form, type) else form.s
+    beta = tuple(j % 3 for j in range(unimodular))
+    gamma = tuple(1 + i % 2 for i in range(s.n - unimodular))
+    spec = _outcome(construct_eigenfunction, s, beta, gamma, tol)
+    if isinstance(spec, type):
+        return spec
+    psi = spec.normalized_symbol
+    terms = [(g, c.real.hex(), c.imag.hex()) for g, c in spec.polynomial.terms.items()]
+    return [
+        spec.beta, spec.gamma, spec.C, terms, spec.eigenvalue.real.hex(),
+        spec.eigenvalue.imag.hex(), psi.A, psi.B, spec.eigenvalue_exact,
+        verify_eigenfunction(spec, s, tol).hex(), verify_eigenfunction(spec).hex(),
+    ]
+
+
 def test_remembered_values_have_the_bits_of_a_fresh_computation():
     # each value is asked twice, so the second answer comes from the memo;
     # the reference runs the undecorated function on an equal new symbol
+    # (for the eigenfunctions, whose memos sit below construct_eigenfunction,
+    # the whole construction and check on an equal new symbol)
     computations = [
         (check_bounded, _bounded_verdict.__wrapped__),
         (solve_z0, solve_z0.__wrapped__),
         (block_schur_of_symbol, lambda s, tol: _block_schur.__wrapped__(s, tol)),
+        (operator_norm, _guarded(_operator_norm)),
+        (essential_norm, _guarded(_essential_norm)),
     ]
     for label, A, B in _bench_symbols(RNG_SEED + 30):
         s = AffineSymbol(A, B)
@@ -385,6 +419,9 @@ def test_remembered_values_have_the_bits_of_a_fresh_computation():
                 want = _outcome(fresh, AffineSymbol(A, B), tol)
                 for _ in range(2):
                     _assert_same(_outcome(public, s, tol), want, (label, public.__name__, tol))
+            want = _eigenfunction_bits(AffineSymbol(A, B), tol)
+            for _ in range(2):
+                _assert_same(_eigenfunction_bits(s, tol), want, (label, "eigenfunction", tol))
         want = eigenvalues(A)
         for _ in range(2):
             assert _same_bits(_eigenvalues_of(s), want), label
@@ -445,6 +482,49 @@ def test_one_symbol_runs_its_normal_form_once(monkeypatch):
         assert calls == {"schur": 1, "svd": 1}, n
 
 
+def test_one_symbol_derives_its_frame_and_norms_once(monkeypatch):
+    from fockop import analysis, spectrum
+
+    calls = {"eig": 0, "psi": 0, "norm": 0}
+
+    def counted(key, fn):
+        def run(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return run
+
+    monkeypatch.setattr(spectrum, "_matched_eig", counted("eig", spectrum._matched_eig))
+    monkeypatch.setattr(spectrum, "_normalized_symbol", counted("psi", spectrum._normalized_symbol))
+    monkeypatch.setattr(analysis, "_norm_from_z0", counted("norm", analysis._norm_from_z0))
+    rng = np.random.default_rng(RNG_SEED + 33)
+    for n in (2, 3):
+        s = random_compact_symbol(rng, n)
+        calls.update(eig=0, psi=0, norm=0)
+        for k in range(4):
+            spec = construct_eigenfunction(s, (), (k % 3,) * n)
+            assert verify_eigenfunction(spec, s) < 1e-10
+        assert classify(s).norm == operator_norm(s)
+        assert essential_norm(s) == 0.0
+        assert calls == {"eig": 1, "psi": 1, "norm": 1}, n
+    # a bounded non-compact symbol: its essential norm is its norm
+    s = AffineSymbol(np.diag([1.0, 0.5]), [0.0, 1.0])
+    calls.update(norm=0)
+    assert classify(s).essential_norm == essential_norm(s) == operator_norm(s)
+    assert calls["norm"] == 1
+
+
+def test_eigenfunction_specs_share_a_read_only_frame():
+    s = AffineSymbol([[0.5, 0.1], [0.2, 0.25]], [1.0, 1j])
+    first, second = (construct_eigenfunction(s, (), g) for g in ((1, 0), (2, 1)))
+    assert first.C is second.C and not first.C.flags.writeable
+    psi = first.normalized_symbol
+    assert psi is second.normalized_symbol
+    assert not (psi.A.flags.writeable or psi.B.flags.writeable)
+    with pytest.raises(ValueError):
+        first.C[0] = 7.0
+
+
 def test_norm_and_cyclicity_read_one_singular_value_decomposition(monkeypatch):
     # norm_a is the first of the read-only singular values the symbol
     # keeps, with the bits of np.linalg.norm(A, 2); the cyclicity check
@@ -498,6 +578,14 @@ def test_eigenvalues_past_the_double_range_raise():
     # eigvals returns the eigenvalue 2e308 as inf
     with pytest.raises(SizeOverflowError, match="double range"):
         eigenvalues([[1e308, 1e308], [1e308, 1e308]])
+
+
+def test_an_eigenvalue_whose_modulus_overflows_raises():
+    # eigvals returns finite parts here, of modulus about 1.8e308; the
+    # modulus is taken without numpy's overflow warning
+    A = [[1 - 1e308j, 1e308 + 1e300j], [1e154 + 1.7e308j, -1e308 - 1j]]
+    with pytest.raises(SizeOverflowError, match="an eigenvalue of A exceeds the double range"):
+        eigenvalues(A)
 
 
 _PHI_1D = AffineSymbol([[0.5]], [1.0])

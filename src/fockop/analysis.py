@@ -330,6 +330,19 @@ def _gaussian_integral(H, b, shift=0.0):
     return _exp(log_val, "Gaussian integral")
 
 
+def _require_p(p):
+    """The one rule on a Schatten exponent: 0 < p < inf, which nan fails."""
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
+
+
+def _require_schatten(symbol, p, tol_unit):
+    """The guards of both Schatten integrals: the p rule, then compactness."""
+    _require_p(p)
+    if not check_compact(symbol, tol_unit):
+        raise NotCompactError("Schatten integrals are evaluated for compact symbols")
+
+
 def schatten_integrals(symbol, p, tol_unit=DEFAULT_TOL_UNIT):
     """Evaluate, over plain Lebesgue volume dv on C^n,
 
@@ -347,13 +360,10 @@ def schatten_integrals(symbol, p, tol_unit=DEFAULT_TOL_UNIT):
     Raises
     ------
     ValueError
-        If p <= 0.
+        Unless 0 < p < inf.
     NotCompactError
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if not check_compact(symbol, tol_unit):
-        raise NotCompactError("Schatten integrals are evaluated for compact symbols")
+    _require_schatten(symbol, p, tol_unit)
     q = 0.25 * p
     A, B = symbol.A, symbol.B
     Ah = A.conj().T
@@ -400,9 +410,11 @@ def schatten_integrals_quadrature(symbol, p, order=16):
         ||C_phi k_z||^2  = exp(-|z|^2/2 + Re<B, z> + |A* z|^2/2)
         ||C_phi* k_z||^2 = exp((|phi(z)|^2 - |z|^2)/2).
 
-    Needs ||A|| < 1.  Shares nothing with the closed form in
-    schatten_integrals; the test suite plays them against each other.
+    Shares nothing with the closed form in schatten_integrals, whose
+    guards it keeps (ValueError unless 0 < p < inf, and NotCompactError);
+    the test suite plays them against each other.
     """
+    _require_schatten(symbol, p, DEFAULT_TOL_UNIT)
     n = symbol.n
     A, B = symbol.A, symbol.B
     scale = 0.25 * p * (1.0 - symbol.norm_a**2)
@@ -428,9 +440,9 @@ def schatten_integrals_quadrature(symbol, p, order=16):
 
 
 def schatten_membership(symbol, p, tol_unit=DEFAULT_TOL_UNIT):
-    """C_phi is in S_p for every 0 < p < infinity iff it is compact."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    """C_phi is in S_p for every 0 < p < infinity iff it is compact.
+    Raises ValueError unless 0 < p < inf."""
+    _require_p(p)
     return check_compact(symbol, tol_unit)
 
 

@@ -32,6 +32,7 @@ from .symbol import (
     _ZERO_ANGLE_TOL,
     DEFAULT_TOL_UNIT,
     _eigenvalues_of,
+    _nonnegative_int,
     _unimodular,
     hermitian_inner,
     iterate_symbol,
@@ -411,11 +412,14 @@ def kernel_orbit(symbol, z, m, mode="adjoint", tol_unit=DEFAULT_TOL_UNIT):
         mode="forward" with n >= 2.
     SizeOverflowError
         mode="forward" where c_m leaves the double range.
+    ValueError
+        If m is not an integer >= 0, or mode is unknown.
     """
     _require_bounded(symbol, tol_unit, "kernel orbits are computed for bounded symbols")
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape[0] != symbol.n:
         raise ShapeMismatchError("orbit point has the wrong dimension")
+    m = _nonnegative_int(m, "iteration count")
     if mode == "adjoint":
         center = iterate_symbol(symbol, m)(z)
         return KernelOrbitResult(center=center, scale=1.0 + 0.0j)
@@ -468,6 +472,7 @@ def orbit_density_experiment(symbol, seed, max_degree, steps):
     The seed's coordinates need the monomial norms, so max_degree is at
     most 150 (SizeOverflowError above).
     """
+    steps = _nonnegative_int(steps, "steps")
     op = build_truncation(symbol, max_degree)
     basis = op.basis
     if seed.n != symbol.n:

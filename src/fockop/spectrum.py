@@ -29,18 +29,11 @@ from .symbol import (
     DEFAULT_TOL_UNIT,
     _block_schur,
     _eigenvalues_of,
+    _nonnegative_int,
     _unimodular,
     per_symbol,
 )
-from .truncation import (
-    _creation_shells,
-    _exact_columns,
-    _gaussian_column,
-    _refuse_past_memory,
-    _shell_columns,
-    build_basis,
-    build_truncation,
-)
+from .truncation import build_basis, build_truncation, eigenfunction_residual
 
 DEDUP_TOL = 1e-10
 _DEDUP_BLOCK = 64
@@ -425,15 +418,16 @@ def construct_eigenfunction(
     ShapeMismatchError
         If beta or gamma have the wrong length.
     ValueError
-        If exact mode is asked for a symbol not in that form.
+        If an entry of beta or gamma is not an integer >= 0, or exact mode
+        is asked for a symbol not in that form.
     """
     _require_bounded(
         symbol, tol_unit, "eigenfunctions are constructed for bounded symbols"
     )
     form = _block_schur(symbol, tol_unit)
     n, s = symbol.n, form.s
-    beta = tuple(int(b) for b in beta)
-    gamma = tuple(int(g) for g in gamma)
+    beta = tuple(_nonnegative_int(b, "an entry of beta") for b in beta)
+    gamma = tuple(_nonnegative_int(g, "an entry of gamma") for g in gamma)
     if len(beta) != s:
         raise ShapeMismatchError(f"beta must have length s={s}, got {len(beta)}")
     if len(gamma) != n - s:
@@ -498,56 +492,25 @@ def construct_eigenfunction(
 def verify_eigenfunction(spec, symbol=None, tol_unit=DEFAULT_TOL_UNIT):
     """Residual max|C f - eigenvalue f| of F o psi = eigenvalue F, with f
     the coefficients of F and C the coefficient matrix of C_psi on the
-    monomials of degree <= deg F, from the truncation's creation recursion
-    with weights one.  Only F's columns of C are read, from the column
-    blocks of the recursion, one shell at a time.  Exact-mode specs sum
-    the exact columns of C instead, only F's columns read as
-    GaussianRational, and return exactly 0.0 on success.
+    monomials of degree <= deg F, from truncation.eigenfunction_residual.
+    Exact-mode specs are checked in exact arithmetic and return exactly
+    0.0 on success.
 
     With symbol given, the Schur normalization psi is the one the symbol
     remembers for tol_unit; otherwise the one stored on the spec is used.
 
     Raises ShapeMismatchError if psi and F differ in dimension, and
-    SizeOverflowError if C(deg F + n, n) exceeds the dimension cap or C
-    would not fit in physical memory (both before anything is built; with
-    B = 0 C's shell blocks are counted, as in build_truncation), or if a
-    residual entry leaves the double range.
+    SizeOverflowError as eigenfunction_residual does: past the dimension
+    cap or physical memory (before anything is built), or if a residual
+    entry leaves the double range.
     """
     poly = spec.polynomial
-    psi = spec.normalized_symbol
-    if symbol is not None:
-        psi = _psi(symbol, tol_unit)
+    psi = spec.normalized_symbol if symbol is None else _psi(symbol, tol_unit)
     if psi.n != poly.n:
         raise ShapeMismatchError("polynomial and symbol dimensions differ")
-    terms = poly.terms
-    d = max((sum(g) for g in terms), default=0)
-    basis = build_basis(poly.n, d)
-    pos = [basis.position(g) for g in terms]
+    lam = spec.eigenvalue
     if poly.exact:
         lam = spec.eigenvalue_exact
         if lam is None:
             lam = GaussianRational.from_complex(spec.eigenvalue)
-        s, columns = _exact_columns(psi, basis)
-        resid = {p: -lam * c for p, c in zip(pos, terms.values())}
-        for p, (g, c) in zip(pos, terms.items()):
-            for i, v in _gaussian_column(s, sum(g), columns[p]).items():
-                resid[i] = resid.get(i, 0) + c * v
-        return max((abs(complex(v)) for v in resid.values()), default=0.0)
-    _refuse_past_memory(basis, blocks=not np.any(psi.B))
-    f = np.array(list(terms.values()), dtype=complex)
-    ones = np.ones((poly.n, basis.shell(d).start))
-    # elementwise, in place on the gathered columns: a BLAS product would
-    # wake OpenBLAS's worker threads
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks, _ = _creation_shells(psi, basis, ones)
-        resid = np.zeros(basis.dim, dtype=complex)
-        for rows, i, cols in _shell_columns(basis, blocks, pos):
-            cols *= f[i]
-            resid[rows] += cols.sum(axis=1)
-        resid[pos] -= spec.eigenvalue * f
-    worst = float(np.max(np.abs(resid)))  # nan propagates
-    if not np.isfinite(worst):
-        raise SizeOverflowError(
-            f"a degree-{d} coefficient of F o psi exceeds the double range"
-        )
-    return worst
+    return eigenfunction_residual(psi, poly.terms, lam, poly.exact)

@@ -176,7 +176,9 @@ class AffineSymbol:
         return sv
 
     def __repr__(self):
-        return f"AffineSymbol(n={self.n}, ||A||={self.norm_a:.6g}, |B|={np.linalg.norm(self.B):.6g})"
+        # hypot, not a sum of squares, which overflows from |B| ~ 1e154 on
+        b = np.hypot.reduce(np.abs(self.B))
+        return f"AffineSymbol(n={self.n}, ||A||={self.norm_a:.6g}, |B|={b:.6g})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,11 +387,18 @@ def adjoint_symbol(symbol):
     return tau, symbol.B.copy()
 
 
+def _nonnegative_int(value, what):
+    """value as an int, the one check of every count and multi-index entry:
+    a Python or numpy integer >= 0, or ValueError."""
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def iterate_symbol(symbol, m):
     """The m-th iterate phi_m = phi o phi_(m-1), with phi_0 the identity:
     A_m = A^m, B_m = (A^{m-1} + ... + I) B."""
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("iteration count must be a nonnegative integer")
+    m = _nonnegative_int(m, "iteration count")
     it = AffineSymbol(np.eye(symbol.n), np.zeros(symbol.n))
     for _ in range(m):
         it = compose_symbols(symbol, it)

@@ -62,7 +62,8 @@ and not bytes: 16 dim^2 for a dense matrix, and for the shell blocks
 (shells of size s_d) the 16 sum_d s_d^2 bytes of the one buffer that
 they share.
 
-Eigenfunctions F are verified by this recursion in the monomial basis z^g
+eigenfunction_residual, the check behind spectrum.verify_eigenfunction,
+verifies eigenfunctions F by this recursion in the monomial basis z^g
 (creation weights one, so no norm is formed), and by the exact columns in
 exact mode; neither shares code with the MultiPolynomial arithmetic that
 constructs F.
@@ -656,20 +657,6 @@ def _block_diagonal(basis, blocks):
     return M
 
 
-def _shell_columns(basis, blocks, cols):
-    """Per degree d among the positions cols, (the rows of shell d's
-    column block, the indices i of the entries of cols of degree d, the
-    columns cols[i] of that block), blocks as _creation_shells gives them:
-    a column is zero outside its block's rows.  The columns keep their
-    order in cols, in Fortran order, as numpy lays out the gather M[:, cols]."""
-    cols = np.asarray(cols, dtype=np.intp)
-    degree = basis.degrees()[cols]
-    for d in sorted(set(degree.tolist())):
-        s, block = basis.shell(d), blocks[d]
-        i = np.flatnonzero(degree == d)
-        yield slice(s.stop - len(block), s.stop), i, np.asfortranarray(block[:, cols[i] - s.start])
-
-
 def _creation_maps(basis):
     """dst[k, i] = position of g_i + e_k, for the g_i of degree < N."""
     G = basis.exponents[: basis.shell(basis.max_degree).start]
@@ -830,6 +817,57 @@ def _creation_shells(symbol, basis, w):
         parts = block.view(float)
         parts /= div[2 * shell.start - 2 : 2 * shell.stop - 2]
     return blocks, M
+
+
+def eigenfunction_residual(psi, terms, eigenvalue, exact):
+    """max|C f - eigenvalue f|: how far F o psi is from eigenvalue F, for
+    F with the coefficients terms (multi-index -> coefficient) in psi.n
+    variables and C the coefficient matrix of C_psi on the monomials of
+    degree <= deg F.
+
+    In double mode C's columns come from the creation recursion with
+    weights one (monomials z^g, no norms), and only F's columns are read,
+    from the column blocks, one shell at a time.  In exact mode eigenvalue
+    and the coefficients are GaussianRational, only F's exact columns are
+    converted, and an exact eigenfunction gives exactly 0.0.
+
+    Raises SizeOverflowError if C(deg F + n, n) exceeds the dimension cap
+    or, in double mode, C would not fit in physical memory (both before
+    anything is built; with B = 0 the shell blocks are counted), or if a
+    residual entry leaves the double range.
+    """
+    d = max((sum(g) for g in terms), default=0)
+    basis = build_basis(psi.n, d)
+    pos = [basis.position(g) for g in terms]
+    if exact:
+        s, columns = _exact_columns(psi, basis)
+        resid = {p: -eigenvalue * c for p, c in zip(pos, terms.values())}
+        for p, (g, c) in zip(pos, terms.items()):
+            for i, v in _gaussian_column(s, sum(g), columns[p]).items():
+                resid[i] = resid.get(i, 0) + c * v
+        return max((abs(complex(v)) for v in resid.values()), default=0.0)
+    _refuse_past_memory(basis, blocks=not np.any(psi.B))
+    f = np.array(list(terms.values()), dtype=complex)
+    pos = np.array(pos, dtype=np.intp)
+    degree = basis.degrees()[pos]
+    # elementwise, in place on the gathered columns: a BLAS product would
+    # wake OpenBLAS's worker threads
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks, _ = _creation_shells(psi, basis, np.ones((psi.n, basis.shell(d).start)))
+        resid = np.zeros(basis.dim, dtype=complex)
+        for e in sorted(set(degree.tolist())):
+            # F's columns in shell e's column block, zero outside its rows,
+            # in Fortran order, as numpy lays out the gather C[:, pos[i]]
+            s, block = basis.shell(e), blocks[e]
+            i = np.flatnonzero(degree == e)
+            cols = np.asfortranarray(block[:, pos[i] - s.start])
+            cols *= f[i]
+            resid[s.stop - len(block) : s.stop] += cols.sum(axis=1)
+        resid[pos] -= eigenvalue * f
+    worst = float(np.max(np.abs(resid)))  # nan propagates
+    if not np.isfinite(worst):
+        raise _entry_overflow(d, "coefficient of F o psi")
+    return worst
 
 
 def _exact_columns(symbol, basis):

@@ -412,8 +412,39 @@ def test_classify_truncation_consistency(corpus):
             "identity mismatch",
         ),
         (lambda s: schatten_integrals(s, 0), ValueError, "p must be positive"),
+        # one p rule, 0 < p < inf, before compactness: nan and inf got
+        # through, and the quadrature had no guard at all
+        (lambda s: schatten_integrals(s, math.nan), ValueError, "p must be positive"),
+        (lambda s: schatten_integrals(s, math.inf), ValueError, "p must be positive"),
+        (lambda s: schatten_membership(s, math.nan), ValueError, "p must be positive"),
+        (lambda s: schatten_membership(s, math.inf), ValueError, "p must be positive"),
+        (lambda s: schatten_integrals_quadrature(s, 0), ValueError, "p must be positive"),
+        (lambda s: schatten_integrals_quadrature(s, -1.0), ValueError, "p must be positive"),
+        (lambda s: schatten_integrals_quadrature(s, math.nan), ValueError, "p must be positive"),
+        (lambda s: schatten_integrals_quadrature(s, math.inf), ValueError, "p must be positive"),
+        # ||A|| = 1 divided by zero and ||A|| > 1 took a negative square root
+        (lambda s: schatten_integrals_quadrature(s, 2.0), NotCompactError, "compact"),
+        (
+            lambda s: schatten_integrals_quadrature(AffineSymbol([[2.0]], [0.0]), 2.0),
+            NotCompactError,
+            "compact",
+        ),
     ],
-    ids=["essential-norm-imaginary", "essential-norm-mismatch", "schatten-p-zero"],
+    ids=[
+        "essential-norm-imaginary",
+        "essential-norm-mismatch",
+        "schatten-p-zero",
+        "schatten-p-nan",
+        "schatten-p-inf",
+        "membership-p-nan",
+        "membership-p-inf",
+        "quadrature-p-zero",
+        "quadrature-p-negative",
+        "quadrature-p-nan",
+        "quadrature-p-inf",
+        "quadrature-norm-one",
+        "quadrature-norm-above-one",
+    ],
 )
 def test_fail_closed_paths_raise_their_type(corpus, call, error, match):
     with pytest.raises(error, match=match) as info:

@@ -475,6 +475,16 @@ def test_adjoint_kernel_orbit_approaches_fixed_point(corpus):
     assert r.center == pytest.approx(np.array([2.0 + 0j]))  # fixed point
 
 
+def test_orbit_counts_take_numpy_integers(corpus):
+    s, z = corpus["compact_1d"], np.array([1.0 + 0j])
+    for mode in ("adjoint", "forward"):
+        got = kernel_orbit(s, z, np.int64(2), mode=mode)
+        want = kernel_orbit(s, z, 2, mode=mode)
+        assert np.array_equal(got.center, want.center) and got.scale == want.scale, mode
+    seed = kernel_series_polynomial(z, 4)
+    assert orbit_density_experiment(s, seed, 4, np.int64(0)).dims == (1,)
+
+
 def test_orbit_experiment_full_span(corpus):
     s = corpus["compact_1d"]
     seed = kernel_series_polynomial(np.array([1.0 + 0j]), 8)
@@ -524,8 +534,29 @@ _ROTATION = AffineSymbol([[1j]], [0.0])
         ),
         (lambda: kernel_orbit(_ROTATION, [1.0, 2.0], 1), ShapeMismatchError, "dimension"),
         (lambda: kernel_orbit(_ROTATION, [1.0], 1, mode="sideways"), ValueError, "mode"),
+        # m = -1 returned conj(a)^-1 z
+        (lambda: kernel_orbit(_ROTATION, [1.0], -1, mode="forward"), ValueError, "nonnegative"),
+        (lambda: kernel_orbit(_ROTATION, [1.0], 1.5, mode="forward"), ValueError, "nonnegative"),
+        (lambda: kernel_orbit(_ROTATION, [1.0], "2", mode="forward"), ValueError, "nonnegative"),
+        # steps = -1 ended in an IndexError
+        (
+            lambda: orbit_density_experiment(
+                _ROTATION, kernel_series_polynomial([1.0], 4), 4, -1
+            ),
+            ValueError,
+            "steps must be a nonnegative integer",
+        ),
     ],
-    ids=["angle-tags", "eigenvalue-tags", "orbit-point-length", "orbit-mode"],
+    ids=[
+        "angle-tags",
+        "eigenvalue-tags",
+        "orbit-point-length",
+        "orbit-mode",
+        "forward-orbit-negative",
+        "forward-orbit-fraction",
+        "forward-orbit-string",
+        "orbit-experiment-negative-steps",
+    ],
 )
 def test_fail_closed_paths_raise_their_type(call, error, match):
     with pytest.raises(error, match=match) as info:

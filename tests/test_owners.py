@@ -9,8 +9,11 @@ changing on the corpus, so the owners are checked on the source.
 
 The truncation's two oracles, exact mode and the adjoint route, are checked
 on the source too: they must reach none of the creation recursion that they
-certify.  What one symbol's verdicts compute is remembered on the symbol
-(symbol.per_symbol) alone, never in a process-wide functools cache.
+certify.  The eigenfunction residual must reach none of the polynomial
+arithmetic that constructs the eigenfunctions it checks, and the other
+modules read truncation.py only through its public names.  What one
+symbol's verdicts compute is remembered on the symbol (symbol.per_symbol)
+alone, never in a process-wide functools cache.
 """
 
 import ast
@@ -125,3 +128,70 @@ def test_truncation_oracles_reach_none_of_the_creation_recursion():
     assert _reached(tree, _ORACLES, _CREATION) == {root: set() for root in _ORACLES}
     # the walk does find the recursion where it is used
     assert _reached(tree, ["build_truncation"], _CREATION)["build_truncation"]
+
+
+# what constructs an eigenfunction F, which the residual must not share
+_CONSTRUCTION = {"MultiPolynomial", "kernel_series_polynomial", "construct_eigenfunction"}
+
+
+def test_eigenfunction_residual_reaches_none_of_the_construction():
+    tree = ast.Module(
+        body=[
+            node
+            for name in ("truncation.py", "polynomials.py", "exact.py", "symbol.py")
+            for node in ast.parse((SRC / name).read_text()).body
+        ],
+        type_ignores=[],
+    )
+    root = "eigenfunction_residual"
+    assert _reached(tree, [root], _CONSTRUCTION) == {root: set()}
+    # the walk does reach the residual's own two routes, and finds the
+    # construction where it is used
+    assert {"_creation_shells", "_exact_columns"} <= _reached(
+        tree, [root], _CREATION | {"_exact_columns"}
+    )[root]
+    assert _reached(tree, ["kernel_series_polynomial"], _CONSTRUCTION)[
+        "kernel_series_polynomial"
+    ] == {"MultiPolynomial"}
+
+
+def _truncation_names_read():
+    """(file, name) for every name that another module of src/fockop
+    imports from truncation.py or reads as an attribute of it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "truncation.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                "truncation",
+                "fockop.truncation",
+            ):
+                found += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                aliases |= {
+                    a.asname or a.name
+                    for a in node.names
+                    if a.name.rpartition(".")[2] == "truncation"
+                }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                owner = node.value
+                name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+                if name in aliases | {"truncation"}:
+                    found.append((path.name, node.attr))
+    return found
+
+
+def test_other_modules_read_truncation_through_public_names_only():
+    found = _truncation_names_read()
+    assert [(f, name) for f, name in found if name.startswith("_")] == []
+    # the scan does see each way in: an import from it, and an attribute
+    # of it bound under its own name or an alias
+    assert {
+        ("spectrum.py", "eigenfunction_residual"),
+        ("cli.py", "build_truncation"),
+        ("analysis.py", "build_truncation"),
+    } <= set(found)

@@ -479,8 +479,8 @@ def test_eigenfunction_check_is_capped_before_it_builds(corpus, monkeypatch):
         raise AssertionError("built a matrix past the cap")
 
     monkeypatch.setenv("FOCKOP_DIM_CAP", "9")
-    monkeypatch.setattr("fockop.spectrum._creation_shells", refuse)
-    monkeypatch.setattr("fockop.spectrum._exact_columns", refuse)
+    monkeypatch.setattr("fockop.truncation._creation_shells", refuse)
+    monkeypatch.setattr("fockop.truncation._exact_columns", refuse)
     for spec in (double, exact):
         with pytest.raises(SizeOverflowError, match="10 exceeds cap 9"):
             verify_eigenfunction(spec)
@@ -720,8 +720,46 @@ _COMPACT_TRIANGULAR = AffineSymbol([[0.5, 0.1], [0.0, 0.25]], [0.0, 0.0])
             ValueError,
             "exactly diagonal",
         ),
+        # (1.5, 0) built the (1, 0) eigenfunction and ("2", 0) the (2, 0)
+        # one; -1 failed inside the polynomial power
+        (
+            lambda: construct_eigenfunction(_COMPACT_TRIANGULAR, (), (1.5, 0)),
+            ValueError,
+            "an entry of gamma must be a nonnegative integer",
+        ),
+        (
+            lambda: construct_eigenfunction(_COMPACT_TRIANGULAR, (), ("2", 0)),
+            ValueError,
+            "an entry of gamma must be a nonnegative integer",
+        ),
+        (
+            lambda: construct_eigenfunction(_COMPACT_TRIANGULAR, (), (-1, 0)),
+            ValueError,
+            "an entry of gamma must be a nonnegative integer",
+        ),
+        (
+            lambda: construct_eigenfunction(AffineSymbol([[1j]], [0.0]), (1.5,), ()),
+            ValueError,
+            "an entry of beta must be a nonnegative integer",
+        ),
+        (
+            lambda: construct_eigenfunction(AffineSymbol([[1j]], [0.0]), (-1,), ()),
+            ValueError,
+            "an entry of beta must be a nonnegative integer",
+        ),
     ],
-    ids=["distance-nan", "beta-length", "gamma-length", "exact-not-schur", "exact-not-diagonal"],
+    ids=[
+        "distance-nan",
+        "beta-length",
+        "gamma-length",
+        "exact-not-schur",
+        "exact-not-diagonal",
+        "gamma-fraction",
+        "gamma-string",
+        "gamma-negative",
+        "beta-fraction",
+        "beta-negative",
+    ],
 )
 def test_fail_closed_paths_raise_their_type(call, error, match):
     with pytest.raises(error, match=match) as info:

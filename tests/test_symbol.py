@@ -278,6 +278,20 @@ def test_iterate_symbol_closed_form():
     assert np.allclose(it(z), w)
 
 
+def test_counts_and_multi_index_entries_take_numpy_integers():
+    s = make_corpus()["compact_1d"]
+    it, want = iterate_symbol(s, np.int64(3)), iterate_symbol(s, 3)
+    assert np.array_equal(it.A, want.A) and np.array_equal(it.B, want.B)
+    spec = construct_eigenfunction(s, (), (np.int64(2),))
+    assert spec.gamma == (2,) and type(spec.gamma[0]) is int
+
+
+def test_repr_of_a_huge_translation_warns_of_nothing():
+    # |B|^2 = 1e600 leaves the double range; |B| does not
+    s = AffineSymbol([[0.5]], [1e300])
+    assert repr(s) == "AffineSymbol(n=1, ||A||=0.5, |B|=1e+300)"
+
+
 def test_compose_symbols_order():
     outer = AffineSymbol(np.array([[2.0]]), np.array([1.0]))
     inner = AffineSymbol(np.array([[3.0]]), np.array([5.0]))

@@ -47,7 +47,6 @@ from fockop.truncation import (
     _creation_parents,
     _creation_shells,
     _frobenius_bounds,
-    _shell_columns,
     dimension_cap,
 )
 from conftest import (
@@ -681,20 +680,20 @@ def test_eigenfunction_residual_reads_the_shell_blocks_with_the_dense_bits():
             d = max(sum(g) for g in terms)
             basis = build_basis(n, d)
             pos = [basis.position(g) for g in terms]
-            blocks, _ = _creation_shells(psi, basis, np.ones((n, basis.shell(d).start)))
+            ones = np.ones((n, basis.shell(d).start))
+            blocks, _ = _creation_shells(psi, basis, ones)
             C = _block_diagonal(basis, blocks)
-            # F is homogeneous here; a shuffled half of all positions
-            # reads across the shells.  Each column is zero outside its
-            # shell, and each entry of cols is read once.
-            for cols in (np.array(pos), rng.permutation(basis.dim)[: basis.dim // 2]):
-                seen = []
-                for rows, i, got in _shell_columns(basis, blocks, cols):
-                    assert _same_bits(got, C[rows, cols[i]]) and got.flags.f_contiguous
-                    outside = np.ones(basis.dim, dtype=bool)
-                    outside[rows] = False
-                    assert not np.any(C[outside][:, cols[i]])
-                    seen += i.tolist()
-                assert sorted(seen) == list(range(len(cols)))
+            # each column block holds the rows of its own shell: in the
+            # dense recursion's matrix a shell's columns are zero outside
+            # them, and inside them they have the block's bits
+            dense = _reference_creation_matrix(psi, basis, ones)
+            for e, block in enumerate(blocks):
+                s = basis.shell(e)
+                assert block.shape == (s.stop - s.start, s.stop - s.start)
+                assert _same_bits(block, dense[s, s]), (n, e)
+                outside = np.ones(basis.dim, dtype=bool)
+                outside[s] = False
+                assert not np.any(dense[outside][:, s])
             f = np.array(list(terms.values()), dtype=complex)
             resid = (C[:, pos] * f).sum(axis=1)
             resid[pos] -= spec.eigenvalue * f
@@ -967,8 +966,7 @@ def test_eigenfunction_check_refuses_past_physical_memory(monkeypatch):
     def refuse(*args):
         raise AssertionError("allocated past physical memory")
 
-    for name in ("_creation_shells", "_shell_columns"):
-        monkeypatch.setattr(f"fockop.spectrum.{name}", refuse)
+    monkeypatch.setattr("fockop.truncation._creation_shells", refuse)
     monkeypatch.setattr("fockop.truncation._physical_memory", lambda: 200)
     with pytest.raises(SizeOverflowError, match="shell blocks would take 224 bytes"):
         verify_eigenfunction(spec)

@@ -112,7 +112,9 @@ def solve_z0(symbol, tol=DEFAULT_TOL_UNIT):
     ker(I - A*A)); a large least-squares residual therefore signals a
     symbol on the unbounded side.  Singular values of I - A*A up to 2 tol
     count as zero: for a unitary A the matrix is rounding noise, and
-    inverting that noise would return a huge z0.
+    inverting that noise would return a huge z0.  The largest of them,
+    max_i |1 - sigma_i^2|, is read off the singular values of A that the
+    symbol keeps.
 
     z0 is computed once per symbol and tolerance (see symbol.per_symbol),
     and every call returns the same read-only array; an inconsistent
@@ -127,7 +129,7 @@ def solve_z0(symbol, tol=DEFAULT_TOL_UNIT):
     A = symbol.A
     lhs = np.eye(n) - A.conj().T @ A
     rhs = A.conj().T @ symbol.B
-    smax = float(np.linalg.norm(lhs, 2))
+    smax = float(np.max(np.abs(1.0 - symbol._singular_values ** 2)))
     if smax <= 2 * tol:
         z0 = np.zeros(n, dtype=complex)
     else:

@@ -35,27 +35,6 @@ def hermitian_inner(u, v):
         return complex(np.sum(np.asarray(u) * np.conj(np.asarray(v))))
 
 
-def operator_norm_of_matrix(A):
-    """Largest singular value.
-
-    Raises
-    ------
-    NonSquareError
-        If A is not a square 2-d array.
-    SizeOverflowError
-        If the SVD leaves the double range (it returns NaN or inf).
-    """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NonSquareError(f"expected square matrix, got shape {A.shape}")
-    if A.shape[0] == 0:
-        return 0.0
-    norm = float(np.linalg.norm(A, 2))  # numpy's SVD sets its own errstate
-    if not np.isfinite(norm):
-        raise SizeOverflowError(f"||A|| = {norm} exceeds the double range")
-    return norm
-
-
 def per_symbol(fn):
     """fn(symbol, *args, **kwargs), computed once per symbol and arguments.
 
@@ -310,10 +289,19 @@ def block_schur_form(A, tol_unit=DEFAULT_TOL_UNIT):
 
     Returns
     -------
-    BlockSchurForm with Bprime = 0 (use block_schur_of_symbol to carry B).
+    BlockSchurForm of the symbol z -> Az, so Bprime = 0 (use
+    block_schur_of_symbol to carry B), with read-only arrays.
 
     Raises
     ------
+    NonSquareError
+        If A is not a square 2-d array.
+    ShapeMismatchError
+        If A is 0 x 0.
+    NonFiniteEntryError
+        If an entry of A is NaN or infinite.
+    SizeOverflowError
+        If ||A|| exceeds the double range.
     NormExceedsOneError
         If ||A|| > 1 + tol_unit.
     StructureViolationError
@@ -321,10 +309,19 @@ def block_schur_form(A, tol_unit=DEFAULT_TOL_UNIT):
         ztrexc reports an error.
     """
     A = np.asarray(A, dtype=complex)
-    norm = operator_norm_of_matrix(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise NonSquareError(f"expected square matrix, got shape {A.shape}")
+    return block_schur_of_symbol(AffineSymbol(A, np.zeros(A.shape[0])), tol_unit)
+
+
+@per_symbol
+def _block_schur(symbol, tol_unit):
+    """block_schur_form of symbol.A with Bprime = U B, computed once per
+    symbol and tolerance (see per_symbol); the norm gate reads norm_a."""
+    norm = symbol.norm_a
     if norm > 1.0 + tol_unit:
         raise NormExceedsOneError(f"||A|| = {norm} exceeds 1 + {tol_unit}")
-    n = A.shape[0]
+    A, n = symbol.A, symbol.n
 
     if _is_sorted_triangular(A):
         T = A.copy()
@@ -354,13 +351,7 @@ def block_schur_form(A, tol_unit=DEFAULT_TOL_UNIT):
         T[i, i + 1 :] = 0.0
     D = diag[:s]
     A1 = T[s:, s:].copy()
-    return BlockSchurForm(U=U, s=s, D=D, A1=A1, Bprime=np.zeros(n, dtype=complex))
-
-
-@per_symbol
-def _block_schur(symbol, tol_unit):
-    form = block_schur_form(symbol.A, tol_unit)
-    return replace(form, Bprime=form.U @ symbol.B)
+    return BlockSchurForm(U=U, s=s, D=D, A1=A1, Bprime=U @ symbol.B)
 
 
 def block_schur_of_symbol(symbol, tol_unit=DEFAULT_TOL_UNIT):

@@ -15,6 +15,7 @@ from fockop import (
     FockopError,
     InconsistentError,
     NonFiniteEntryError,
+    NonSquareError,
     NormExceedsOneError,
     ShapeMismatchError,
     SizeOverflowError,
@@ -496,6 +497,40 @@ def test_one_symbol_runs_its_normal_form_once(monkeypatch):
         assert calls == {"schur": 1, "svd": 1}, n
 
 
+def test_the_closed_form_sweep_takes_three_svds_per_bounded_symbol(monkeypatch):
+    # A's singular values, the boundedness test's vectors and cond(V) of the
+    # eigenfunction frame: the Schur form's norm gate and z0's cutoff read
+    # the singular values the symbol keeps. np.linalg.norm(x, 2) and
+    # np.linalg.cond call numpy.linalg._linalg.svd, so that name is
+    # counted as well as np.linalg.svd
+    from numpy.linalg import _linalg
+
+    calls = []
+    svd = _linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    rng = np.random.default_rng(RNG_SEED + 38)
+    symbols = []
+    for n in (2, 3):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A *= 0.7 / np.linalg.norm(A, 2)
+        symbols.append(AffineSymbol(A, rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    monkeypatch.setattr(_linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for s in symbols:
+        calls.clear()
+        assert classify(s).bounded.bounded
+        essential_norm(s)
+        enumerate_spectrum(s, 4)
+        spec = construct_eigenfunction(s, (), (1,) * s.n)
+        assert verify_eigenfunction(spec, s) < 1e-10
+        check_cyclic(s)
+        assert len(calls) == 3, (s.n, calls)
+
+
 def test_one_symbol_derives_its_frame_and_norms_once(monkeypatch):
     from fockop import analysis, spectrum
 
@@ -615,8 +650,23 @@ _PHI_1D = AffineSymbol([[0.5]], [1.0])
             ShapeMismatchError,
             "different dimension",
         ),
+        (
+            lambda: block_schur_form([[np.nan, 0.0], [0.0, 0.5]]),
+            NonFiniteEntryError,
+            "finite entries",
+        ),
+        (
+            lambda: block_schur_form([[np.inf, 0.0], [0.0, 0.5]]),
+            NonFiniteEntryError,
+            "finite entries",
+        ),
+        (lambda: block_schur_form(np.zeros((2, 3))), NonSquareError, "square matrix"),
+        (lambda: block_schur_form(np.zeros((0, 0))), ShapeMismatchError, "dimension"),
     ],
-    ids=["iterate-negative", "iterate-fraction", "compose-dimensions"],
+    ids=[
+        "iterate-negative", "iterate-fraction", "compose-dimensions",
+        "schur-nan", "schur-inf", "schur-non-square", "schur-empty",
+    ],
 )
 def test_fail_closed_paths_raise_their_type(call, error, match):
     with pytest.raises(error, match=match) as info:

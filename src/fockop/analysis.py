@@ -124,12 +124,21 @@ def solve_z0(symbol, tol=DEFAULT_TOL_UNIT):
     ------
     InconsistentError
         If the residual exceeds tol * max(1, |B|) * max(1, ||A||).
+    SizeOverflowError
+        If A*A, A*B or max|1 - sigma_i^2| leaves the double range, before
+        the system is solved.
     """
     n = symbol.n
     A = symbol.A
-    lhs = np.eye(n) - A.conj().T @ A
-    rhs = A.conj().T @ symbol.B
-    smax = float(np.max(np.abs(1.0 - symbol._singular_values ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.eye(n) - A.conj().T @ A
+        rhs = A.conj().T @ symbol.B
+        smax = float(np.max(np.abs(1.0 - symbol._singular_values ** 2)))
+    # LAPACK's least squares would fail on an inf or nan entry, after
+    # printing to stderr
+    for name, part in (("A*A", lhs), ("A*B", rhs), ("max|1 - sigma_i^2|", smax)):
+        if not np.isfinite(part).all():
+            raise SizeOverflowError(f"solving for z0: {name} exceeds the double range")
     if smax <= 2 * tol:
         z0 = np.zeros(n, dtype=complex)
     else:
@@ -367,14 +376,19 @@ def schatten_integrals(symbol, p, tol_unit=DEFAULT_TOL_UNIT):
     """
     _require_schatten(symbol, p, tol_unit)
     q = 0.25 * p
+    AAh = symbol.A @ symbol.A.conj().T
+    return SchattenIntegrals(
+        int_cphi=_gaussian_integral(q * (np.eye(symbol.n) - AAh), q * symbol.B),
+        int_cphi_star=_int_cphi_star(symbol, q),
+    )
+
+
+def _int_cphi_star(symbol, q):
+    """schatten_integrals' I2 at p = 4 q, with no guard."""
     A, B = symbol.A, symbol.B
     Ah = A.conj().T
-    eye = np.eye(symbol.n)
-    return SchattenIntegrals(
-        int_cphi=_gaussian_integral(q * (eye - A @ Ah), q * B),
-        int_cphi_star=_gaussian_integral(
-            q * (eye - Ah @ A), q * (Ah @ B), q * hermitian_inner(B, B).real
-        ),
+    return _gaussian_integral(
+        q * (np.eye(symbol.n) - Ah @ A), q * (Ah @ B), q * hermitian_inner(B, B).real
     )
 
 
@@ -488,7 +502,7 @@ def hilbert_schmidt_norm_sq_closed_form(symbol, tol_unit=DEFAULT_TOL_UNIT):
 
         ||C_phi||_HS^2 = (2 pi)^{-n} integral ||C_phi* k_z||^2 dv(z),
 
-    the Schatten integral I2 at p = 2.  Follows from
+    the Schatten integral I2 at p = 2, evaluated without I1.  Follows from
     sum_alpha |e_alpha(u)|^2 = exp(|u|^2/2); must match the truncation
     limit.
 
@@ -496,8 +510,8 @@ def hilbert_schmidt_norm_sq_closed_form(symbol, tol_unit=DEFAULT_TOL_UNIT):
     ------
     NotCompactError
     """
-    i2 = schatten_integrals(symbol, 2.0, tol_unit).int_cphi_star
-    return i2 / (2.0 * math.pi) ** symbol.n
+    _require_schatten(symbol, 2.0, tol_unit)
+    return _int_cphi_star(symbol, 0.5) / (2.0 * math.pi) ** symbol.n
 
 
 # ---------------------------------------------------------------------------

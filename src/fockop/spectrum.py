@@ -14,6 +14,7 @@ with C = (I - A1)^{-1} B1 and A1^T v(i) = lambda_i v(i), living in the
 Schur coordinates z' = U z = (w, v).
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +37,7 @@ from .symbol import (
 from .truncation import build_basis, build_truncation, eigenfunction_residual
 
 DEDUP_TOL = 1e-10
-_DEDUP_BLOCK = 64
+_PAIRWISE = 32
 _COND_CAP = 1e8
 
 
@@ -96,68 +97,88 @@ def _dedup_mask(values):
     """Which values survive the sequential rule: keep v unless it lies
     within DEDUP_TOL of a value kept before it.
 
-    A value with no other value within DEDUP_TOL is always kept and never
-    drops another, so only the crowded values go through the rule, in
-    their order (_sequential_mask).  A value is taken as crowded when some
-    other value lies within 2 DEDUP_TOL of it in the real part and some
-    other value in the imaginary part.  The factor 2 absorbs the rounding
-    of the difference, so every pair the rule finds close is crowded, and
-    the mask is that of the rule on all the values.
+    The values are cut into boxes.  Sorted by real part, they split into
+    strips wherever two consecutive real parts are more than DEDUP_TOL
+    apart, and each strip splits the same way on the imaginary part.  The
+    rule on each box alone gives its mask on all the values, because
+    - a computed difference is monotone in its operands, and the modulus
+      hypot(a, b) is at least |a|, so values in different boxes are never
+      within DEDUP_TOL;
+    - so the rule never compares values across boxes;
+    - and a dropped value drops nothing.
+    A box of one value is kept.  A box whose bounding box has a diagonal
+    of at most DEDUP_TOL / 2 is a clique, all its differences within
+    DEDUP_TOL: that margin of a factor 2 is far wider than the rounding
+    of the widths and of the modulus.  Only a clique's first value is
+    kept.  Each other box, a loose one, goes through _loose_box_mask.
     """
     keep = np.ones(len(values), dtype=bool)
-    crowded = _has_neighbour(values.real) & _has_neighbour(values.imag)
-    if crowded.any():
-        keep[crowded] = _sequential_mask(values[crowded])
+    re, im = values.real, values.imag
+    order = np.argsort(re)
+    # an overflowed gap or width is inf, so it always cuts and never
+    # makes a clique
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = re[order]
+        cut = x[1:] - x[:-1] > DEDUP_TOL
+        if cut.all():
+            return keep
+        strip = np.zeros(len(values), dtype=np.intp)
+        np.cumsum(cut, out=strip[1:])
+        wide = np.zeros(len(values), dtype=bool)  # in a strip of two or more
+        wide[1:] = ~cut
+        wide[:-1] |= wide[1:]
+        order, strip = order[wide], strip[wide]
+        by_im = np.lexsort((im[order], strip))
+        order, strip = order[by_im], strip[by_im]
+        x, y = re[order], im[order]
+        cut = np.ones(len(order), dtype=bool)
+        cut[1:] = (strip[1:] != strip[:-1]) | (y[1:] - y[:-1] > DEDUP_TOL)
+        start = np.flatnonzero(cut)
+        end = np.append(start[1:], len(order))
+        width = np.maximum.reduceat(x, start) - np.minimum.reduceat(x, start)
+        clique = np.hypot(width, y[end - 1] - y[start]) <= DEDUP_TOL / 2
+        keep[order] = False
+        keep[np.minimum.reduceat(order, start)[clique]] = True
+        for a, b in zip(start[~clique], end[~clique]):
+            box = np.sort(order[a:b])
+            keep[box] = _loose_box_mask(values[box])
     return keep
 
 
-def _has_neighbour(x):
-    """Whether some other entry of the real array x lies within
-    2 DEDUP_TOL of each entry.  In sorted order the nearest entries are
-    adjacent, and a gap is rounded no larger than a wider difference."""
-    order = np.argsort(x)
-    # an overflowed gap is inf, so it never marks a neighbour
-    with np.errstate(over="ignore", invalid="ignore"):
-        close = np.diff(x[order]) <= 2 * DEDUP_TOL
-    near = np.zeros(len(x), dtype=bool)
-    near[order[:-1]] = close
-    near[order[1:]] |= close
-    return near
+def _loose_box_mask(values):
+    """_dedup_mask's rule on the values of one box, in order.
+
+    While more than _PAIRWISE values are left, the first is kept and drops
+    every later value within DEDUP_TOL of it in one comparison; its exact
+    duplicates go with the others.  _sequential_mask decides the rest.
+    """
+    keep = np.zeros(len(values), dtype=bool)
+    idx = np.arange(len(values))
+    while len(idx) > _PAIRWISE:
+        keep[idx[0]] = True
+        far = np.abs(values[0] - values[1:]) > DEDUP_TOL
+        idx, values = idx[1:][far], values[1:][far]
+    keep[idx] = _sequential_mask(values)
+    return keep
 
 
 def _sequential_mask(values):
-    """_dedup_mask's rule on every value, one after another.
-
-    The rule is not transitive, so it runs in blocks of _DEDUP_BLOCK in
-    order.  A block first drops every row close to a value kept in earlier
-    blocks, in one comparison.  Among the rows left, a row with no earlier
-    close row is kept, and a row whose first earlier close row is kept is
-    dropped; only the others are checked, in order, against the kept rows
-    before them.
-    """
+    """The rule on a few values, one Python step per value.  Each value's
+    row of the pairwise closeness is packed into an int, and a value is
+    kept unless the row of a value kept before it marks it."""
+    rows = np.packbits(
+        np.abs(values[:, None] - values[None, :]) <= DEDUP_TOL,
+        axis=1,
+        bitorder="little",
+    )
+    size = rows.shape[1]
+    rows = rows.tobytes()
     keep = np.zeros(len(values), dtype=bool)
-    kept = np.empty(len(values), dtype=complex)
-    nkept = 0
-    lower = np.tri(_DEDUP_BLOCK, k=-1, dtype=bool)
-    # an overflowed difference is inf, so it never marks a duplicate
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(values), _DEDUP_BLOCK):
-            x = values[start : start + _DEDUP_BLOCK]
-            m = len(x)
-            near_kept = np.abs(kept[None, :nkept] - x[:, None]) <= DEDUP_TOL
-            live = ~near_kept.any(axis=1)
-            # close[j, l]: live rows l < j within DEDUP_TOL of each other
-            close = np.abs(x[None, :] - x[:, None]) <= DEDUP_TOL
-            close &= lower[:m, :m] & live[:, None] & live[None, :]
-            has = close.any(axis=1)
-            first = close.argmax(axis=1)
-            block = live & ~has
-            for j in np.flatnonzero(has & ~block[first]):
-                block[j] = not (close[j] & block).any()
-            keep[start : start + m] = block
-            new = x[block]
-            kept[nkept : nkept + len(new)] = new
-            nkept += len(new)
+    dropped = 0
+    for i in range(len(values)):
+        if not dropped >> i & 1:
+            keep[i] = True
+            dropped |= int.from_bytes(rows[i * size : (i + 1) * size], "little")
     return keep
 
 
@@ -193,9 +214,14 @@ def enumerate_spectrum(
     (re = vr*pr - vi*pi, im = vr*pi + vi*pr), because numpy's vectorized
     complex * may round differently from the scalar product.  A value is
     kept unless it lies within DEDUP_TOL of a value kept before it in
-    graded order; only values with a neighbour are compared (_dedup_mask),
-    which keeps exactly that set.  The eigenvalues are those the symbol
-    remembers, a read-only array.
+    graded order.  _dedup_mask keeps exactly that set box by box: the
+    values split into strips where sorted real parts are more than
+    DEDUP_TOL apart, and each strip the same way on the imaginary part.
+    That is exact because a computed difference is monotone in its
+    operands and its modulus is at least that of either part, so values
+    in different boxes are never within DEDUP_TOL; the rule never
+    compares across boxes; and a dropped value drops nothing.  The
+    eigenvalues are those the symbol remembers, a read-only array.
 
     Raises SizeOverflowError as eigenvalue_products does.
 
@@ -207,8 +233,7 @@ def enumerate_spectrum(
     basis = build_basis(symbol.n, max_degree)
     values = _products(ev, basis)
     keep = _dedup_mask(values)
-    indices = [basis.indices[i] for i in np.flatnonzero(keep)]
-    reps = list(zip(indices, values[keep].tolist()))
+    reps = zip(itertools.compress(basis.indices, keep.tolist()), values[keep].tolist())
     verdict, _ = _angle_verdict(symbol, tol_unit, DEFAULT_MAX_COEFF, exact_angles)
     return SpectrumEnumeration(
         eigenvalues=ev,

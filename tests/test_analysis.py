@@ -135,6 +135,18 @@ def test_z0_residual_scales_with_b():
     assert operator_norm(s) == pytest.approx(math.exp(25.0), rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "A", [[[1e200]], [[1e308, 1e308], [1e308, 1e308]]], ids=["1e200", "1e308-2x2"]
+)
+def test_z0_past_the_double_range_fails_closed(A, capfd):
+    # A*A overflows; least squares on it printed LAPACK's illegal-value
+    # lines to stderr and raised LinAlgError
+    s = AffineSymbol(np.array(A, dtype=complex), np.ones(len(A)))
+    with pytest.raises(SizeOverflowError, match="A\\*A exceeds the double range"):
+        solve_z0(s)
+    assert capfd.readouterr().err == ""
+
+
 def test_caller_tolerance_reaches_z0():
     # B's 1e-8 along the unit direction e_1 is inside tol = 1e-6 but not
     # inside the default 1e-10, so every entry point that accepts the

@@ -27,6 +27,7 @@ from fockop import (
     truncated_spectrum,
     verify_eigenfunction,
 )
+from fockop import spectrum
 from fockop.polynomials import graded_indices
 from fockop.truncation import _creation_shells
 from fockop.spectrum import (
@@ -598,6 +599,86 @@ def _crowded_sets(draw):
 @given(_crowded_sets())
 def test_dedup_on_crowded_values_keeps_the_blocked_rules_mask(values):
     assert np.array_equal(_dedup_mask(values), _reference_dedup_mask(values))
+
+
+# ---------------------------------------------------------------------------
+# The box decomposition against the blocked rule on every value
+
+
+def _product_values(A, degree):
+    return np.array([v for _, v in eigenvalue_products(eigenvalues(A), degree)])
+
+
+def _near_tol(centre, step):
+    # centre + k step for a step of about DEDUP_TOL, so that rounding
+    # decides which gaps and differences exceed the tolerance
+    return [centre + k * step for k in range(12)]
+
+
+_TOL_UP = np.nextafter(DEDUP_TOL, 1.0)
+
+
+def _box_cases():
+    rng = np.random.default_rng(RNG_SEED)
+    # exact duplicates: products that are all 0, of both signs
+    for n in (1, 2, 3):
+        yield f"zero-{n}", _product_values(np.zeros((n, n)), 10)
+    for n in (2, 3, 4):
+        A = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        yield f"nilpotent-{n}", _product_values(A, 8)
+    yield "signed-zeros", _product_values(np.diag([-0.5, 0.0, 0.5]), 8)
+    yield "signed-zeros-loose", np.array(
+        [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 0.7 * DEDUP_TOL] * 3
+    )
+    # roots of unity: products that coincide up to rounding
+    for q in range(2, 13):
+        for n, degree in ((1, 60), (2, 20), (3, 10)):
+            turns = (1 + np.arange(n) * 5) % q
+            yield f"roots-{q}-{n}", _product_values(np.diag(np.exp(2j * np.pi * turns / q)), degree)
+    # |a| < 1: powers that pile up near 0
+    for r in (0.3, 0.6, 0.8, 0.95):
+        yield f"chain-{r}-1", _product_values(np.array([[r * cmath.exp(1j)]]), 255)
+        yield f"chain-{r}-2", _product_values(np.diag([r * cmath.exp(1j), 0.45j]), 40)
+    # pairs exactly DEDUP_TOL apart, inside one box and across a box edge
+    yield "tol-re", np.array([0.0, DEDUP_TOL, 2 * DEDUP_TOL + _TOL_UP])
+    yield "tol-im", np.array([0.0, 1j * DEDUP_TOL, 1j * (2 * DEDUP_TOL + _TOL_UP)])
+    yield "tol-up", np.array([0.0, _TOL_UP, 1j * _TOL_UP, complex(_TOL_UP, _TOL_UP)])
+    for centre in (0.7 + 0.2j, -3.0 + 1e3j, 1e5):
+        yield f"rounding-re-{centre}", np.array(_near_tol(centre, DEDUP_TOL))
+        yield f"rounding-im-{centre}", np.array(_near_tol(centre, 1j * DEDUP_TOL))
+        diagonal = DEDUP_TOL * cmath.exp(0.25j * cmath.pi)
+        yield f"rounding-diagonal-{centre}", np.array(_near_tol(centre, diagonal))
+    # a loose box of more than 32 values that its first value empties, and
+    # a cloud that takes several comparisons and then the pass over rows
+    ring = DEDUP_TOL * np.exp(2j * np.pi * np.arange(40) / 40)
+    yield "ring", np.concatenate(([0.0], 0.9 * ring))
+    axes = DEDUP_TOL * np.array([1, -1, 1j, -1j])
+    yield "ring-and-axes", np.concatenate(([0.0], 0.5 * ring, axes))
+    yield "cloud", 0.5 + 4 * DEDUP_TOL * (rng.uniform(size=200) + 1j * rng.uniform(size=200))
+    # differences that overflow
+    big = [1e308, -1e308, 1.7e308 + 1.7e308j, -1.7e308 - 1.7e308j, 1e308 + 1e308j]
+    yield "overflow", np.array(big + [1e308 - 1e308j, 1e308, -1.7e308 + 1.7e308j] + big)
+
+
+@pytest.mark.parametrize("values", [pytest.param(v, id=k) for k, v in _box_cases()])
+def test_box_dedup_keeps_the_blocked_rules_mask(values):
+    values = np.asarray(values, dtype=complex)
+    assert np.array_equal(_dedup_mask(values), _reference_dedup_mask(values))
+
+
+def test_sequential_rule_sees_only_a_few_values(monkeypatch):
+    # the powers of 0.6 e^i below 1e-10 crowd around 0, and every product
+    # of a zero symbol but the first is 0: neither may fall back to a pass
+    # of one Python step per value
+    seen, boxes = [], []
+    rule, box = spectrum._sequential_mask, spectrum._loose_box_mask
+    monkeypatch.setattr(spectrum, "_sequential_mask", lambda v: seen.append(len(v)) or rule(v))
+    monkeypatch.setattr(spectrum, "_loose_box_mask", lambda v: boxes.append(len(v)) or box(v))
+    spec = enumerate_spectrum(AffineSymbol(np.array([[0.6 * cmath.exp(1j)]]), np.zeros(1)), 255)
+    assert len(spec.products) < 256 and boxes and sum(seen) <= 4
+    seen.clear(), boxes.clear()
+    spec = enumerate_spectrum(AffineSymbol(np.zeros((3, 3)), np.ones(3)), 10)
+    assert len(spec.products) == 2 and not boxes and not seen
 
 
 # ---------------------------------------------------------------------------

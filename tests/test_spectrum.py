@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fockop import (
     AffineSymbol,
@@ -537,7 +537,7 @@ def test_truncation_spectrum_via_operator(corpus):
 
 
 # ---------------------------------------------------------------------------
-# The dedup on crowded values only, against the blocked rule on all values
+# The dedup box by box, against the blocked rule on every value
 
 
 def _reference_dedup_mask(values):
@@ -595,16 +595,6 @@ def _crowded_sets(draw):
     return np.array(values, dtype=complex)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(_crowded_sets())
-def test_dedup_on_crowded_values_keeps_the_blocked_rules_mask(values):
-    assert np.array_equal(_dedup_mask(values), _reference_dedup_mask(values))
-
-
-# ---------------------------------------------------------------------------
-# The box decomposition against the blocked rule on every value
-
-
 def _product_values(A, degree):
     return np.array([v for _, v in eigenvalue_products(eigenvalues(A), degree)])
 
@@ -660,9 +650,17 @@ def _box_cases():
     yield "overflow", np.array(big + [1e308 - 1e308j, 1e308, -1.7e308 + 1.7e308j] + big)
 
 
-@pytest.mark.parametrize("values", [pytest.param(v, id=k) for k, v in _box_cases()])
-def test_box_dedup_keeps_the_blocked_rules_mask(values):
-    values = np.asarray(values, dtype=complex)
+def _with_box_cases(test):
+    # each case of the corpus runs as an explicit example before the draws
+    for name, values in _box_cases():
+        test = example(values).via(name)(test)
+    return test
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@_with_box_cases
+@given(_crowded_sets())
+def test_dedup_on_crowded_values_keeps_the_blocked_rules_mask(values):
     assert np.array_equal(_dedup_mask(values), _reference_dedup_mask(values))
 
 

@@ -29,12 +29,17 @@ recursion builds M shell by shell: each shell reads its columns' parents
 alpha - e_j from the shell before, adds B_j times them when B != 0, then
 one scaled scatter of them per variable k, in that order for every
 entry; a zero A_jk or B_j adds only +-0, which leaves an entry's bits as
-they are.  The tables it reads that depend on the basis alone are built
-once per basis (GradedBasis._creation_plan), and build_basis shares one
-basis per (n, N).  B sets the row window: with B = 0, L_j maps shell
-d - 1 into shell d, so only the diagonal blocks are built, as views into
-one buffer, and the dense matrix is assembled only when read; otherwise
-the columns span every row above.
+they are.  A small shell (terms x rows x columns at most _GATHER_MAX,
+8192) is built by one gather pass: every term's coefficient and parent
+entry are read through two flat index tables, multiplied, and summed
+over the terms in that same order, so both paths give the same bits; a
+larger one by a sliced loop of one scaled scatter per slot and variable.
+The tables it reads that depend on the basis alone, the gather tables
+among them, are built once per basis (GradedBasis._creation_plan), and
+build_basis shares one basis per (n, N).  B sets the row window: with
+B = 0, L_j maps shell d - 1 into shell d, so only the diagonal blocks are
+built, as views into one buffer, and the dense matrix is assembled only
+when read; otherwise the columns span every row above.
 With B = 0 the norm solves only the blocks that can hold it: a block
 whose Frobenius norm, an upper bound on its 2-norm taken from its own
 entries, lies below a top singular value already computed is certified
@@ -162,6 +167,33 @@ _LANCZOS_ULPS = 4
 _LANCZOS_STALL_FROM = 6
 _LANCZOS_STALL_STEPS = 4
 _LANCZOS_STALL_SLACK = 2
+# _creation_shells builds a shell by one gather pass when its terms x rows
+# x columns (the size of its index tables; n terms for B = 0 blocks and
+# n + 1 for B != 0) is at most _GATHER_MAX, and by the sliced loop
+# otherwise.  On a 2-CPU Xeon with numpy 2.4, per shell (best of 5), the
+# gather pass took this multiple of the sliced loop's time.  Blocks:
+# n = 1 (1 x 1) 0.8 to 1.06; n = 2 0.47 to 0.61 up to 882 entries, 0.85
+# to 0.97 at 1352 to 5202 and 1.05 to 1.09 at 6272 to 10082 (3 to 5 in
+# one process from 11552 on, where each temporary passes 128 kB); n = 3
+# 0.19 to 0.41 up to 2352, 0.53 to 0.83 at 3888 to 13068, 0.94 to 0.99 at
+# 18252 and 1.06 to 1.2 from 24843 on; n = 4 0.78 at 12544, 0.81 at 28224
+# and 1.65 at 57600; n = 6 0.66 at 18816 and 2.0 at 95256.  Dense: n = 1
+# 0.59 to 0.76 up to N = 150 (302); n = 2 0.32 at 378, 0.50 to 0.80 at
+# 2178 to 10830, 0.87 to 0.91 at 14553, 1.00 at 19044 and 1.07 to 1.35
+# above; n = 3 0.65 to 0.69 at 9408, 0.81 to 0.98 at 17280 and 1.23 from
+# 29700 on; n = 4 0.64 at 12250 and 1.32 at 35280.  So blocks cross over
+# at about 6000 entries for n = 2 and 18000 to 40000 for n >= 3, and the
+# dense route at about 17000 to 20000 for n = 2 to 4.  Whole builds
+# (median of 11 rounds, as a multiple of the all-sliced build): blocks at
+# a bound of 8192 against 16384, (2, 100) 0.96 against 1.07, and within 3%
+# of each other at (2, 34), (3, 10), (3, 16), (4, 10), (5, 7) and (6, 6);
+# dense at 16384 against 8192, (2, 24) 0.78 against 0.85, (3, 6) 0.44
+# against 0.53 and (2, 30) 0.92 against 0.90.  One bound serves both
+# routes: the dense route's gain from 8192 to 16384 is a few hundredths of
+# a build, less than its tables' 0.53 MB over the bases of perfbench's
+# truncation-oracle (1.73 MB of int32 tables in all at 8192), and at 8192
+# no temporary of the pass passes 128 kB.
+_GATHER_MAX = 8192
 
 
 def dimension_cap():
@@ -463,9 +495,21 @@ class TruncatedOperator:
 
     def spectrum(self):
         """Eigenvalues of the shell blocks, sorted modulus-descending,
-        argument-ascending."""
-        blocks = [np.linalg.eigvals(b) for b in self.shell_blocks()]
-        return sort_eigenvalues(np.concatenate(blocks))
+        argument-ascending.
+
+        Consecutive blocks of one size take one eigvals call, on their
+        stack: only n = 1 has them (its N + 1 blocks are all 1 x 1, and
+        from n = 2 on each shell has its own size).  That gives each block
+        the bits of its own call, and the values stay in shell order
+        before the sort, so ties keep their order."""
+        values = []
+        for _, run in itertools.groupby(self.shell_blocks(), len):
+            run = list(run)
+            if len(run) == 1:
+                values.append(np.linalg.eigvals(run[0]))
+            else:
+                values.extend(np.linalg.eigvals(np.stack(run)))
+        return sort_eigenvalues(np.concatenate(values))
 
     def column_norms_sq_by_degree(self):
         """sum over columns of each total degree of the squared column norm.
@@ -702,6 +746,16 @@ class _CreationPlan:
     block_rows, dense_rows : [d][k], the rows of Z_k applied to shell
         d - 1's block, within shell d's block: local to the diagonal block
         (B = 0) and rows of M (B != 0), as a slice where consecutive.
+    down : down[k, r], the position of g_r - e_k, or -1 where g_r[k] = 0:
+        the row of shell d - 1's block that Z_k takes to row r.
+    offsets : where each shell block starts in the B = 0 buffer, as
+        GradedBasis._block_layout gives it.
+
+    The two properties block_gathers (B = 0) and dense_gathers (B != 0)
+    hold, for each shell of at most _GATHER_MAX terms x rows x columns,
+    the flat index tables of its gather pass (see _creation_gathers);
+    each is built on its first read, so a basis that only ever sees one
+    route builds one set.
     """
 
     shells: tuple
@@ -710,6 +764,16 @@ class _CreationPlan:
     slots: tuple
     block_rows: tuple
     dense_rows: tuple
+    down: np.ndarray
+    offsets: tuple
+
+    @cached_property
+    def block_gathers(self):
+        return _creation_gathers(self, dense=False)
+
+    @cached_property
+    def dense_gathers(self):
+        return _creation_gathers(self, dense=True)
 
     @classmethod
     def of(cls, basis):
@@ -718,6 +782,9 @@ class _CreationPlan:
         slot, parent = _creation_parents(basis)
         starts = basis._block_layout[0]
         shells = tuple(slice(a, b) for a, b in zip(starts, starts[1:]))
+        down = np.full((n, basis.dim), -1, dtype=np.intp)
+        for k in range(n):
+            down[k, dst[k]] = np.arange(dst.shape[1])
         slots = [None]
         for s in shells[1:]:
             runs, col = [], 0
@@ -740,7 +807,64 @@ class _CreationPlan:
             dense_rows=(None,) + tuple(
                 tuple(_consecutive(dst[k, : s.stop]) for k in range(n)) for s in shells[:-1]
             ),
+            down=_read_only(down),
+            offsets=basis._block_layout[1],
         )
+
+
+def _creation_gathers(plan, dense):
+    """gathers[d] = (ic, ip), the index tables of shell d's gather pass,
+    or None where shell d is built by the sliced loop: for B = 0 blocks,
+    or with dense the B != 0 route's column blocks of M.
+
+    ic and ip have the shape (terms, rows, columns) of shell d's block
+    with one leading entry per term: the B_j term first (dense only), then
+    the Z_k terms, k ascending.  For each term of each entry, ic is where
+    its coefficient sits in the table _creation_shells lays out: coef's
+    n x I x n entries (coef[k, i, j] = A_jk w[k, i], I the basis elements
+    of degree < N), then B, then a zero pad.  ip is where its parent entry
+    sits in the storage that the previous shell's block is a view into:
+    the one buffer of the B = 0 blocks, or the raveled M.  A term that
+    does not exist (g_r[k] = 0 for Z_k; a row of shell d for B_j) takes the
+    pad, times its column's parent in the first stored row, which is +-0
+    while that parent is finite.  A shell is gathered while terms x rows x
+    columns is at most _GATHER_MAX.  The tables are int32 where every index
+    fits.
+    """
+    (n, dim), I = plan.down.shape, plan.shells[-1].start
+    pad = n * I * n + n
+    # term t's coefficient is ctab[base[t] + step[t] i + j] for the parent
+    # row i and the slot j: coef[k, i, j], or B_j for the B_j term
+    base, step = np.arange(n) * (I * n), np.full(n, n)
+    if dense:
+        base, step = np.append(n * I * n, base), np.append(0, step)
+    storage = dim * dim if dense else plan.offsets[-1]
+    dtype = np.int32 if max(storage, pad) < 2**31 else np.intp
+    gathers = [None]
+    for d in range(1, len(plan.shells)):
+        s, prev = plan.shells[d], plan.shells[d - 1]
+        lo = 0 if dense else s.start
+        if len(base) * (s.stop - lo) * (s.stop - s.start) > _GATHER_MAX:
+            gathers.append(None)
+            continue
+        rows = np.arange(lo, s.stop)
+        # parents[t, r], the row of term t's parent entry, or -1
+        parents = plan.down[:, rows]
+        if dense:
+            # entry (i, c) of M is i dim + c
+            parents = np.vstack((np.where(rows < prev.stop, rows, -1), parents))
+            col_at, row_at, first = plan.parent[s], dim, 0
+        else:
+            # entry (i, c) of shell d - 1's block is offsets[d - 1] +
+            # (i - prev.start) s_{d - 1} + (c - prev.start)
+            col_at = plan.offsets[d - 1] + plan.parent[s] - prev.start
+            row_at, first = prev.stop - prev.start, prev.start
+        has = (parents >= 0)[:, :, None]
+        coef_at = base[:, None] + step[:, None] * parents
+        ic = np.where(has, coef_at[:, :, None] + plan.slot[s], pad)
+        ip = np.where(has, ((parents - first) * row_at)[:, :, None] + col_at, col_at)
+        gathers.append((_read_only(ic.astype(dtype)), _read_only(ip.astype(dtype))))
+    return tuple(gathers)
 
 
 def _creation_shells(symbol, basis, w):
@@ -759,61 +883,94 @@ def _creation_shells(symbol, basis, w):
     GradedBasis._block_layout), and M is None.  Otherwise lo_d = 0: the
     blocks are views into the dense M.
 
-    The columns of shell d whose slot (first nonzero entry) is j are
+    A shell takes one of two paths, chosen by its size alone (terms x
+    rows x columns, against _GATHER_MAX), and both give every entry the
+    same products, summed onto +0 in the same order: the B_j term first,
+    then k ascending.  A small shell, where numpy's call overhead outweighs
+    the arithmetic, is one gather pass over the tables of
+    _CreationPlan.block_gathers or dense_gathers (see _creation_gathers):
+    Y = ctab[ic] * storage[ip], the coefficients times the parent entries,
+    out of place (an in-place complex multiply on one-element arrays takes
+    another numpy loop, with other bits), then one add.reduce of Y over
+    its leading term axis into the block, from initial +0.  numpy adds
+    along that axis one term after the other: it sums pairwise only along
+    a contiguous inner axis, which Y has only for the 1 x 1 blocks of
+    n = 1, and there it has one term.  A term that does not exist is the
+    zero pad times a finite parent, +-0.  A larger shell takes the sliced
+    loop: the columns of shell d whose slot (first nonzero entry) is j are
     contiguous, and their parents alpha - e_j are the first columns of
     shell d - 1's block, in the same order.  With B != 0 the shell first
     adds B_j times the parents to the parent rows; then, for k ascending,
     it scales the parents by A_jk w[k, row], slot by slot, into X and adds
-    X to the rows of Z_k.  Each entry thus gets its terms in the order of
-    the recursion, and every term of a zero A_jk or B_j is +-0: an entry
+    X to the rows of Z_k.  X is a view into one buffer made per build, at
+    the first sliced shell, so the shells reuse memory that is in cache.
+
+    Either way each entry gets its terms in the order of the recursion,
+    and every term of a zero A_jk or B_j, or of the pad, is +-0: an entry
     starts at +0 and a sum of doubles is -0 only when both terms are, so
     adding +-0 never changes its bits.  (A zero coefficient times an
     infinite parent entry gives nan, but only after an earlier shell has
-    overflowed.)  Each column is then divided by the real w[j, parent], its
-    real and imaginary parts alike, in one pass over the block's real view,
-    so that exact entries stay exact.  X is a view into one buffer made
-    per build, so the shells reuse memory that is in cache.
+    overflowed, and the build then fails on that entry.)  Each column is
+    then divided by the real w[j, parent], its real and imaginary parts
+    alike, in one pass over the block's real view, so that exact entries
+    stay exact.
     """
-    A, B = symbol.A, symbol.B
+    n, A, B = basis.n, symbol.A, symbol.B
     plan = basis._creation_plan  # only now: a refused build builds no plan
     shells, slot = plan.shells, plan.slot
-    # coef[k, i, j] = A_jk w[k, i]
-    coef = w[:, :, None] * A.T[:, None, :]
+    # coef[k, i, j] = A_jk w[k, i], laid out in ctab before B and a zero pad
+    ncoef = w.size * n
+    ctab = np.empty(ncoef + n + 1, dtype=complex)
+    coef = ctab[:ncoef].reshape(n, w.shape[1], n)
+    np.multiply(w[:, :, None], A.T[:, None, :], out=coef)
+    ctab[ncoef:-1], ctab[-1] = B, 0.0
     # div[c - 1] = w[j, parent], twice over: once per real and imaginary part
     div = np.repeat(w[slot[1:], plan.parent[1:]], 2)
     if np.any(B):
         M = np.zeros((basis.dim, basis.dim), dtype=complex)
         blocks = [M[: s.stop, s] for s in shells]
-        targets = plan.dense_rows
+        targets, gathers, flat = plan.dense_rows, plan.dense_gathers, M.reshape(-1)
     else:
-        M, (_, offsets, _) = None, basis._block_layout
-        # each block is zeroed just before its shell is built, in cache
-        buffer = np.empty(offsets[-1], dtype=complex)
+        M, offsets = None, plan.offsets
+        # each sliced block is zeroed just before its shell is built, in cache
+        flat = np.empty(offsets[-1], dtype=complex)
         blocks = [
-            buffer[offsets[d] : offsets[d + 1]].reshape(s.stop - s.start, -1)
+            flat[offsets[d] : offsets[d + 1]].reshape(s.stop - s.start, -1)
             for d, s in enumerate(shells)
         ]
-        targets = plan.block_rows
+        targets, gathers = plan.block_rows, plan.block_gathers
         blocks[0].fill(0.0)
     blocks[0][0, 0] = 1.0
-    size = max((len(a) * b.shape[1] for a, b in zip(blocks, blocks[1:])), default=0)
-    X = np.empty(size, dtype=complex)
+    size = max(
+        (len(a) * b.shape[1] for a, b, g in zip(blocks, blocks[1:], gathers[1:]) if g is None),
+        default=0,
+    )
+    X = None
     for d in range(1, basis.max_degree + 1):
         shell, block, prev = shells[d], blocks[d], blocks[d - 1]
-        if M is None:
-            block.fill(0.0)
-        # the rows of shell d - 1's block, where its entries lie
-        rows = slice(shells[d - 1].stop - len(prev), shells[d - 1].stop)
-        x = X[: len(prev) * block.shape[1]].reshape(len(prev), -1)
-        if M is not None:  # then the rows start at 0 and index this block too
-            for j, kids, m in plan.slots[d]:
-                np.multiply(B[j], prev[:, :m], out=x[:, kids])
-            block[rows] += x
-        for k, t in enumerate(targets[d]):
-            c = coef[k, rows]
-            for j, kids, m in plan.slots[d]:
-                np.multiply(c[:, j, None], prev[:, :m], out=x[:, kids])
-            block[t] += x
+        if gathers[d] is not None:
+            ic, ip = gathers[d]
+            # out of place: an in-place multiply can take another loop
+            Y = np.multiply(ctab.take(ic), flat.take(ip))
+            np.add.reduce(Y, axis=0, initial=0.0, out=block)
+        else:
+            if X is None:
+                # made after the gathered shells, whose temporaries are gone
+                X = np.empty(size, dtype=complex)
+            if M is None:
+                block.fill(0.0)
+            # the rows of shell d - 1's block, where its entries lie
+            rows = slice(shells[d - 1].stop - len(prev), shells[d - 1].stop)
+            x = X[: len(prev) * block.shape[1]].reshape(len(prev), -1)
+            if M is not None:  # then the rows start at 0 and index this block too
+                for j, kids, m in plan.slots[d]:
+                    np.multiply(B[j], prev[:, :m], out=x[:, kids])
+                block[rows] += x
+            for k, t in enumerate(targets[d]):
+                c = coef[k, rows]
+                for j, kids, m in plan.slots[d]:
+                    np.multiply(c[:, j, None], prev[:, :m], out=x[:, kids])
+                block[t] += x
         parts = block.view(float)
         parts /= div[2 * shell.start - 2 : 2 * shell.stop - 2]
     return blocks, M

@@ -87,6 +87,7 @@ _CREATION = {
     "_creation_shells",
     "_creation_maps",
     "_creation_parents",
+    "_creation_gathers",
     "_creation_plan",
     "_CreationPlan",
 }

@@ -1,6 +1,7 @@
 """Finite truncations on the graded monomial basis and their certificates."""
 
 import bisect
+import dataclasses
 import gc
 import math
 import operator
@@ -677,6 +678,112 @@ def test_creation_recursion_has_the_reference_bits_in_more_variables():
                 if M is None:
                     M = _block_diagonal(basis, blocks)
                 assert _same_bits(M, _reference_creation_matrix(s, basis, w)), (n, N)
+
+
+def _fresh_basis(n, N):
+    """A basis with the shared one's indices but none of its cached tables,
+    so that gather tables are built under the bounds in force."""
+    return truncation.GradedBasis(n=n, max_degree=N, indices=build_basis(n, N).indices)
+
+
+def _creation_matrix(s, basis, w):
+    blocks, M = _creation_shells(s, basis, w)
+    return _block_diagonal(basis, blocks) if M is None else M
+
+
+def test_gathered_and_sliced_shells_have_the_same_bits(monkeypatch):
+    rng = np.random.default_rng(RNG_SEED + 19)
+    cases = [(1, 0), (1, 1), (1, 40), (1, 150), (2, 1), (2, 12), (2, 24), (3, 8)]
+    cases += [(4, 6), (5, 4), (6, 4), (7, 3), (8, 3)]
+    for n, N in cases:
+        A = random_contraction(rng, n, top=0.9)
+        B = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if n > 1:
+            # a zero column, a negative zero and a B_j = 0
+            A[:, 1] = 0.0
+            A[0, -1] = -0.0
+            B[-1] = 0.0
+        else:
+            A[0, 0] = -A[0, 0]
+        ones = np.ones((n, graded_dim(n, N - 1)))
+        for b in (np.zeros(n), B):
+            s = AffineSymbol(A, b)
+            for w in (_reference_creation_weights(build_basis(n, N)), ones):
+                got = []
+                for bound in (0, 10**9):
+                    monkeypatch.setattr(truncation, "_GATHER_MAX", bound)
+                    got.append(_creation_matrix(s, _fresh_basis(n, N), w))
+                want = _reference_creation_matrix(s, build_basis(n, N), w)
+                assert _same_bits(got[0], want), (n, N, "sliced")
+                assert _same_bits(got[1], want), (n, N, "gathered")
+    # an overflowed shell leaves non-finite entries, which the builds
+    # refuse, on both paths
+    s = AffineSymbol(np.array([[1e300, 0], [0, 1e300]]), np.zeros(2))
+    for bound in (0, 10**9):
+        monkeypatch.setattr(truncation, "_GATHER_MAX", bound)
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = _creation_matrix(s, _fresh_basis(2, 3), np.ones((2, graded_dim(2, 2))))
+        assert not np.isfinite(M[:, graded_dim(2, 1) :]).all(axis=0).any(), bound
+
+
+class _Reads(tuple):
+    """A tuple that records each int key read whose value is not None."""
+
+    def __new__(cls, items, seen):
+        out = super().__new__(cls, items)
+        out.seen = seen
+        return out
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if isinstance(key, int) and value is not None:
+            self.seen.add(key)
+        return value
+
+
+def test_small_shells_gather_and_large_ones_slice(monkeypatch):
+    # the gathered shells read their tables, the sliced ones their slot runs
+    gathered, sliced = set(), set()
+    tables = truncation._creation_gathers
+    monkeypatch.setattr(
+        truncation, "_creation_gathers", lambda plan, dense: _Reads(tables(plan, dense), gathered)
+    )
+    of = truncation._CreationPlan.of.__func__
+
+    def counted(cls, basis):
+        plan = of(cls, basis)
+        return dataclasses.replace(plan, slots=_Reads(plan.slots, sliced))
+
+    monkeypatch.setattr(truncation._CreationPlan, "of", classmethod(counted))
+    rng = np.random.default_rng(RNG_SEED + 20)
+    for n, N in [(2, 34), (4, 10)]:
+        gathered.clear()
+        sliced.clear()
+        s = AffineSymbol(random_contraction(rng, n), np.zeros(n))
+        basis = _fresh_basis(n, N)
+        _creation_shells(s, basis, truncation._creation_weights(basis))
+        if n == 2:
+            # the build of perfbench's median job: every shell is gathered
+            assert (gathered, sliced) == (set(range(1, N + 1)), set())
+        else:
+            # shells 1 and 2 are gathered, the top ones sliced
+            top = min(sliced, default=N + 1)
+            assert 2 < top <= N, sliced
+            assert (gathered, sliced) == (set(range(1, top)), set(range(top, N + 1)))
+
+
+def test_spectrum_has_the_per_block_eigvals_bits():
+    # one eigvals call per block size, on the stacked blocks, gives each
+    # block's values the bits of its own call, in shell order
+    rng = np.random.default_rng(RNG_SEED + 21)
+    for n, Ns in [(1, (0, 1, 40, 150)), (2, (0, 6, 12))]:
+        for N in Ns:
+            A = random_contraction(rng, n, top=0.9)
+            B = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for b in (B, np.zeros(n)):
+                op = build_truncation(AffineSymbol(A, b), N)
+                each = [np.linalg.eigvals(block) for block in op.shell_blocks()]
+                assert _same_bits(op.spectrum(), sort_eigenvalues(np.concatenate(each))), (n, N)
 
 
 def test_eigenfunction_residual_reads_the_shell_blocks_with_the_dense_bits():
